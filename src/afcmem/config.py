@@ -302,8 +302,8 @@ def validate_config(cfg: ExperimentConfig) -> list[Diagnostic]:
         diags.append(Diagnostic("pipeline", f"must be one of {PIPELINES}, got {cfg.pipeline!r}"))
     if cfg.format not in FORMATS:
         diags.append(Diagnostic("format", f"must be one of {FORMATS}, got {cfg.format!r}"))
-    if not isinstance(cfg.seed, int):
-        diags.append(Diagnostic("seed", f"must be an integer, got {cfg.seed!r}"))
+    if not isinstance(cfg.seed, int) or isinstance(cfg.seed, bool) or cfg.seed < 0:
+        diags.append(Diagnostic("seed", f"must be a non-negative integer, got {cfg.seed!r}"))
     checks = [
         ("ensemble", cfg.ensemble.to_domain),
         ("pulse", cfg.pulse.to_domain),

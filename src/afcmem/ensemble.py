@@ -173,6 +173,27 @@ def with_transverse_states(ens: SpinEnsemble, phase: float = 0.0) -> SpinEnsembl
     return replace(ens, states=states)
 
 
+def precess_states(states: np.ndarray, detunings_hz: np.ndarray, dt: float,
+                   t2: float | None = None) -> np.ndarray:
+    """Free evolution of raw Bloch vectors for dt seconds (see free_evolve)."""
+    if dt < 0:
+        raise InvalidArgumentError(f"dt must be >= 0, got {dt}")
+    if t2 is not None and not t2 > 0:
+        raise InvalidArgumentError(f"t2 must be > 0 when given, got {t2}")
+    theta = 2.0 * math.pi * dt * detunings_hz
+    c, s = np.cos(theta), np.sin(theta)
+    x, y = states[:, 0], states[:, 1]
+    out = np.empty_like(states)
+    out[:, 0] = c * x - s * y
+    out[:, 1] = s * x + c * y
+    out[:, 2] = states[:, 2]
+    if t2 is not None:
+        damp = math.exp(-dt / t2)
+        out[:, 0] *= damp
+        out[:, 1] *= damp
+    return out
+
+
 def free_evolve(ens: SpinEnsemble, dt: float, t2: float | None = None) -> SpinEnsemble:
     """Evolve every spin freely for dt seconds.
 
@@ -188,22 +209,7 @@ def free_evolve(ens: SpinEnsemble, dt: float, t2: float | None = None) -> SpinEn
     t2 : float, optional
         Homogeneous spin coherence time in seconds; omitted = no damping.
     """
-    if dt < 0:
-        raise InvalidArgumentError(f"dt must be >= 0, got {dt}")
-    if t2 is not None and not t2 > 0:
-        raise InvalidArgumentError(f"t2 must be > 0 when given, got {t2}")
-    theta = 2.0 * math.pi * dt * ens.detunings_hz
-    c, s = np.cos(theta), np.sin(theta)
-    x, y = ens.states[:, 0], ens.states[:, 1]
-    out = np.empty_like(ens.states)
-    out[:, 0] = c * x - s * y
-    out[:, 1] = s * x + c * y
-    out[:, 2] = ens.states[:, 2]
-    if t2 is not None:
-        damp = math.exp(-dt / t2)
-        out[:, 0] *= damp
-        out[:, 1] *= damp
-    return replace(ens, states=out)
+    return replace(ens, states=precess_states(ens.states, ens.detunings_hz, dt, t2))
 
 
 def collective_coherence(ens: SpinEnsemble) -> complex:

@@ -15,10 +15,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ensemble import (DetuningDistribution, SpinEnsemble, collective_coherence,
-                       free_evolve, sample_detunings, with_transverse_states)
+# free_evolve and rotation_matrix are unused here but stay bound: the span
+# tracer in benchmarks/tracing.py patches them under this module.
+from .ensemble import (DetuningDistribution, SpinEnsemble, collective_coherence,  # noqa: F401
+                       free_evolve, precess_states, sample_detunings, with_transverse_states)
 from .errors import InvalidArgumentError
-from .pulses import PulseSpec, jitter_angle, rotate_states, rotation_matrix
+from .pulses import PulseSpec, jitter_angle, rotate_states, rotation_matrix  # noqa: F401
 from .rng import DOMAIN_RANDOM_PHASE, DOMAIN_THERMALIZATION, spawn_generator
 
 _X, _Y = 0.0, math.pi / 2.0
@@ -98,6 +100,31 @@ def build_sequence(kind: str, t_s: float, pulse_template: PulseSpec | None = Non
     return DDSequence(tuple(steps), kind, t_s)
 
 
+def _propagate(states: np.ndarray, detunings_hz: np.ndarray, seq: DDSequence,
+               seed: int | None, t2: float | None = None, first_pulse: int = 0,
+               error_model: PulseSpec | None = None) -> np.ndarray:
+    """Step raw Bloch vectors through the sequence; the one sequence propagator.
+
+    Waits precess (and optionally damp) every spin; the k-th pulse of the
+    sequence draws its jitter keyed by (seed, first_pulse + k), and a seed
+    of None means no jitter.  When error_model is given, its
+    systematic_error and rabi_hz replace those of every pulse.
+    """
+    pulse_index = first_pulse
+    for step in seq.steps:
+        if step.wait_s > 0:
+            states = precess_states(states, detunings_hz, step.wait_s, t2)
+        if step.pulse is not None:
+            pulse = step.pulse
+            if error_model is not None:
+                pulse = replace(pulse, systematic_error=error_model.systematic_error,
+                                rabi_hz=error_model.rabi_hz)
+            jit = jitter_angle(pulse, seed, pulse_index)
+            states = rotate_states(states, pulse, detunings_hz, jitter=jit)
+            pulse_index += 1
+    return states
+
+
 def apply_sequence(ens: SpinEnsemble, seq: DDSequence, seed: int = 0,
                    t2: float | None = None) -> SpinEnsemble:
     """Run the ensemble through the sequence (free evolution + pulses).
@@ -106,53 +133,36 @@ def apply_sequence(ens: SpinEnsemble, seq: DDSequence, seed: int = 0,
     keyed by (seed, pulse index), so runs are reproducible and independent
     of per-spin parallelism.
     """
-    pulse_index = 0
-    for step in seq.steps:
-        if step.wait_s > 0:
-            ens = free_evolve(ens, step.wait_s, t2)
-        if step.pulse is not None:
-            jit = jitter_angle(step.pulse, seed, pulse_index)
-            states = rotate_states(ens.states, step.pulse, ens.detunings_hz, jitter=jit)
-            ens = replace(ens, states=states)
-            pulse_index += 1
-    return ens
-
-
-def _z_rotation(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    return replace(ens, states=_propagate(ens.states, ens.detunings_hz, seq, seed, t2))
 
 
 def sequence_rotation_matrix(seq: DDSequence, detuning_hz: float = 0.0,
                              error_model: PulseSpec | None = None) -> np.ndarray:
     """Exact 3x3 rotation implemented by one sequence at a given detuning.
 
-    When error_model is given, its systematic_error and rabi_hz replace
-    those of every pulse in the sequence (jitter is excluded; this is the
-    deterministic composition used for error budgets).
+    The columns are the images of the x, y and z basis vectors.  When
+    error_model is given, its systematic_error and rabi_hz replace those
+    of every pulse in the sequence (jitter is excluded; this is the
+    deterministic map used for error budgets).
     """
-    M = np.eye(3)
-    for step in seq.steps:
-        if step.wait_s > 0:
-            M = _z_rotation(2.0 * math.pi * detuning_hz * step.wait_s) @ M
-        if step.pulse is not None:
-            pulse = step.pulse
-            if error_model is not None:
-                pulse = replace(pulse, systematic_error=error_model.systematic_error,
-                                rabi_hz=error_model.rabi_hz)
-            M = rotation_matrix(pulse, detuning_hz) @ M
-    return M
+    return _propagate(np.eye(3), np.full(3, float(detuning_hz)), seq, None,
+                      error_model=error_model).T
 
 
-def sequence_population_error(seq: DDSequence, detuning_hz: float = 0.0,
-                              error_model: PulseSpec | None = None) -> float:
-    """Population moved to the |g> pole by one sequence, from exact composition.
+def sequence_population_error(seq: DDSequence, detuning_hz: float | np.ndarray = 0.0,
+                              error_model: PulseSpec | None = None) -> float | np.ndarray:
+    """Population moved to the |g> pole by one sequence (no jitter, no Monte Carlo).
 
     A spin starts at z = +1; an even sequence should return it there, so
-    the error is (1 - z_final)/2.  No Monte Carlo is involved.
+    the error is (1 - z_final)/2.  detuning_hz may be a scalar (a float is
+    returned) or a 1-d array (one error per detuning is returned).
     """
-    z_final = sequence_rotation_matrix(seq, detuning_hz, error_model)[2, 2]
-    return 0.5 * (1.0 - z_final)
+    det = np.asarray(detuning_hz, dtype=float)
+    states = np.zeros((det.size, 3))
+    states[:, 2] = 1.0
+    z_final = _propagate(states, det.ravel(), seq, None, error_model=error_model)[:, 2]
+    err = 0.5 * (1.0 - z_final)
+    return float(err[0]) if det.ndim == 0 else err
 
 
 def calibrate_systematic_error(target_error: float, kind: str = "xx", t_s: float = 0.5e-3,
@@ -210,6 +220,24 @@ def thermalization_curve(eps_seq: float, n_max: int) -> ThermalizationCurve:
     return ThermalizationCurve(ns, rho)
 
 
+def _flip_monte_carlo(eps, n_spins: int, n_max: int,
+                      rng: np.random.Generator) -> ThermalizationCurve:
+    """Each of n_max sequences flips each spin between the poles with
+    probability eps (a scalar, or one value per spin); the closed-form
+    track uses the mean of eps."""
+    if n_spins < 1:
+        raise InvalidArgumentError(f"n_spins must be >= 1, got {n_spins}")
+    in_g = np.zeros(n_spins, dtype=bool)
+    rho_mc = np.empty(n_max + 1)
+    rho_mc[0] = 0.0
+    for k in range(1, n_max + 1):
+        in_g ^= rng.random(n_spins) < eps
+        rho_mc[k] = in_g.mean()
+    closed = thermalization_curve(float(np.mean(eps)), n_max).rho_g
+    stderr = np.sqrt(np.maximum(rho_mc * (1.0 - rho_mc), 1e-12) / n_spins)
+    return ThermalizationCurve(np.arange(n_max + 1), closed, rho_mc, stderr)
+
+
 def thermalization_monte_carlo(seq: DDSequence, dist: DetuningDistribution, n_spins: int,
                                n_max: int, seed: int = 0,
                                error_model: PulseSpec | None = None) -> ThermalizationCurve:
@@ -219,26 +247,14 @@ def thermalization_monte_carlo(seq: DDSequence, dist: DetuningDistribution, n_sp
     The experiment estimates rho_g by an absorption measurement after each
     sequence, which destroys transverse spin coherence; accordingly each
     spin is projected onto a pole after every sequence, flipping with the
-    per-spin probability given by the exact sequence composition at its
+    per-spin probability given by the exact sequence map at its
     detuning.  The closed-form track for the ensemble-mean per-sequence
     error is returned alongside the sampled one.
     """
-    if n_spins < 1:
-        raise InvalidArgumentError(f"n_spins must be >= 1, got {n_spins}")
     ens = sample_detunings(dist, n_spins, seed)
-    eps = np.array([sequence_population_error(seq, d, error_model) for d in ens.detunings_hz])
-    eps = np.clip(eps, 0.0, 1.0)
+    eps = np.clip(sequence_population_error(seq, ens.detunings_hz, error_model), 0.0, 1.0)
     rng = spawn_generator(seed, DOMAIN_THERMALIZATION)
-    in_g = np.zeros(n_spins, dtype=bool)
-    ns = np.arange(n_max + 1)
-    rho_mc = np.empty(n_max + 1)
-    rho_mc[0] = 0.0
-    for k in range(1, n_max + 1):
-        in_g ^= rng.random(n_spins) < eps
-        rho_mc[k] = in_g.mean()
-    closed = thermalization_curve(float(eps.mean()), n_max).rho_g
-    stderr = np.sqrt(np.maximum(rho_mc * (1.0 - rho_mc), 1e-12) / n_spins)
-    return ThermalizationCurve(ns, closed, rho_mc, stderr)
+    return _flip_monte_carlo(eps, n_spins, n_max, rng)
 
 
 def thermalization_monte_carlo_uniform(eps_seq: float, n_spins: int, n_max: int,
@@ -252,18 +268,8 @@ def thermalization_monte_carlo_uniform(eps_seq: float, n_spins: int, n_max: int,
     """
     if not 0.0 <= eps_seq <= 0.5:
         raise InvalidArgumentError(f"eps_seq must be in [0, 0.5], got {eps_seq}")
-    if n_spins < 1:
-        raise InvalidArgumentError(f"n_spins must be >= 1, got {n_spins}")
     rng = spawn_generator(seed, DOMAIN_THERMALIZATION, stream)
-    in_g = np.zeros(n_spins, dtype=bool)
-    rho_mc = np.empty(n_max + 1)
-    rho_mc[0] = 0.0
-    for k in range(1, n_max + 1):
-        in_g ^= rng.random(n_spins) < eps_seq
-        rho_mc[k] = in_g.mean()
-    closed = thermalization_curve(eps_seq, n_max).rho_g
-    stderr = np.sqrt(np.maximum(rho_mc * (1.0 - rho_mc), 1e-12) / n_spins)
-    return ThermalizationCurve(np.arange(n_max + 1), closed, rho_mc, stderr)
+    return _flip_monte_carlo(eps_seq, n_spins, n_max, rng)
 
 
 def rephasing_fidelity(ens: SpinEnsemble, seq: DDSequence, seed: int = 0,
@@ -298,7 +304,9 @@ def random_phase_population_study(seq: DDSequence, dist: DetuningDistribution, n
     Each spin starts tilted off |s> by the given transverse amplitude at an
     independent uniform phase (the state produced by storing a weak random
     optical field), and the sequence is applied coherently n_max times with
-    no readout in between.
+    no readout in between.  Pulses are counted across repetitions: the k-th
+    pulse of repetition r (both from 0) draws its jitter keyed by
+    (seed, r * seq.n_pulses + k), so no two applications share a draw.
     """
     if not 0.0 < tilt < 1.0:
         raise InvalidArgumentError(f"tilt must be in (0, 1), got {tilt}")
@@ -310,11 +318,12 @@ def random_phase_population_study(seq: DDSequence, dist: DetuningDistribution, n
     states[:, 1] = tilt * np.sin(phi)
     states[:, 2] = math.sqrt(1.0 - tilt * tilt)
     ens = replace(ens, states=states)
+    states, det, w = ens.states, ens.detunings_hz, ens.weights
     rho = np.empty(n_max + 1)
-    rho[0] = float(np.dot(ens.weights, 0.5 * (1.0 - ens.states[:, 2])))
+    rho[0] = float(np.dot(w, 0.5 * (1.0 - states[:, 2])))
     for k in range(1, n_max + 1):
-        ens = apply_sequence(ens, seq, seed=seed)
-        rho[k] = float(np.dot(ens.weights, 0.5 * (1.0 - ens.states[:, 2])))
+        states = _propagate(states, det, seq, seed, first_pulse=(k - 1) * seq.n_pulses)
+        rho[k] = float(np.dot(w, 0.5 * (1.0 - states[:, 2])))
     return RandomPhaseStudy(np.arange(n_max + 1), rho)
 
 

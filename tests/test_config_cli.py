@@ -140,6 +140,17 @@ class TestCli:
         assert main(["run", str(path)]) == 2
         assert "finesse" in capsys.readouterr().err
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        assert main(["run", "fig2a", "--seed", "-1", "--out", str(tmp_path / "out")]) == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_boolean_seed_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "fig2a", "seed": True}))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_capacity_error_exit_3(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"preset": "fig2c", "modes": {"n_modes": 6}}))

@@ -1,5 +1,6 @@
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,16 +8,51 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afcmem import (DDSequence, DetuningDistribution, InvalidArgumentError, PulseSpec,
-                    SequenceStep, apply_sequence, build_sequence, calibrate_systematic_error,
-                    collective_coherence, dephasing_envelope, grid_ensemble,
-                    precision_requirement, rephasing_fidelity, sample_detunings,
-                    sequence_population_error, thermalization_curve,
+                    SequenceStep, SpinEnsemble, apply_sequence, build_sequence,
+                    calibrate_systematic_error, collective_coherence, dephasing_envelope,
+                    free_evolve, grid_ensemble, precision_requirement,
+                    random_phase_population_study, rephasing_fidelity, rotate_states,
+                    sample_detunings, sequence_population_error, thermalization_curve,
                     thermalization_monte_carlo, with_transverse_states)
+from afcmem.pulses import jitter_angle
+from afcmem.rng import DOMAIN_RANDOM_PHASE, spawn_generator
+from afcmem.sequences import sequence_rotation_matrix
 
 GAUSS27 = DetuningDistribution("gaussian", 27e3)
 NARROW = DetuningDistribution("gaussian", 1.0)  # effectively a single line
 
 X, Y = 0.0, math.pi / 2
+
+
+def _z_rotation(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _axis_rotation(axis, angle):
+    """Rodrigues' formula: right-handed rotation by angle about a unit axis."""
+    nx, ny, nz = axis
+    k = np.array([[0.0, -nz, ny], [nz, 0.0, -nx], [-ny, nx, 0.0]])
+    return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
+
+
+def _oracle_sequence_matrix(seq, detuning_hz, error_model=None):
+    """Explicit product of the closed-form wait and pulse rotations."""
+    m = np.eye(3)
+    for step in seq.steps:
+        m = _z_rotation(2.0 * math.pi * detuning_hz * step.wait_s) @ m
+        if step.pulse is None:
+            continue
+        model = error_model or step.pulse
+        angle = step.pulse.nominal_angle * (1.0 + model.systematic_error)
+        cphi, sphi = math.cos(step.pulse.axis_phase), math.sin(step.pulse.axis_phase)
+        if model.rabi_hz is None:
+            m = _axis_rotation((cphi, sphi, 0.0), angle) @ m
+        else:
+            g = math.hypot(model.rabi_hz, detuning_hz)
+            axis = (model.rabi_hz * cphi / g, model.rabi_hz * sphi / g, detuning_hz / g)
+            m = _axis_rotation(axis, angle * g / model.rabi_hz) @ m
+    return m
 
 
 class TestBuilders:
@@ -123,6 +159,23 @@ class TestPopulationError:
         xy4 = sequence_population_error(build_sequence("xy4", 0.5e-3, pulse))
         assert xy4 <= xx / 10.0
 
+    @pytest.mark.parametrize("kind", ["xx", "xy4", "xy8", "kdd"])
+    @pytest.mark.parametrize("pulse,error_model", [
+        (PulseSpec(), None),
+        (PulseSpec(systematic_error=0.03), None),
+        (PulseSpec(systematic_error=-0.02, rabi_hz=80e3), None),
+        (PulseSpec(jitter_sd=0.1), PulseSpec(systematic_error=0.015)),
+        (PulseSpec(systematic_error=0.01), PulseSpec(systematic_error=0.02, rabi_hz=50e3)),
+    ])
+    def test_rotation_matrix_matches_explicit_product(self, kind, pulse, error_model):
+        seq = build_sequence(kind, 0.37e-3, pulse)
+        for det in (0.0, 1.3e3, -9.1e3, 27e3):
+            m = sequence_rotation_matrix(seq, det, error_model)
+            np.testing.assert_allclose(m, _oracle_sequence_matrix(seq, det, error_model),
+                                       rtol=0.0, atol=1e-12)
+            err = sequence_population_error(seq, det, error_model)
+            assert err == pytest.approx(0.5 * (1.0 - m[2, 2]), abs=1e-12)
+
     def test_error_model_override(self):
         seq = build_sequence("xx", 0.5e-3)
         err = sequence_population_error(seq, error_model=PulseSpec(systematic_error=0.02))
@@ -158,6 +211,8 @@ class TestThermalization:
         seq = build_sequence("xx", 0.5e-3, PulseSpec(systematic_error=0.03))
         ens = sample_detunings(GAUSS27, 10_000, seed=7)
         eps = np.array([sequence_population_error(seq, d) for d in ens.detunings_hz])
+        np.testing.assert_allclose(sequence_population_error(seq, ens.detunings_hz), eps,
+                                   rtol=0.0, atol=1e-15)
         curve = thermalization_monte_carlo(seq, GAUSS27, n_spins=10_000, n_max=40, seed=7)
         for k in (10, 25, 40):
             exact = float((0.5 * (1.0 - (1.0 - 2.0 * eps) ** k)).mean())
@@ -189,6 +244,32 @@ class TestRephasing:
         ens = grid_ensemble(GAUSS27, 512)
         seq = build_sequence("xy4", 0.5e-3)
         assert rephasing_fidelity(ens, seq, t2=0.5e-3) == pytest.approx(math.exp(-1), abs=1e-9)
+
+
+class TestRandomPhase:
+    def test_jitter_keys_count_pulses_across_repetitions(self):
+        # oracle: the k-th pulse of repetition r draws jitter_angle(pulse, seed, r*n + k)
+        seq = build_sequence("xy4", 0.5e-3, PulseSpec(systematic_error=0.01, jitter_sd=0.05))
+        n_spins, n_max, tilt, seed = 64, 4, 0.1, 9
+        study = random_phase_population_study(seq, GAUSS27, n_spins, n_max, tilt=tilt,
+                                              seed=seed)
+        det = sample_detunings(GAUSS27, n_spins, seed).detunings_hz
+        phi = spawn_generator(seed, DOMAIN_RANDOM_PHASE).uniform(0.0, 2.0 * math.pi, n_spins)
+        states = np.stack([tilt * np.cos(phi), tilt * np.sin(phi),
+                           np.full(n_spins, math.sqrt(1.0 - tilt * tilt))], axis=1)
+        ens = SpinEnsemble(det, states, np.full(n_spins, 1.0 / n_spins))
+        expected = [float(np.mean(0.5 * (1.0 - ens.states[:, 2])))]
+        for r in range(n_max):
+            k = 0
+            for step in seq.steps:
+                ens = free_evolve(ens, step.wait_s)
+                if step.pulse is not None:
+                    jit = jitter_angle(step.pulse, seed, r * seq.n_pulses + k)
+                    ens = replace(ens, states=rotate_states(ens.states, step.pulse, det,
+                                                            jitter=jit))
+                    k += 1
+            expected.append(float(np.mean(0.5 * (1.0 - ens.states[:, 2]))))
+        np.testing.assert_allclose(study.rho_g, expected, rtol=0.0, atol=1e-12)
 
 
 class TestPrecisionRequirement:
