@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -41,6 +42,12 @@ class Diagnostic:
         return f"{self.path}: {self.message}"
 
 
+def _check_count(name: str, value, minimum: int = 1) -> None:
+    """Reject a count that is not an integer >= minimum (booleans included)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise InvalidArgumentError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EnsembleSection:
     shape: str = "gaussian"
@@ -48,8 +55,7 @@ class EnsembleSection:
     n_spins: int = 10000
 
     def to_domain(self) -> DetuningDistribution:
-        if self.n_spins < 1:
-            raise InvalidArgumentError(f"n_spins must be >= 1, got {self.n_spins}")
+        _check_count("n_spins", self.n_spins)
         return DetuningDistribution(self.shape, self.fwhm_hz)
 
 
@@ -144,10 +150,9 @@ class DetectionSection:
         return GateConfig(self.gate_duration_s, self.gate_bins)
 
     def validate(self):
-        if self.mu < 0:
-            raise InvalidArgumentError(f"mu must be >= 0, got {self.mu}")
-        if self.trials < 1:
-            raise InvalidArgumentError(f"trials must be >= 1, got {self.trials}")
+        if not (math.isfinite(self.mu) and self.mu >= 0):
+            raise InvalidArgumentError(f"mu must be finite and >= 0, got {self.mu}")
+        _check_count("trials", self.trials)
         self.gate()
 
 
@@ -158,8 +163,7 @@ class ThermalizationSection:
     eps_xy4: float = 0.002
 
     def validate(self):
-        if self.n_max < 1:
-            raise InvalidArgumentError(f"n_max must be >= 1, got {self.n_max}")
+        _check_count("n_max", self.n_max)
         for name in ("eps_xx", "eps_xy4"):
             v = getattr(self, name)
             if not 0.0 <= v <= 0.5:
@@ -180,16 +184,23 @@ class RandomPhaseSection:
     kinds: tuple[str, ...] = ("xx", "xy4", "xy8", "kdd")
 
     def __post_init__(self):
+        if isinstance(self.kinds, str):
+            raise InvalidArgumentError(f"kinds must be a list of sequence kinds, "
+                                       f"got the string {self.kinds!r}")
         object.__setattr__(self, "kinds", tuple(self.kinds))
 
     def validate(self):
-        if self.n_max < 1:
-            raise InvalidArgumentError(f"n_max must be >= 1, got {self.n_max}")
+        _check_count("n_max", self.n_max)
         if not 0.0 < self.tilt < 1.0:
             raise InvalidArgumentError(f"tilt must be in (0, 1), got {self.tilt}")
+        if not self.kinds:
+            raise InvalidArgumentError("kinds must name at least one sequence kind")
         unknown = [k for k in self.kinds if k not in SEQUENCE_KINDS]
         if unknown:
             raise InvalidArgumentError(f"unknown sequence kinds {unknown}")
+        repeated = sorted({k for k in self.kinds if self.kinds.count(k) > 1})
+        if repeated:
+            raise InvalidArgumentError(f"kinds must not repeat; repeated: {repeated}")
 
 
 @dataclass(frozen=True)
@@ -302,9 +313,8 @@ def validate_config(cfg: ExperimentConfig) -> list[Diagnostic]:
         diags.append(Diagnostic("pipeline", f"must be one of {PIPELINES}, got {cfg.pipeline!r}"))
     if cfg.format not in FORMATS:
         diags.append(Diagnostic("format", f"must be one of {FORMATS}, got {cfg.format!r}"))
-    if not isinstance(cfg.seed, int) or isinstance(cfg.seed, bool) or cfg.seed < 0:
-        diags.append(Diagnostic("seed", f"must be a non-negative integer, got {cfg.seed!r}"))
     checks = [
+        ("seed", lambda: _check_count("seed", cfg.seed, minimum=0)),
         ("ensemble", cfg.ensemble.to_domain),
         ("pulse", cfg.pulse.to_domain),
         ("adiabatic", cfg.adiabatic.to_domain),
@@ -316,6 +326,7 @@ def validate_config(cfg: ExperimentConfig) -> list[Diagnostic]:
         ("thermalization", cfg.thermalization.validate),
         ("sweep", cfg.sweep.validate),
         ("random_phase", cfg.random_phase.validate),
+        ("modes", lambda: _check_count("n_modes", cfg.modes.n_modes)),
     ]
     for path, check in checks:
         try:
@@ -332,8 +343,6 @@ def validate_config(cfg: ExperimentConfig) -> list[Diagnostic]:
     if not 0.0 <= cfg.modes.dead_time_fraction < 1.0:
         diags.append(Diagnostic("modes.dead_time_fraction",
                                 f"must be in [0, 1), got {cfg.modes.dead_time_fraction}"))
-    if cfg.modes.n_modes < 1:
-        diags.append(Diagnostic("modes.n_modes", f"must be >= 1, got {cfg.modes.n_modes}"))
     if not cfg.modes.mode_duration_s > 0:
         diags.append(Diagnostic("modes.mode_duration_s",
                                 f"must be > 0, got {cfg.modes.mode_duration_s}"))

@@ -180,12 +180,16 @@ def precess_states(states: np.ndarray, detunings_hz: np.ndarray, dt: float,
         raise InvalidArgumentError(f"dt must be >= 0, got {dt}")
     if t2 is not None and not t2 > 0:
         raise InvalidArgumentError(f"t2 must be > 0 when given, got {t2}")
+    # Written in place to keep (n,)-sized temporaries, and so peak memory, low.
     theta = 2.0 * math.pi * dt * detunings_hz
-    c, s = np.cos(theta), np.sin(theta)
+    c = np.cos(theta)
+    s = np.sin(theta, out=theta)
     x, y = states[:, 0], states[:, 1]
     out = np.empty_like(states)
-    out[:, 0] = c * x - s * y
-    out[:, 1] = s * x + c * y
+    np.multiply(c, x, out=out[:, 0])
+    out[:, 0] -= s * y
+    np.multiply(s, x, out=out[:, 1])
+    out[:, 1] += c * y
     out[:, 2] = states[:, 2]
     if t2 is not None:
         damp = math.exp(-dt / t2)

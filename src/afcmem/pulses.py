@@ -133,6 +133,16 @@ def jitter_angle(pulse: PulseSpec, seed: int | None, pulse_index: int = 0) -> fl
     return pulse.nominal_angle * pulse.jitter_sd * rng.standard_normal()
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise a x b of (n, 3) arrays with np.cross's arithmetic, but without
+    the full copies np.cross makes of both inputs (a may be a broadcast view)."""
+    out = np.empty(b.shape)
+    out[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
+    out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
+    out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    return out
+
+
 def rotate_states(states: np.ndarray, pulse: PulseSpec, detunings_hz: np.ndarray,
                   jitter: float = 0.0) -> np.ndarray:
     """Apply one pulse to an array of Bloch vectors (vectorized Rodrigues rotation).
@@ -148,8 +158,14 @@ def rotate_states(states: np.ndarray, pulse: PulseSpec, detunings_hz: np.ndarray
         axis = np.array([cphi, sphi, 0.0])
         c, s = math.cos(theta), math.sin(theta)
         ndotv = states @ axis
-        cross = np.cross(np.broadcast_to(axis, states.shape), states)
-        return states * c + cross * s + np.outer(ndotv, axis) * (1.0 - c)
+        # Summed in place, column by column, to keep temporaries (and so peak
+        # memory) small; the terms and their order are those of the plain sum.
+        out = _cross(np.broadcast_to(axis, states.shape), states)
+        out *= s
+        for k in range(3):
+            out[:, k] += states[:, k] * c
+            out[:, k] += ndotv * axis[k] * (1.0 - c)
+        return out
     om = pulse.rabi_hz
     g = np.hypot(om, det)
     axis = np.empty_like(states)
@@ -159,8 +175,13 @@ def rotate_states(states: np.ndarray, pulse: PulseSpec, detunings_hz: np.ndarray
     ang = theta * g / om
     c, s = np.cos(ang), np.sin(ang)
     ndotv = np.einsum("ij,ij->i", axis, states)
-    cross = np.cross(axis, states)
-    return states * c[:, None] + cross * s[:, None] + axis * (ndotv * (1.0 - c))[:, None]
+    out = _cross(axis, states)
+    out *= s[:, None]
+    along = ndotv * (1.0 - c)
+    for k in range(3):
+        out[:, k] += states[:, k] * c
+        out[:, k] += axis[:, k] * along
+    return out
 
 
 def apply_rotation(state: np.ndarray, pulse: PulseSpec, detuning_hz: float = 0.0,

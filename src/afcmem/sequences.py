@@ -136,17 +136,23 @@ def apply_sequence(ens: SpinEnsemble, seq: DDSequence, seed: int = 0,
     return replace(ens, states=_propagate(ens.states, ens.detunings_hz, seq, seed, t2))
 
 
-def sequence_rotation_matrix(seq: DDSequence, detuning_hz: float = 0.0,
+def sequence_rotation_matrix(seq: DDSequence, detuning_hz: float | np.ndarray = 0.0,
                              error_model: PulseSpec | None = None) -> np.ndarray:
     """Exact 3x3 rotation implemented by one sequence at a given detuning.
 
-    The columns are the images of the x, y and z basis vectors.  When
+    The columns are the images of the x, y and z basis vectors.  A scalar
+    detuning gives one (3, 3) matrix; a 1-d array of n detunings gives an
+    (n, 3, 3) stack, built by propagating each basis vector in turn.  When
     error_model is given, its systematic_error and rabi_hz replace those
     of every pulse in the sequence (jitter is excluded; this is the
     deterministic map used for error budgets).
     """
-    return _propagate(np.eye(3), np.full(3, float(detuning_hz)), seq, None,
-                      error_model=error_model).T
+    det = np.asarray(detuning_hz, dtype=float)
+    maps = np.empty((det.size, 3, 3))
+    for j, unit in enumerate(np.eye(3)):
+        basis = np.broadcast_to(unit, (det.size, 3))
+        maps[:, :, j] = _propagate(basis, det.ravel(), seq, None, error_model=error_model)
+    return maps[0] if det.ndim == 0 else maps
 
 
 def sequence_population_error(seq: DDSequence, detuning_hz: float | np.ndarray = 0.0,
@@ -304,13 +310,18 @@ def random_phase_population_study(seq: DDSequence, dist: DetuningDistribution, n
     Each spin starts tilted off |s> by the given transverse amplitude at an
     independent uniform phase (the state produced by storing a weak random
     optical field), and the sequence is applied coherently n_max times with
-    no readout in between.  Pulses are counted across repetitions: the k-th
-    pulse of repetition r (both from 0) draws its jitter keyed by
-    (seed, r * seq.n_pulses + k), so no two applications share a draw.
+    no readout in between.  Without jitter every repetition is the same
+    map, so each spin's 3x3 sequence map is composed once and applied
+    n_max times.  With jitter the sequence is stepped pulse by pulse, and
+    pulses are counted across repetitions: the k-th pulse of repetition r
+    (both from 0) draws its jitter keyed by (seed, r * seq.n_pulses + k),
+    so no two applications share a draw.
     """
     if not 0.0 < tilt < 1.0:
         raise InvalidArgumentError(f"tilt must be in (0, 1), got {tilt}")
     ens = sample_detunings(dist, n_spins, seed)
+    jittered = any(p.jitter_sd > 0 for p in seq.pulses)
+    maps = None if jittered else sequence_rotation_matrix(seq, ens.detunings_hz)
     rng = spawn_generator(seed, DOMAIN_RANDOM_PHASE)
     phi = rng.uniform(0.0, 2.0 * math.pi, n_spins)
     states = np.empty((n_spins, 3))
@@ -322,7 +333,10 @@ def random_phase_population_study(seq: DDSequence, dist: DetuningDistribution, n
     rho = np.empty(n_max + 1)
     rho[0] = float(np.dot(w, 0.5 * (1.0 - states[:, 2])))
     for k in range(1, n_max + 1):
-        states = _propagate(states, det, seq, seed, first_pulse=(k - 1) * seq.n_pulses)
+        if jittered:
+            states = _propagate(states, det, seq, seed, first_pulse=(k - 1) * seq.n_pulses)
+        else:
+            states = np.einsum("nij,nj->ni", maps, states)
         rho[k] = float(np.dot(w, 0.5 * (1.0 - states[:, 2])))
     return RandomPhaseStudy(np.arange(n_max + 1), rho)
 

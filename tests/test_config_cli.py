@@ -151,6 +151,34 @@ class TestCli:
         assert "seed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("preset,override,needle", [
+        ("random_phase", {"random_phase": {"n_max": 2.5}}, "n_max"),
+        ("fig1d", {"thermalization": {"n_max": 2.5}}, "n_max"),
+        ("fig1d", {"ensemble": {"n_spins": 100.5}}, "n_spins"),
+        ("random_phase", {"random_phase": {"n_max": True}}, "n_max"),
+        ("random_phase", {"random_phase": {"kinds": "xx"}}, "the string"),
+        ("random_phase", {"random_phase": {"kinds": ["xx", "xx"]}}, "repeat"),
+        ("random_phase", {"random_phase": {"kinds": []}}, "at least one"),
+        ("fig2c", {"modes": {"n_modes": 1.5}}, "n_modes"),
+        ("fig2a", {"detection": {"trials": 1e3}}, "trials"),
+    ], ids=["rp_n_max_float", "therm_n_max_float", "n_spins_float", "rp_n_max_bool",
+            "kinds_string", "kinds_repeated", "kinds_empty", "n_modes_float",
+            "trials_float"])
+    def test_malformed_count_or_kinds_exit_2(self, tmp_path, capsys, preset, override, needle):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(override, preset=preset)))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert needle in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mu", [float("nan"), float("inf")])
+    def test_non_finite_mu_exit_2(self, tmp_path, capsys, mu):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "fig2a", "detection": {"mu": mu}}))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert "mu" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_capacity_error_exit_3(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"preset": "fig2c", "modes": {"n_modes": 6}}))

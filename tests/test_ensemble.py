@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from afcmem import (DetuningDistribution, InvalidArgumentError, coherence_1e_time,
                     collective_coherence, dephasing_envelope, free_evolve, grid_ensemble,
                     sample_detunings, with_transverse_states)
+from afcmem.ensemble import precess_states
 
 GAUSS27 = DetuningDistribution("gaussian", 27e3)
 
@@ -82,6 +83,19 @@ class TestFreeEvolve:
         r = np.hypot(out.states[:, 0], out.states[:, 1])
         np.testing.assert_allclose(r, math.exp(-1.0), atol=1e-12)
         np.testing.assert_array_equal(out.states[:, 2], ens.states[:, 2])
+
+    @pytest.mark.parametrize("t2", [None, 30e-6])
+    def test_precess_states_matches_reference_bit_for_bit(self, t2):
+        # reference: the z rotation in whole-array expressions; precess_states
+        # computes it in place and must round exactly alike
+        rng = np.random.default_rng(3)
+        states, det, dt = rng.normal(size=(400, 3)), rng.normal(0.0, 27e3, 400), 17e-6
+        c, s = np.cos(2.0 * math.pi * dt * det), np.sin(2.0 * math.pi * dt * det)
+        damp = 1.0 if t2 is None else math.exp(-dt / t2)
+        x, y = states[:, 0], states[:, 1]
+        expected = np.stack([c * x - s * y, s * x + c * y, states[:, 2]], axis=1)
+        expected[:, :2] *= damp
+        np.testing.assert_array_equal(precess_states(states, det, dt, t2), expected)
 
     def test_negative_dt_rejected(self):
         ens = sample_detunings(GAUSS27, 10, seed=1)

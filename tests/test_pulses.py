@@ -65,6 +65,31 @@ class TestInstantaneousRotations:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("rabi", [None, 40e3])
+    def test_matches_reference_rodrigues_bit_for_bit(self, rabi):
+        # reference: the Rodrigues sum in one expression with np.cross; rotate_states
+        # sums the same terms in place and must round exactly alike
+        rng = np.random.default_rng(5)
+        det = rng.normal(0.0, 27e3, 500)
+        pulse = PulseSpec(axis_phase=0.9, systematic_error=0.03, rabi_hz=rabi)
+        theta = pulse.nominal_angle * (1.0 + pulse.systematic_error) + 0.01
+        for states in (rng.normal(size=(500, 3)), np.broadcast_to(UP, (500, 3))):
+            if rabi is None:
+                axis = np.array([math.cos(0.9), math.sin(0.9), 0.0])
+                c, s = math.cos(theta), math.sin(theta)
+                cross = np.cross(np.broadcast_to(axis, states.shape), states)
+                expected = states * c + cross * s + np.outer(states @ axis, axis) * (1.0 - c)
+            else:
+                g = np.hypot(rabi, det)
+                axis = np.stack([rabi * math.cos(0.9) / g, rabi * math.sin(0.9) / g, det / g],
+                                axis=1)
+                c, s = np.cos(theta * g / rabi), np.sin(theta * g / rabi)
+                ndotv = np.einsum("ij,ij->i", axis, states)
+                expected = (states * c[:, None] + np.cross(axis, states) * s[:, None]
+                            + axis * (ndotv * (1.0 - c))[:, None])
+            np.testing.assert_array_equal(rotate_states(states, pulse, det, jitter=0.01),
+                                          expected)
+
     @settings(max_examples=60, deadline=None)
     @given(phase=st.floats(0, 2 * math.pi), eps=st.floats(-0.2, 0.2),
            rabi=st.one_of(st.none(), st.floats(1e3, 1e5)),

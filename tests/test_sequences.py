@@ -169,12 +169,21 @@ class TestPopulationError:
     ])
     def test_rotation_matrix_matches_explicit_product(self, kind, pulse, error_model):
         seq = build_sequence(kind, 0.37e-3, pulse)
-        for det in (0.0, 1.3e3, -9.1e3, 27e3):
+        dets = (0.0, 1.3e3, -9.1e3, 27e3)
+        for det in dets:
             m = sequence_rotation_matrix(seq, det, error_model)
             np.testing.assert_allclose(m, _oracle_sequence_matrix(seq, det, error_model),
                                        rtol=0.0, atol=1e-12)
             err = sequence_population_error(seq, det, error_model)
             assert err == pytest.approx(0.5 * (1.0 - m[2, 2]), abs=1e-12)
+        stack = sequence_rotation_matrix(seq, np.array(dets), error_model)
+        assert stack.shape == (len(dets), 3, 3)
+        np.testing.assert_allclose(
+            stack, np.stack([sequence_rotation_matrix(seq, d, error_model) for d in dets]),
+            rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(
+            stack, np.stack([_oracle_sequence_matrix(seq, d, error_model) for d in dets]),
+            rtol=0.0, atol=1e-12)
 
     def test_error_model_override(self):
         seq = build_sequence("xx", 0.5e-3)
@@ -246,30 +255,53 @@ class TestRephasing:
         assert rephasing_fidelity(ens, seq, t2=0.5e-3) == pytest.approx(math.exp(-1), abs=1e-9)
 
 
+def _stepped_random_phase(seq, n_spins, n_max, tilt, seed):
+    """Oracle: step the study's initial state wait by wait and pulse by pulse; the
+    k-th pulse of repetition r draws jitter_angle(pulse, seed, r * n_pulses + k)."""
+    det = sample_detunings(GAUSS27, n_spins, seed).detunings_hz
+    phi = spawn_generator(seed, DOMAIN_RANDOM_PHASE).uniform(0.0, 2.0 * math.pi, n_spins)
+    states = np.stack([tilt * np.cos(phi), tilt * np.sin(phi),
+                       np.full(n_spins, math.sqrt(1.0 - tilt * tilt))], axis=1)
+    ens = SpinEnsemble(det, states, np.full(n_spins, 1.0 / n_spins))
+    expected = [float(np.mean(0.5 * (1.0 - ens.states[:, 2])))]
+    for r in range(n_max):
+        k = 0
+        for step in seq.steps:
+            ens = free_evolve(ens, step.wait_s)
+            if step.pulse is not None:
+                jit = jitter_angle(step.pulse, seed, r * seq.n_pulses + k)
+                ens = replace(ens, states=rotate_states(ens.states, step.pulse, det,
+                                                        jitter=jit))
+                k += 1
+        expected.append(float(np.mean(0.5 * (1.0 - ens.states[:, 2]))))
+    return expected
+
+
 class TestRandomPhase:
     def test_jitter_keys_count_pulses_across_repetitions(self):
-        # oracle: the k-th pulse of repetition r draws jitter_angle(pulse, seed, r*n + k)
         seq = build_sequence("xy4", 0.5e-3, PulseSpec(systematic_error=0.01, jitter_sd=0.05))
         n_spins, n_max, tilt, seed = 64, 4, 0.1, 9
         study = random_phase_population_study(seq, GAUSS27, n_spins, n_max, tilt=tilt,
                                               seed=seed)
-        det = sample_detunings(GAUSS27, n_spins, seed).detunings_hz
-        phi = spawn_generator(seed, DOMAIN_RANDOM_PHASE).uniform(0.0, 2.0 * math.pi, n_spins)
-        states = np.stack([tilt * np.cos(phi), tilt * np.sin(phi),
-                           np.full(n_spins, math.sqrt(1.0 - tilt * tilt))], axis=1)
-        ens = SpinEnsemble(det, states, np.full(n_spins, 1.0 / n_spins))
-        expected = [float(np.mean(0.5 * (1.0 - ens.states[:, 2])))]
-        for r in range(n_max):
-            k = 0
-            for step in seq.steps:
-                ens = free_evolve(ens, step.wait_s)
-                if step.pulse is not None:
-                    jit = jitter_angle(step.pulse, seed, r * seq.n_pulses + k)
-                    ens = replace(ens, states=rotate_states(ens.states, step.pulse, det,
-                                                            jitter=jit))
-                    k += 1
-            expected.append(float(np.mean(0.5 * (1.0 - ens.states[:, 2]))))
-        np.testing.assert_allclose(study.rho_g, expected, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(study.rho_g,
+                                   _stepped_random_phase(seq, n_spins, n_max, tilt, seed),
+                                   rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["xx", "xy4", "xy8", "kdd"])
+    @pytest.mark.parametrize("pulse", [
+        PulseSpec(),
+        PulseSpec(systematic_error=0.02),
+        PulseSpec(systematic_error=-0.01, rabi_hz=80e3),
+    ])
+    def test_composed_map_matches_stepping(self, kind, pulse):
+        # without jitter the study composes each spin's map once and applies it n_max times
+        seq = build_sequence(kind, 0.5e-3, pulse)
+        n_spins, n_max, tilt, seed = 300, 20, 0.1, 4
+        study = random_phase_population_study(seq, GAUSS27, n_spins, n_max, tilt=tilt,
+                                              seed=seed)
+        np.testing.assert_allclose(study.rho_g,
+                                   _stepped_random_phase(seq, n_spins, n_max, tilt, seed),
+                                   rtol=0.0, atol=1e-12)
 
 
 class TestPrecisionRequirement:
