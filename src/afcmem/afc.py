@@ -11,7 +11,10 @@ The absorption part of the echo efficiency, d_eff^2 * exp(-d_eff) *
 exp(-d0) with d_eff = peak depth / finesse, is the standard forward-recall
 result from the AFC literature; it is a modeling choice here, not something
 derived by this package, and the comb dephasing part is always computed
-numerically from the sampled comb so the two routes can be cross-checked.
+numerically from the sampled comb (a DFT at the echo time) so the two
+routes can be cross-checked.  The echo trace over time is evaluated in
+closed form instead (Gaussian envelope times a tooth sum, plus the
+pedestal's Dirichlet kernel); the sampled DFT is its oracle.
 """
 
 from __future__ import annotations
@@ -92,26 +95,33 @@ class CombSpectrum:
             arr.setflags(write=False)
 
 
-def build_comb(cfg: CombConfig, resolution_hz: float | None = None) -> CombSpectrum:
+def _tooth_centers(cfg: CombConfig) -> np.ndarray:
+    """Tooth positions: every multiple of the periodicity within +-width/2."""
+    n_side = int(math.floor(0.5 * cfg.width_hz / cfg.periodicity_hz))
+    return np.arange(-n_side, n_side + 1) * cfg.periodicity_hz
+
+
+def _tooth_rate(cfg: CombConfig) -> float:
+    """c in a tooth's Gaussian exp(-c (f - f0)^2), set by its FWHM."""
+    return 4.0 * math.log(2.0) / cfg.tooth_fwhm_hz ** 2
+
+
+def build_comb(cfg: CombConfig) -> CombSpectrum:
     """Sample the comb: Gaussian teeth of FWHM spacing/finesse on a uniform grid.
 
     Teeth sit at integer multiples of the periodicity within +-width/2
-    (odd count, centered on zero).  The summed profile is rescaled so its
-    peak equals optical_depth * passes, then the uniform background is
-    added.
+    (odd count, centered on zero).  The grid has _GRID_PER_TOOTH points per
+    tooth FWHM and extends 4 FWHM past the outermost tooth.  The summed
+    profile is rescaled so its peak equals optical_depth * passes, then the
+    uniform background is added.
     """
     tooth = cfg.tooth_fwhm_hz
-    res = resolution_hz if resolution_hz is not None else tooth / _GRID_PER_TOOTH
-    if not res > 0:
-        raise InvalidArgumentError(f"resolution_hz must be > 0, got {res}")
-    n_side = int(math.floor(0.5 * cfg.width_hz / cfg.periodicity_hz))
-    centers = np.arange(-n_side, n_side + 1) * cfg.periodicity_hz
     half_span = 0.5 * cfg.width_hz + 4.0 * tooth
-    m = int(round(2.0 * half_span / res)) + 1
+    m = int(round(2.0 * half_span / (tooth / _GRID_PER_TOOTH))) + 1
     freq = np.linspace(-half_span, half_span, m)
-    c = 4.0 * math.log(2.0) / tooth ** 2
+    c = _tooth_rate(cfg)
     depth = np.zeros_like(freq)
-    for f0 in centers:
+    for f0 in _tooth_centers(cfg):
         depth += np.exp(-c * (freq - f0) ** 2)
     depth *= cfg.peak_depth / depth.max()
     depth += cfg.background_depth
@@ -122,7 +132,8 @@ def afc_echo_amplitude(comb: CombSpectrum, t: float) -> complex:
     """Normalized Fourier response of the comb at time t (1 at t = 0).
 
     The echo re-phases when t is a multiple of 1/periodicity; the tooth
-    width sets how much amplitude survives there.
+    width sets how much amplitude survives there.  This is the sampled
+    DFT of the comb, and the oracle for echo_trace's closed form.
     """
     if t < 0:
         raise InvalidArgumentError(f"t must be >= 0, got {t}")
@@ -131,15 +142,45 @@ def afc_echo_amplitude(comb: CombSpectrum, t: float) -> complex:
 
 
 def echo_trace(comb: CombSpectrum, times: np.ndarray) -> np.ndarray:
-    """|echo amplitude| over an array of times (chunked to bound memory)."""
+    """|echo amplitude| over an array of times, in closed form.
+
+    With S = depth.sum(), the 2N+1 teeth at n*delta, c = 4 ln2 / FWHM^2,
+    the m grid points spaced df and the background b, the comb's Fourier
+    sum is
+
+        N(t) = (S - b m) exp(-pi^2 t^2 / c) sum_n cos(2 pi n delta t) / (2N+1)
+               + b sin(pi m df t) / sin(pi df t)        (= m at t = 0)
+
+    and the trace is |N(t)| / S, in O(times x teeth).  The pedestal term is
+    exact for the symmetric grid.  The tooth term replaces each sampled
+    Gaussian's sum by its integral (Poisson summation), which drops two
+    terms: the alias images at t - j/df, each at most
+    exp(-pi^2 (1/df - |t|)^2 / c), which is e^-2225 at t = 0 and below e^-556
+    for |t| <= 1/(2 df) at the fixed _GRID_PER_TOOTH points per FWHM; and
+    the tails past the grid edge, 4 FWHM beyond the outermost tooth, at
+    most 2^-64 of a tooth.  Both are far below float64 rounding, which is
+    all that separates the trace from abs(afc_echo_amplitude): about
+    1e-15, at most 1.5e-14 for finesse 1.2-40, and within 4e-15 of a
+    long-double evaluation of the sampled DFT.  `comb` must come from
+    build_comb; times beyond 1/(2 df) are rejected.
+    """
+    cfg = comb.config
     times = np.asarray(times, dtype=float)
+    m = comb.freq_hz.size
+    df = (comb.freq_hz[-1] - comb.freq_hz[0]) / (m - 1)
+    if times.size and np.abs(times).max() > 0.5 / df:
+        raise InvalidArgumentError(
+            f"echo_trace covers |t| <= {0.5 / df:g} s (half the grid's alias period), "
+            f"got {np.abs(times).max():g}")
     total = comb.depth.sum()
-    out = np.empty(times.size)
-    for i0 in range(0, times.size, 128):
-        chunk = times[i0:i0 + 128]
-        ph = np.exp(2j * math.pi * np.outer(comb.freq_hz, chunk))
-        out[i0:i0 + 128] = np.abs(comb.depth @ ph) / total
-    return out
+    centers = _tooth_centers(cfg)
+    teeth = np.cos(2.0 * math.pi * np.multiply.outer(times, centers)).sum(axis=-1)
+    envelope = np.exp(-(math.pi * times) ** 2 / _tooth_rate(cfg))
+    x = math.pi * df * times
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pedestal = np.where(x == 0.0, float(m), np.sin(m * x) / np.sin(x))
+    b = cfg.background_depth
+    return np.abs((total - b * m) * envelope * teeth / centers.size + b * pedestal) / total
 
 
 def find_echo_peak(comb: CombSpectrum, n_grid: int = 801,

@@ -1,8 +1,9 @@
 """Experiment configuration: strict parsing, presets, validation.
 
 Configs are nested key-value documents (JSON).  Unknown keys are rejected,
-and validation returns the full list of violations rather than stopping at
-the first.  Presets are shipped as data files under afcmem/presets; an
+scalar values must match their field's type (a number, an integer or a
+string; a boolean is none of these), and validation returns the full list
+of violations rather than stopping at the first.  Presets are shipped as data files under afcmem/presets; an
 explicit config may name a preset and override any subset of its fields.
 """
 
@@ -262,7 +263,37 @@ _SECTIONS = {
     "sweep": SweepSection,
     "random_phase": RandomPhaseSection,
 }
-_SCALAR_KEYS = ("pipeline", "seed", "output_dir", "format")
+
+
+# JSON value types accepted per scalar field annotation.  A boolean is not a
+# number here, although bool subclasses int.
+_FIELD_TYPES = {
+    "float": (int, float),
+    "float | None": (int, float, type(None)),
+    "int": (int,),
+    "str": (str,),
+    "str | None": (str, type(None)),
+}
+
+
+def _has_field_type(annotation: str, value) -> bool:
+    allowed = _FIELD_TYPES.get(annotation)
+    return allowed is None or (isinstance(value, allowed) and not isinstance(value, bool))
+
+
+def _typed_kwargs(cls, data: dict, path: str, diags: list[Diagnostic]) -> dict:
+    """Keep the known keys of data whose values have their field's type."""
+    types = {f.name: f.type for f in dataclasses.fields(cls)}
+    kwargs = {}
+    for key, value in data.items():
+        if key not in types:
+            diags.append(Diagnostic(f"{path}.{key}" if path else key, "unknown key"))
+        elif not _has_field_type(types[key], value):
+            diags.append(Diagnostic(f"{path}.{key}" if path else key,
+                                    f"expected {types[key]}, got {type(value).__name__}"))
+        else:
+            kwargs[key] = value
+    return kwargs
 
 
 def _build_section(cls, data, path: str, diags: list[Diagnostic]):
@@ -271,13 +302,7 @@ def _build_section(cls, data, path: str, diags: list[Diagnostic]):
     if not isinstance(data, dict):
         diags.append(Diagnostic(path, f"expected an object, got {type(data).__name__}"))
         return cls()
-    names = {f.name for f in dataclasses.fields(cls)}
-    kwargs = {}
-    for key, value in data.items():
-        if key not in names:
-            diags.append(Diagnostic(f"{path}.{key}", "unknown key"))
-        else:
-            kwargs[key] = value
+    kwargs = _typed_kwargs(cls, data, path, diags)
     try:
         return cls(**kwargs)
     except (InvalidArgumentError, TypeError, ValueError) as exc:
@@ -290,14 +315,11 @@ def parse_config(data: dict) -> tuple[ExperimentConfig, list[Diagnostic]]:
     diags: list[Diagnostic] = []
     if not isinstance(data, dict):
         return ExperimentConfig(), [Diagnostic("<root>", "config must be an object")]
-    kwargs = {}
+    scalars = {k: v for k, v in data.items() if k not in _SECTIONS}
+    kwargs = _typed_kwargs(ExperimentConfig, scalars, "", diags)
     for key, value in data.items():
-        if key in _SCALAR_KEYS:
-            kwargs[key] = value
-        elif key in _SECTIONS:
+        if key in _SECTIONS:
             kwargs[key] = _build_section(_SECTIONS[key], value, key, diags)
-        else:
-            diags.append(Diagnostic(key, "unknown key"))
     try:
         cfg = ExperimentConfig(**kwargs)
     except (InvalidArgumentError, TypeError, ValueError) as exc:
@@ -331,7 +353,7 @@ def validate_config(cfg: ExperimentConfig) -> list[Diagnostic]:
     for path, check in checks:
         try:
             check()
-        except (InvalidArgumentError, ValueError) as exc:
+        except (InvalidArgumentError, TypeError, ValueError) as exc:
             diags.append(Diagnostic(path, str(exc)))
     for name in ("conversion_efficiency", "write_stage", "readout_loss"):
         v = getattr(cfg.memory, name)
@@ -382,19 +404,23 @@ def load_preset(name: str) -> dict:
 def load_config(target: str, overrides: dict | None = None) -> tuple[ExperimentConfig, dict]:
     """Resolve a preset name or a JSON config path into a validated config.
 
-    Returns (config, fixtures).  An explicit config file may carry a
+    Returns (config, fixtures).  A target ending in .json or naming an
+    existing file is read as a config; anything else (a directory too) is a
+    preset name.  An explicit config file may carry a
     "preset" key whose document is used as the base layer.  Raises
     ConfigError with the full diagnostic list on any violation.
     """
     fixtures: dict = {}
     path = Path(target)
-    if path.suffix == ".json" or path.exists():
+    if path.suffix == ".json" or path.is_file():
         try:
             doc = json.loads(path.read_text())
         except FileNotFoundError:
             raise ConfigError([Diagnostic("config", f"no such file: {target}")])
         except json.JSONDecodeError as exc:
             raise ConfigError([Diagnostic(f"{target}:{exc.lineno}", exc.msg)])
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError([Diagnostic("config", f"cannot read {target}: {exc}")])
         if not isinstance(doc, dict):
             raise ConfigError([Diagnostic("<root>", "config must be an object")])
         base: dict = {}

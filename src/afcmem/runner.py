@@ -18,7 +18,8 @@ from . import afc, detection, sequences
 from .config import SCHEMA_VERSION, ExperimentConfig, config_to_dict
 from .ensemble import coherence_1e_time
 
-_FLOAT_FMT = ".12g"
+_FLOAT_FMT = "%.12g"  # '%.12g' % v == format(float(v), '.12g'), nan/inf/-0.0 included
+_FLOAT_TYPES = (float, np.floating)
 
 
 def _sanitize(obj):
@@ -34,16 +35,11 @@ def _sanitize(obj):
     return obj
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), _FLOAT_FMT)
-    return str(value)
-
-
 def _write_csv(path: Path, header: list[str], rows) -> Path:
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join([_FLOAT_FMT % v if isinstance(v, _FLOAT_TYPES) else str(v)
+                               for v in row]))
     path.write_text("\n".join(lines) + "\n")
     return path
 

@@ -5,8 +5,8 @@ import pytest
 
 from afcmem import (CapacityError, CombConfig, DetuningDistribution, InvalidArgumentError,
                     MemoryModel, PulseSpec, SpinDecayModel, afc_echo_amplitude, afc_efficiency,
-                    build_comb, comb_dephasing_factor, dephasing_envelope, find_echo_peak,
-                    memory_efficiency, memory_timeline, spinwave_excitation)
+                    build_comb, comb_dephasing_factor, dephasing_envelope, echo_trace,
+                    find_echo_peak, memory_efficiency, memory_timeline, spinwave_excitation)
 
 GAUSS27 = DetuningDistribution("gaussian", 27e3)
 
@@ -94,6 +94,52 @@ class TestEcho:
         comb = build_comb(DEFAULT_COMB)
         with pytest.raises(InvalidArgumentError):
             afc_echo_amplitude(comb, -1e-6)
+
+
+EPS = 2.0 ** -53  # float64 unit roundoff
+
+
+def closed_form_tolerance(comb, t_max: float) -> float:
+    """Absolute error budget of echo_trace against the sampled DFT, t <= t_max.
+
+    - Dropped by the closed form: alias images, each at most
+      exp(-pi^2 (1/df - t)^2 / c), below e^-1900 for t <= 2/delta at 25 grid
+      points per FWHM; and the tails past the grid edge, 4 FWHM beyond the
+      outermost tooth, at most 2^-64 of a tooth.  Both are negligible.
+    - Phase rounding, in both routes: each phase 2 pi f t is off by up to
+      u |2 pi f t| <= u 2 pi t f_max, so each route moves by at most that.
+    - Oracle summation: afc_echo_amplitude adds m products in BLAS order and
+      divides by numpy's pairwise sum.  Its rounding grows like sqrt(m) u;
+      lambda sqrt(m) u with lambda = 7 is Higham and Mary's probabilistic
+      bound at a failure probability below 1e-6 per sum.
+    - A few ulp from exp, cos, sin and the divisions: 16 u.
+    """
+    f_max = comb.freq_hz[-1]
+    m = comb.freq_hz.size
+    return EPS * (2.0 * 2.0 * math.pi * t_max * f_max + 7.0 * math.sqrt(m) + 16.0)
+
+
+class TestEchoTraceClosedForm:
+    @pytest.mark.parametrize("background", [0.0, 0.3])
+    @pytest.mark.parametrize("width", [2e6, 1.55e6])
+    @pytest.mark.parametrize("finesse", [1.2, 2.0, 4.0, 10.0, 40.0])
+    def test_matches_sampled_dft(self, finesse, width, background):
+        comb = build_comb(CombConfig(finesse=finesse, width_hz=width,
+                                     background_depth=background))
+        delay = comb.config.afc_delay_s
+        times = np.concatenate([np.linspace(0.0, 2.0 * delay, 161), [0.0, delay, 2.0 * delay]])
+        oracle = np.array([abs(afc_echo_amplitude(comb, t)) for t in times])
+        trace = echo_trace(comb, times)
+        assert np.abs(trace - oracle).max() <= closed_form_tolerance(comb, 2.0 * delay)
+        # N(0) = (S - b m) + b m = S: exact up to a few roundings, unlike the oracle
+        assert trace[0] == pytest.approx(1.0, abs=4 * EPS)
+
+    def test_times_past_alias_half_period_rejected(self):
+        comb = build_comb(DEFAULT_COMB)
+        step = comb.freq_hz[1] - comb.freq_hz[0]
+        assert echo_trace(comb, np.array([0.49 / step])).shape == (1,)
+        with pytest.raises(InvalidArgumentError):
+            echo_trace(comb, np.array([0.0, 0.51 / step]))
 
 
 class TestMemoryEfficiency:

@@ -161,9 +161,15 @@ class TestCli:
         ("random_phase", {"random_phase": {"kinds": []}}, "at least one"),
         ("fig2c", {"modes": {"n_modes": 1.5}}, "n_modes"),
         ("fig2a", {"detection": {"trials": 1e3}}, "trials"),
+        ("fig2a", {"detection": {"mu": "2"}}, "detection.mu"),
+        ("table1", {"memory": {"spin_decay_tau_s": "2"}}, "memory.spin_decay_tau_s"),
+        ("table1", {"pulse": {"systematic_error": None}}, "pulse.systematic_error"),
+        ("fig1d", {"random_phase": {"tilt": {"a": 1}}}, "random_phase.tilt"),
+        ("fig2a", {"comb": {"periodicity_hz": True}}, "comb.periodicity_hz"),
     ], ids=["rp_n_max_float", "therm_n_max_float", "n_spins_float", "rp_n_max_bool",
             "kinds_string", "kinds_repeated", "kinds_empty", "n_modes_float",
-            "trials_float"])
+            "trials_float", "mu_string", "decay_string", "pulse_null", "tilt_object",
+            "comb_bool"])
     def test_malformed_count_or_kinds_exit_2(self, tmp_path, capsys, preset, override, needle):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dict(override, preset=preset)))
@@ -178,6 +184,23 @@ class TestCli:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "mu" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_non_string_output_dir_exit_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("AFCMEM_OUT", raising=False)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "fig2a", "output_dir": None}))
+        assert main(["run", str(path)]) == 2
+        assert "output_dir" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+    def test_directory_named_like_preset_is_not_a_config(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "fig2a").mkdir()
+        (tmp_path / "cfg.json").mkdir()
+        assert main(["validate", "fig2a"]) == 0
+        assert main(["validate", "cfg.json"]) == 2
+        assert "cfg.json" in capsys.readouterr().err
 
     def test_capacity_error_exit_3(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
