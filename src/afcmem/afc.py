@@ -32,6 +32,10 @@ from .sequences import SEQUENCE_KINDS, build_sequence, rephasing_fidelity
 # Frequency-grid points per tooth FWHM when sampling a comb.
 _GRID_PER_TOOTH = 25.0
 
+# Largest frequency grid a comb may ask for (8 MiB per float64 array); the
+# finesse-1000 comb of the tests needs about half of it.
+MAX_COMB_GRID_POINTS = 2 ** 20
+
 # Fraction of the AFC delay unavailable to input modes (control-pulse dead time).
 DEFAULT_DEAD_TIME_FRACTION = 0.2
 
@@ -68,6 +72,24 @@ class CombConfig:
             raise InvalidArgumentError(f"passes must be 1 or 2, got {self.passes}")
         if self.background_depth < 0:
             raise InvalidArgumentError(f"background_depth must be >= 0, got {self.background_depth}")
+        if not all(map(math.isfinite, (self.periodicity_hz, self.finesse, self.width_hz))):
+            raise InvalidArgumentError("periodicity_hz, finesse and width_hz must be finite")
+        if self.grid_points > MAX_COMB_GRID_POINTS:
+            raise InvalidArgumentError(
+                f"the comb needs {self.grid_points} grid points ({_GRID_PER_TOOTH:g} per tooth "
+                f"FWHM over the width), more than the {MAX_COMB_GRID_POINTS} allowed; "
+                f"raise periodicity_hz or lower finesse or width_hz")
+
+    @property
+    def grid_points(self) -> int:
+        """Size of build_comb's grid: _GRID_PER_TOOTH points per tooth FWHM,
+        4 FWHM past the outermost tooth on each side."""
+        return int(round(2.0 * self.grid_half_span_hz / (self.tooth_fwhm_hz / _GRID_PER_TOOTH))) + 1
+
+    @property
+    def grid_half_span_hz(self) -> float:
+        """Half-width of build_comb's grid."""
+        return 0.5 * self.width_hz + 4.0 * self.tooth_fwhm_hz
 
     @property
     def tooth_fwhm_hz(self) -> float:
@@ -115,10 +137,7 @@ def build_comb(cfg: CombConfig) -> CombSpectrum:
     profile is rescaled so its peak equals optical_depth * passes, then the
     uniform background is added.
     """
-    tooth = cfg.tooth_fwhm_hz
-    half_span = 0.5 * cfg.width_hz + 4.0 * tooth
-    m = int(round(2.0 * half_span / (tooth / _GRID_PER_TOOTH))) + 1
-    freq = np.linspace(-half_span, half_span, m)
+    freq = np.linspace(-cfg.grid_half_span_hz, cfg.grid_half_span_hz, cfg.grid_points)
     c = _tooth_rate(cfg)
     depth = np.zeros_like(freq)
     for f0 in _tooth_centers(cfg):

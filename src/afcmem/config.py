@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 from .afc import CombConfig, MemoryModel, SpinDecayModel
-from .detection import GateConfig, NoiseModel
+from .detection import GateConfig, NoiseModel, noise_probability
 from .ensemble import DetuningDistribution
 from .errors import ConfigError, InvalidArgumentError
 from .pulses import PULSE_ENVELOPES, AdiabaticPulseSpec, PulseSpec
@@ -138,6 +138,13 @@ class NoiseSection:
     def to_domain(self) -> NoiseModel:
         return NoiseModel(self.optical_readout_noise, self.residual_coupling,
                           self.detector_dark, self.excess)
+
+    def validate(self):
+        """The noise budget p_n must be a probability; an out-of-range
+        residual_population is reported on its own by validate_config."""
+        model = self.to_domain()
+        if 0.0 <= self.residual_population <= 0.5:
+            noise_probability(model, self.residual_population)
 
 
 @dataclass(frozen=True)
@@ -343,7 +350,7 @@ def validate_config(cfg: ExperimentConfig) -> list[Diagnostic]:
         ("sequence", cfg.sequence.validate),
         ("comb", cfg.comb.to_domain),
         ("memory.spin_decay", cfg.memory.decay),
-        ("noise", cfg.noise.to_domain),
+        ("noise", cfg.noise.validate),
         ("detection", cfg.detection.validate),
         ("thermalization", cfg.thermalization.validate),
         ("sweep", cfg.sweep.validate),

@@ -173,28 +173,44 @@ def with_transverse_states(ens: SpinEnsemble, phase: float = 0.0) -> SpinEnsembl
     return replace(ens, states=states)
 
 
+def precession_turn(detunings_hz: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(cos, sin) of every spin's precession angle 2*pi*detuning*dt."""
+    theta = 2.0 * math.pi * dt * detunings_hz
+    return np.cos(theta), np.sin(theta, out=theta)
+
+
+def precess_in_place(x: np.ndarray, y: np.ndarray, c: np.ndarray, s: np.ndarray,
+                     damp: float | None, scratch: np.ndarray) -> None:
+    """The z rotation x <- c x - s y, y <- s x + c y, then x, y *= damp.
+
+    x and y are written in place; scratch holds two rows shaped like x.
+    Kept in place so that only (n,)-sized temporaries, and so little peak
+    memory, are needed.
+    """
+    cx, sy = scratch[0], scratch[1]
+    np.multiply(c, x, out=cx)
+    np.multiply(s, y, out=sy)
+    cx -= sy
+    np.multiply(s, x, out=sy)
+    y *= c
+    y += sy
+    x[...] = cx
+    if damp is not None:
+        x *= damp
+        y *= damp
+
+
 def precess_states(states: np.ndarray, detunings_hz: np.ndarray, dt: float,
                    t2: float | None = None) -> np.ndarray:
-    """Free evolution of raw Bloch vectors for dt seconds (see free_evolve)."""
+    """Free evolution of raw (n, 3) Bloch vectors for dt seconds (see free_evolve)."""
     if dt < 0:
         raise InvalidArgumentError(f"dt must be >= 0, got {dt}")
     if t2 is not None and not t2 > 0:
         raise InvalidArgumentError(f"t2 must be > 0 when given, got {t2}")
-    # Written in place to keep (n,)-sized temporaries, and so peak memory, low.
-    theta = 2.0 * math.pi * dt * detunings_hz
-    c = np.cos(theta)
-    s = np.sin(theta, out=theta)
-    x, y = states[:, 0], states[:, 1]
-    out = np.empty_like(states)
-    np.multiply(c, x, out=out[:, 0])
-    out[:, 0] -= s * y
-    np.multiply(s, x, out=out[:, 1])
-    out[:, 1] += c * y
-    out[:, 2] = states[:, 2]
-    if t2 is not None:
-        damp = math.exp(-dt / t2)
-        out[:, 0] *= damp
-        out[:, 1] *= damp
+    out = np.array(states, dtype=float)
+    c, s = precession_turn(detunings_hz, dt)
+    damp = None if t2 is None else math.exp(-dt / t2)
+    precess_in_place(out[:, 0], out[:, 1], c, s, damp, np.empty((2, len(out))))
     return out
 
 

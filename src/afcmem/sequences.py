@@ -15,12 +15,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# free_evolve and rotation_matrix are unused here but stay bound: the span
-# tracer in benchmarks/tracing.py patches them under this module.
+# free_evolve is unused here but stays bound: the span tracer in
+# benchmarks/tracing.py patches it under this module.
 from .ensemble import (DetuningDistribution, SpinEnsemble, collective_coherence,  # noqa: F401
-                       free_evolve, precess_states, sample_detunings, with_transverse_states)
+                       free_evolve, precess_in_place, precession_turn, sample_detunings,
+                       with_transverse_states)
 from .errors import InvalidArgumentError
-from .pulses import PulseSpec, jitter_angle, rotate_states, rotation_matrix  # noqa: F401
+from .pulses import PulseSpec, jitter_angle, rotate_states, rotation_matrix
 from .rng import DOMAIN_RANDOM_PHASE, DOMAIN_THERMALIZATION, spawn_generator
 
 _X, _Y = 0.0, math.pi / 2.0
@@ -100,29 +101,90 @@ def build_sequence(kind: str, t_s: float, pulse_template: PulseSpec | None = Non
     return DDSequence(tuple(steps), kind, t_s)
 
 
+# Component-major starting points: |s> for one vector per spin, and the
+# identity for a map (entry [i, j] is component i of the image of basis j).
+_POLE = np.array([0.0, 0.0, 1.0])[:, None]
+_IDENTITY = np.eye(3)[:, :, None]
+
+
+def _rotate_in_place(m, v: np.ndarray, scratch: np.ndarray) -> None:
+    """v <- m v for component-major vectors v (rows x, y, z), in place.
+
+    m is a 3x3 matrix (nested sequence or array) or a (3, 3, n) stack of
+    per-spin matrices; each spin takes nine multiply-adds.  scratch holds
+    four rows shaped like v[0].
+    """
+    prod = scratch[3]
+    for i in range(3):
+        row, acc = m[i], scratch[i]
+        np.multiply(row[0], v[0], out=acc)
+        for k in (1, 2):
+            np.multiply(row[k], v[k], out=prod)
+            acc += prod
+    v[...] = scratch[:3]
+
+
+def _pulse_matrix(pulse: PulseSpec, detunings_hz: np.ndarray, jitter: float):
+    """The pulse as a 3x3 matrix, or as a (3, 3, n) per-spin stack when the
+    finite-Rabi axis tilt makes it depend on the detuning."""
+    if pulse.rabi_hz is None:
+        return rotation_matrix(pulse, jitter=jitter).tolist()
+    n = detunings_hz.size
+    stack = np.empty((3, 3, n))
+    for j, unit in enumerate(np.eye(3)):
+        stack[:, j] = rotate_states(np.broadcast_to(unit, (n, 3)), pulse, detunings_hz,
+                                    jitter=jitter).T
+    return stack
+
+
 def _propagate(states: np.ndarray, detunings_hz: np.ndarray, seq: DDSequence,
                seed: int | None, t2: float | None = None, first_pulse: int = 0,
                error_model: PulseSpec | None = None) -> np.ndarray:
-    """Step raw Bloch vectors through the sequence; the one sequence propagator.
+    """Step component-major Bloch vectors through the sequence; the one
+    sequence propagator.
 
-    Waits precess (and optionally damp) every spin; the k-th pulse of the
-    sequence draws its jitter keyed by (seed, first_pulse + k), and a seed
-    of None means no jitter.  When error_model is given, its
-    systematic_error and rabi_hz replace those of every pulse.
+    states is (3, n), one vector per spin, or (3, 3, n), the three basis
+    columns of a map per spin.  A copy is stepped in place, step by step
+    and column by column, with one (4, n) scratch buffer, and returned; the
+    caller's array is never written.  Waits precess (and optionally damp)
+    every column, with cos/sin computed once per distinct wait length;
+    pulses act as 3x3 matrices, each computed once per distinct pulse and
+    jitter.  The k-th pulse of the sequence draws its jitter keyed by
+    (seed, first_pulse + k), and a seed of None means no jitter.  When
+    error_model is given, its systematic_error and rabi_hz replace those of
+    every pulse.
     """
+    if t2 is not None and not t2 > 0:
+        raise InvalidArgumentError(f"t2 must be > 0 when given, got {t2}")
+    out = np.array(states, dtype=float, order="C")
+    columns = [out] if out.ndim == 2 else [out[:, j] for j in range(3)]
+    scratch = np.empty((4, detunings_hz.size))
+    turns: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    matrices: dict[tuple[PulseSpec, float], list] = {}
     pulse_index = first_pulse
     for step in seq.steps:
         if step.wait_s > 0:
-            states = precess_states(states, detunings_hz, step.wait_s, t2)
+            if step.wait_s not in turns:
+                turns[step.wait_s] = precession_turn(detunings_hz, step.wait_s)
+            c, s = turns[step.wait_s]
+            damp = None if t2 is None else math.exp(-step.wait_s / t2)
+            for v in columns:
+                precess_in_place(v[0], v[1], c, s, damp, scratch)
         if step.pulse is not None:
             pulse = step.pulse
             if error_model is not None:
                 pulse = replace(pulse, systematic_error=error_model.systematic_error,
                                 rabi_hz=error_model.rabi_hz)
-            jit = jitter_angle(pulse, seed, pulse_index)
-            states = rotate_states(states, pulse, detunings_hz, jitter=jit)
+            key = (pulse, jitter_angle(pulse, seed, pulse_index))
+            m = matrices.get(key)
+            if m is None:
+                m = _pulse_matrix(pulse, detunings_hz, key[1])
+                if pulse.rabi_hz is None:  # per-spin stacks are not kept: (3, 3, n) each
+                    matrices[key] = m
+            for v in columns:
+                _rotate_in_place(m, v, scratch)
             pulse_index += 1
-    return states
+    return out
 
 
 def apply_sequence(ens: SpinEnsemble, seq: DDSequence, seed: int = 0,
@@ -133,7 +195,15 @@ def apply_sequence(ens: SpinEnsemble, seq: DDSequence, seed: int = 0,
     keyed by (seed, pulse index), so runs are reproducible and independent
     of per-spin parallelism.
     """
-    return replace(ens, states=_propagate(ens.states, ens.detunings_hz, seq, seed, t2))
+    states = _propagate(ens.states.T, ens.detunings_hz, seq, seed, t2)
+    return replace(ens, states=states.T)
+
+
+def _sequence_maps(seq: DDSequence, detunings_hz: np.ndarray,
+                   error_model: PulseSpec | None = None) -> np.ndarray:
+    """Component-major (3, 3, n) sequence maps: the identity propagated once."""
+    identity = np.broadcast_to(_IDENTITY, (3, 3, detunings_hz.size))
+    return _propagate(identity, detunings_hz, seq, None, error_model=error_model)
 
 
 def sequence_rotation_matrix(seq: DDSequence, detuning_hz: float | np.ndarray = 0.0,
@@ -142,16 +212,13 @@ def sequence_rotation_matrix(seq: DDSequence, detuning_hz: float | np.ndarray = 
 
     The columns are the images of the x, y and z basis vectors.  A scalar
     detuning gives one (3, 3) matrix; a 1-d array of n detunings gives an
-    (n, 3, 3) stack, built by propagating each basis vector in turn.  When
-    error_model is given, its systematic_error and rabi_hz replace those
-    of every pulse in the sequence (jitter is excluded; this is the
-    deterministic map used for error budgets).
+    (n, 3, 3) stack, built by propagating the three basis vectors together
+    in one pass.  When error_model is given, its systematic_error and
+    rabi_hz replace those of every pulse in the sequence (jitter is
+    excluded; this is the deterministic map used for error budgets).
     """
     det = np.asarray(detuning_hz, dtype=float)
-    maps = np.empty((det.size, 3, 3))
-    for j, unit in enumerate(np.eye(3)):
-        basis = np.broadcast_to(unit, (det.size, 3))
-        maps[:, :, j] = _propagate(basis, det.ravel(), seq, None, error_model=error_model)
+    maps = np.ascontiguousarray(np.moveaxis(_sequence_maps(seq, det.ravel(), error_model), 2, 0))
     return maps[0] if det.ndim == 0 else maps
 
 
@@ -164,9 +231,8 @@ def sequence_population_error(seq: DDSequence, detuning_hz: float | np.ndarray =
     returned) or a 1-d array (one error per detuning is returned).
     """
     det = np.asarray(detuning_hz, dtype=float)
-    states = np.zeros((det.size, 3))
-    states[:, 2] = 1.0
-    z_final = _propagate(states, det.ravel(), seq, None, error_model=error_model)[:, 2]
+    states = np.broadcast_to(_POLE, (3, det.size))
+    z_final = _propagate(states, det.ravel(), seq, None, error_model=error_model)[2]
     err = 0.5 * (1.0 - z_final)
     return float(err[0]) if det.ndim == 0 else err
 
@@ -190,6 +256,8 @@ def calibrate_systematic_error(target_error: float, kind: str = "xx", t_s: float
         raise InvalidArgumentError(f"target_error {target_error} unreachable below eps=0.3")
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # no float lies between them, so further steps change nothing
         if err(mid) < target_error:
             lo = mid
         else:
@@ -320,24 +388,25 @@ def random_phase_population_study(seq: DDSequence, dist: DetuningDistribution, n
     if not 0.0 < tilt < 1.0:
         raise InvalidArgumentError(f"tilt must be in (0, 1), got {tilt}")
     ens = sample_detunings(dist, n_spins, seed)
+    det, w = ens.detunings_hz, ens.weights
+    del ens  # frees its (n, 3) |s> states before the maps are built: lower peak memory
     jittered = any(p.jitter_sd > 0 for p in seq.pulses)
-    maps = None if jittered else sequence_rotation_matrix(seq, ens.detunings_hz)
+    maps = None if jittered else _sequence_maps(seq, det)
     rng = spawn_generator(seed, DOMAIN_RANDOM_PHASE)
     phi = rng.uniform(0.0, 2.0 * math.pi, n_spins)
-    states = np.empty((n_spins, 3))
-    states[:, 0] = tilt * np.cos(phi)
-    states[:, 1] = tilt * np.sin(phi)
-    states[:, 2] = math.sqrt(1.0 - tilt * tilt)
-    ens = replace(ens, states=states)
-    states, det, w = ens.states, ens.detunings_hz, ens.weights
+    states = np.empty((3, n_spins))
+    states[0] = tilt * np.cos(phi)
+    states[1] = tilt * np.sin(phi)
+    states[2] = math.sqrt(1.0 - tilt * tilt)
+    scratch = np.empty((4, n_spins))
     rho = np.empty(n_max + 1)
-    rho[0] = float(np.dot(w, 0.5 * (1.0 - states[:, 2])))
+    rho[0] = float(np.dot(w, 0.5 * (1.0 - states[2])))
     for k in range(1, n_max + 1):
         if jittered:
             states = _propagate(states, det, seq, seed, first_pulse=(k - 1) * seq.n_pulses)
         else:
-            states = np.einsum("nij,nj->ni", maps, states)
-        rho[k] = float(np.dot(w, 0.5 * (1.0 - states[:, 2])))
+            _rotate_in_place(maps, states, scratch)
+        rho[k] = float(np.dot(w, 0.5 * (1.0 - states[2])))
     return RandomPhaseStudy(np.arange(n_max + 1), rho)
 
 

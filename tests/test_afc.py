@@ -7,6 +7,7 @@ from afcmem import (CapacityError, CombConfig, DetuningDistribution, InvalidArgu
                     MemoryModel, PulseSpec, SpinDecayModel, afc_echo_amplitude, afc_efficiency,
                     build_comb, comb_dephasing_factor, dephasing_envelope, echo_trace,
                     find_echo_peak, memory_efficiency, memory_timeline, spinwave_excitation)
+from afcmem.afc import MAX_COMB_GRID_POINTS
 
 GAUSS27 = DetuningDistribution("gaussian", 27e3)
 
@@ -51,6 +52,16 @@ class TestBuildComb:
             CombConfig(optical_depth=0.0)
         with pytest.raises(InvalidArgumentError):
             CombConfig(passes=3)
+        with pytest.raises(InvalidArgumentError):
+            CombConfig(width_hz=math.inf)
+
+    def test_grid_size_is_bounded_before_sampling(self):
+        # the finesse-40 comb of the echo oracle and the finesse-1000 limit stay allowed
+        assert build_comb(DEFAULT_COMB).freq_hz.size == DEFAULT_COMB.grid_points == 2201
+        assert CombConfig(finesse=40.0, width_hz=1.55e6).grid_points == 15_701
+        assert CombConfig(finesse=1000.0).grid_points == 500_201 <= MAX_COMB_GRID_POINTS
+        with pytest.raises(InvalidArgumentError, match="200000201 grid points"):
+            CombConfig(periodicity_hz=1.0)
 
 
 class TestEcho:

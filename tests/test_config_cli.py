@@ -208,6 +208,33 @@ class TestCli:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
         assert "usable input window" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_noise_budget_above_one_exit_2(self, tmp_path, capsys, command):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "fig2a", "noise": {"detector_dark": 1}}))
+        extra = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, str(path)] + extra) == 2
+        err = capsys.readouterr().err
+        assert "noise" in err and "exceed 1" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_oversized_comb_grid_exit_2_without_building_it(self, tmp_path, monkeypatch,
+                                                            capsys, command):
+        import afcmem.afc
+
+        def refuse(cfg):
+            raise AssertionError("build_comb was called")
+
+        monkeypatch.setattr(afcmem.afc, "build_comb", refuse)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "fig2a", "comb": {"periodicity_hz": 1}}))
+        extra = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, str(path)] + extra) == 2
+        err = capsys.readouterr().err
+        assert "comb" in err and "200000201 grid points" in err
+        assert not (tmp_path / "out").exists()
+
     def test_validate_subcommand(self, tmp_path, capsys):
         assert main(["validate", "fig2a"]) == 0
         path = tmp_path / "cfg.json"

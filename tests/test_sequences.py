@@ -16,7 +16,7 @@ from afcmem import (DDSequence, DetuningDistribution, InvalidArgumentError, Puls
                     thermalization_monte_carlo, with_transverse_states)
 from afcmem.pulses import jitter_angle
 from afcmem.rng import DOMAIN_RANDOM_PHASE, spawn_generator
-from afcmem.sequences import sequence_rotation_matrix
+from afcmem.sequences import _propagate, sequence_rotation_matrix
 
 GAUSS27 = DetuningDistribution("gaussian", 27e3)
 NARROW = DetuningDistribution("gaussian", 1.0)  # effectively a single line
@@ -130,6 +130,70 @@ class TestApplySequence:
         assert not np.array_equal(a.states, c.states)
 
 
+def _stepped_states(seq, states, det, t2=None):
+    """Oracle: free_evolve each wait and rotate_states each pulse, one step at a time."""
+    ens = SpinEnsemble(det, states, np.full(det.size, 1.0 / det.size))
+    for step in seq.steps:
+        ens = free_evolve(ens, step.wait_s, t2)
+        if step.pulse is not None:
+            ens = replace(ens, states=rotate_states(ens.states, step.pulse, det))
+    return ens.states
+
+
+# A leading zero wait, a repeated wait length, and a finite-Rabi pulse among
+# instantaneous ones.
+_CUSTOM = DDSequence((SequenceStep(0.0, PulseSpec(systematic_error=0.02)),
+                      SequenceStep(31e-6, PulseSpec(axis_phase=Y, systematic_error=-0.01)),
+                      SequenceStep(31e-6, PulseSpec(axis_phase=0.3, rabi_hz=60e3)),
+                      SequenceStep(17e-6, PulseSpec(axis_phase=Y, systematic_error=0.02)),
+                      SequenceStep(31e-6)), "custom", 110e-6)
+
+
+class TestKernel:
+    def test_custom_sequence_matches_stepping(self):
+        ens = with_transverse_states(sample_detunings(GAUSS27, 257, seed=13), 0.4)
+        det = ens.detunings_hz
+        for t2 in (None, 90e-6):
+            out = apply_sequence(ens, _CUSTOM, t2=t2)
+            np.testing.assert_allclose(out.states, _stepped_states(_CUSTOM, ens.states, det, t2),
+                                       rtol=0.0, atol=1e-12)
+        maps = sequence_rotation_matrix(_CUSTOM, det)
+        for j in range(3):
+            basis = np.zeros((det.size, 3))
+            basis[:, j] = 1.0
+            np.testing.assert_allclose(maps[:, :, j], _stepped_states(_CUSTOM, basis, det),
+                                       rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("t2", [0.0, -1e-3])
+    def test_non_positive_t2_rejected(self, t2):
+        ens = grid_ensemble(GAUSS27, 16)
+        seq = build_sequence("xy4", 0.5e-3)
+        with pytest.raises(InvalidArgumentError):
+            apply_sequence(ens, seq, t2=t2)
+        with pytest.raises(InvalidArgumentError):
+            rephasing_fidelity(ens, seq, t2=t2)
+
+    def test_inputs_are_never_written(self):
+        det = np.random.default_rng(5).normal(0.0, 27e3, 64)
+        det_before = det.copy()
+        seq = build_sequence("xy4", 0.5e-3, PulseSpec(systematic_error=0.02, rabi_hz=70e3))
+        sequence_population_error(seq, det)
+        sequence_rotation_matrix(seq, det)
+        np.testing.assert_array_equal(det, det_before)
+        ens = with_transverse_states(SpinEnsemble(det, np.zeros((64, 3)), np.full(64, 1 / 64)))
+        states_before = ens.states.copy()
+        apply_sequence(ens, seq, t2=1e-3)
+        np.testing.assert_array_equal(ens.states, states_before)
+        # the random-phase study's jittered path hands its own writable array to the kernel
+        jittered = build_sequence("xy4", 0.5e-3, PulseSpec(jitter_sd=0.05))
+        states = np.random.default_rng(6).normal(size=(3, 64))
+        states_before = states.copy()
+        out = _propagate(states, det, jittered, seed=3, first_pulse=8)
+        np.testing.assert_array_equal(states, states_before)
+        np.testing.assert_array_equal(det, det_before)
+        assert not np.shares_memory(out, states)
+
+
 class TestPopulationError:
     def test_ideal_is_zero(self):
         for kind in ("xx", "xy4", "xy8", "kdd"):
@@ -184,6 +248,25 @@ class TestPopulationError:
         np.testing.assert_allclose(
             stack, np.stack([_oracle_sequence_matrix(seq, d, error_model) for d in dets]),
             rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("detuning_hz", [0.0, 5e3])
+    @pytest.mark.parametrize("kind,target", [
+        ("xx", 1e-6), ("xx", 1e-3), ("xx", 0.036), ("xx", 0.3),
+        ("xy4", 1e-6), ("xy4", 1e-4), ("xy4", 0.002), ("xy4", 0.008),
+    ])
+    def test_calibration_stops_early_on_the_same_float(self, kind, target, detuning_hz):
+        def err(eps):
+            seq = build_sequence(kind, 0.5e-3, PulseSpec(systematic_error=eps))
+            return sequence_population_error(seq, detuning_hz)
+
+        lo, hi = 0.0, 0.3  # oracle: all 80 bisection steps
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if err(mid) < target:
+                lo = mid
+            else:
+                hi = mid
+        assert calibrate_systematic_error(target, kind, 0.5e-3, detuning_hz) == 0.5 * (lo + hi)
 
     def test_error_model_override(self):
         seq = build_sequence("xx", 0.5e-3)
