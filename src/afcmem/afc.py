@@ -36,6 +36,15 @@ _GRID_PER_TOOTH = 25.0
 # finesse-1000 comb of the tests needs about half of it.
 MAX_COMB_GRID_POINTS = 2 ** 20
 
+# Largest teeth x grid points build_comb may evaluate: it adds every tooth
+# over the whole grid, at about 14 ns per pair on a 2-vCPU host, so this
+# caps a build near 0.25 s.  The finesse-1000 test comb needs 21 x 500,201.
+MAX_COMB_BUILD_WORK = 2 ** 24
+
+# Largest optical depth a comb may have: exp(-700) is below 1e-304, an
+# opaque sample, and depths past it overflow the sampled comb's sums.
+MAX_OPTICAL_DEPTH = 700.0
+
 # Fraction of the AFC delay unavailable to input modes (control-pulse dead time).
 DEFAULT_DEAD_TIME_FRACTION = 0.2
 
@@ -66,25 +75,42 @@ class CombConfig:
             raise InvalidArgumentError(
                 f"width_hz must cover at least 3 teeth (>= {3.0 * self.periodicity_hz:g}), "
                 f"got {self.width_hz:g}")
-        if not self.optical_depth > 0:
-            raise InvalidArgumentError(f"optical_depth must be > 0, got {self.optical_depth}")
+        if not 0 < self.optical_depth <= MAX_OPTICAL_DEPTH:
+            raise InvalidArgumentError(
+                f"optical_depth must be in (0, {MAX_OPTICAL_DEPTH:g}], got {self.optical_depth}")
         if self.passes not in (1, 2):
             raise InvalidArgumentError(f"passes must be 1 or 2, got {self.passes}")
-        if self.background_depth < 0:
-            raise InvalidArgumentError(f"background_depth must be >= 0, got {self.background_depth}")
+        if not 0 <= self.background_depth <= MAX_OPTICAL_DEPTH:
+            raise InvalidArgumentError(f"background_depth must be in [0, {MAX_OPTICAL_DEPTH:g}], "
+                                       f"got {self.background_depth}")
         if not all(map(math.isfinite, (self.periodicity_hz, self.finesse, self.width_hz))):
             raise InvalidArgumentError("periodicity_hz, finesse and width_hz must be finite")
-        if self.grid_points > MAX_COMB_GRID_POINTS:
+        points = self._grid_size  # a float, so a huge grid compares instead of overflowing int()
+        if not points <= MAX_COMB_GRID_POINTS:
             raise InvalidArgumentError(
-                f"the comb needs {self.grid_points} grid points ({_GRID_PER_TOOTH:g} per tooth "
+                f"the comb needs {points:.0f} grid points ({_GRID_PER_TOOTH:g} per tooth "
                 f"FWHM over the width), more than the {MAX_COMB_GRID_POINTS} allowed; "
                 f"raise periodicity_hz or lower finesse or width_hz")
+        if points * self.n_teeth > MAX_COMB_BUILD_WORK:
+            raise InvalidArgumentError(
+                f"building the comb adds {self.n_teeth} teeth over {points:.0f} grid points, "
+                f"more than the {MAX_COMB_BUILD_WORK} teeth x points allowed; "
+                f"raise periodicity_hz or lower finesse or width_hz")
+
+    @property
+    def _grid_size(self) -> float:
+        return round(2.0 * self.grid_half_span_hz / (self.tooth_fwhm_hz / _GRID_PER_TOOTH), 0) + 1.0
 
     @property
     def grid_points(self) -> int:
         """Size of build_comb's grid: _GRID_PER_TOOTH points per tooth FWHM,
         4 FWHM past the outermost tooth on each side."""
-        return int(round(2.0 * self.grid_half_span_hz / (self.tooth_fwhm_hz / _GRID_PER_TOOTH))) + 1
+        return int(self._grid_size)
+
+    @property
+    def n_teeth(self) -> int:
+        """Teeth at every multiple of the periodicity within +-width/2."""
+        return 2 * math.floor(0.5 * self.width_hz / self.periodicity_hz) + 1
 
     @property
     def grid_half_span_hz(self) -> float:
@@ -119,7 +145,7 @@ class CombSpectrum:
 
 def _tooth_centers(cfg: CombConfig) -> np.ndarray:
     """Tooth positions: every multiple of the periodicity within +-width/2."""
-    n_side = int(math.floor(0.5 * cfg.width_hz / cfg.periodicity_hz))
+    n_side = cfg.n_teeth // 2
     return np.arange(-n_side, n_side + 1) * cfg.periodicity_hz
 
 
@@ -251,7 +277,10 @@ class SpinDecayModel:
             raise InvalidArgumentError(f"exponent must be > 0, got {self.exponent}")
 
     def factor(self, t_s: float) -> float:
-        return math.exp(-((t_s / self.tau_s) ** self.exponent))
+        try:
+            return math.exp(-((t_s / self.tau_s) ** self.exponent))
+        except OverflowError:  # (t/tau)^exponent past the float range: nothing survives
+            return 0.0
 
 
 @dataclass(frozen=True)

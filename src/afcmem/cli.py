@@ -5,7 +5,9 @@
     afcmem validate <preset-or-config.json>
 
 Exit codes: 0 success, 2 invalid configuration (diagnostics on stderr),
-3 capacity or domain error (the message names the violated constraint).
+3 any other error this package raises while running: a capacity limit, a
+domain error, or a derived quantity out of range such as a NaN efficiency
+(the message names the violated constraint).
 The output directory resolves as flag > AFCMEM_OUT environment variable >
 config value; nothing else is read from the environment.
 """
@@ -17,7 +19,7 @@ import os
 import sys
 
 from .config import OUTPUT_DIR_ENV, load_config, preset_names
-from .errors import CapacityError, ConfigError, DomainError
+from .errors import AfcmemError, ConfigError
 from .runner import run_experiment
 
 EXIT_OK = 0
@@ -78,7 +80,7 @@ def main(argv: list[str] | None = None) -> int:
         for d in exc.diagnostics:
             print(f"error: {d}", file=sys.stderr)
         return EXIT_CONFIG
-    except (CapacityError, DomainError) as exc:
+    except AfcmemError as exc:  # after ConfigError, which is one too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

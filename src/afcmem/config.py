@@ -1,17 +1,26 @@
 """Experiment configuration: strict parsing, presets, validation.
 
 Configs are nested key-value documents (JSON).  Unknown keys are rejected,
-scalar values must match their field's type (a number, an integer or a
-string; a boolean is none of these), and validation returns the full list
-of violations rather than stopping at the first.  Presets are shipped as data files under afcmem/presets; an
-explicit config may name a preset and override any subset of its fields.
+and every value must have its field's type: a number, an integer, a string,
+or a list of one of these.  A boolean is none of them, and a number must be
+finite as a float (NaN, infinities, huge integers fail, in lists too).
+
+Each section checks itself once, when it is built, by building the domain
+object it stands for, so every bound lives in one place: the comb section
+is afc.CombConfig itself, the ensemble and noise sections extend
+DetuningDistribution and NoiseModel, and the pulse, adiabatic, memory and
+detection sections build PulseSpec, AdiabaticPulseSpec, MemoryModel and
+GateConfig.  validate_config adds the top-level pipeline, format and seed,
+and all violations are reported, not only the first.  Presets are data
+files under afcmem/presets; a config may name one and override any subset
+of its fields.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import math
+import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -20,7 +29,7 @@ from .afc import CombConfig, MemoryModel, SpinDecayModel
 from .detection import GateConfig, NoiseModel, noise_probability
 from .ensemble import DetuningDistribution
 from .errors import ConfigError, InvalidArgumentError
-from .pulses import PULSE_ENVELOPES, AdiabaticPulseSpec, PulseSpec
+from .pulses import AdiabaticPulseSpec, PulseSpec
 from .sequences import SEQUENCE_KINDS
 
 SCHEMA_VERSION = 1
@@ -50,13 +59,16 @@ def _check_count(name: str, value, minimum: int = 1) -> None:
 
 
 @dataclass(frozen=True)
-class EnsembleSection:
-    shape: str = "gaussian"
-    fwhm_hz: float = 27e3
+class EnsembleSection(DetuningDistribution):
+    """The spin line plus the Monte Carlo ensemble size."""
+
     n_spins: int = 10000
 
-    def to_domain(self) -> DetuningDistribution:
+    def __post_init__(self):
+        super().__post_init__()
         _check_count("n_spins", self.n_spins)
+
+    def to_domain(self) -> DetuningDistribution:
         return DetuningDistribution(self.shape, self.fwhm_hz)
 
 
@@ -65,6 +77,9 @@ class PulseSection:
     systematic_error: float = 0.01
     jitter_sd: float = 0.0
     rabi_hz: float | None = None
+
+    def __post_init__(self):
+        self.to_domain()
 
     def to_domain(self) -> PulseSpec:
         return PulseSpec(systematic_error=self.systematic_error,
@@ -78,6 +93,9 @@ class AdiabaticSection:
     duration_s: float = 500e-6
     envelope: str = "sech"
 
+    def __post_init__(self):
+        self.to_domain()
+
     def to_domain(self) -> AdiabaticPulseSpec:
         return AdiabaticPulseSpec(self.peak_rabi_hz, self.chirp_span_hz,
                                   self.duration_s, self.envelope)
@@ -88,26 +106,12 @@ class SequenceSection:
     kind: str | None = "xy4"
     t_s_s: float = 0.5e-3
 
-    def validate(self):
+    def __post_init__(self):
         if self.kind is not None and self.kind not in SEQUENCE_KINDS:
             raise InvalidArgumentError(
                 f"kind must be null or one of {SEQUENCE_KINDS}, got {self.kind!r}")
         if not self.t_s_s > 0:
             raise InvalidArgumentError(f"t_s_s must be > 0, got {self.t_s_s}")
-
-
-@dataclass(frozen=True)
-class CombSection:
-    periodicity_hz: float = 100e3
-    finesse: float = 4.0
-    width_hz: float = 2e6
-    optical_depth: float = 2.6
-    passes: int = 2
-    background_depth: float = 0.0
-
-    def to_domain(self) -> CombConfig:
-        return CombConfig(self.periodicity_hz, self.finesse, self.width_hz,
-                          self.optical_depth, self.passes, self.background_depth)
 
 
 @dataclass(frozen=True)
@@ -118,6 +122,9 @@ class MemorySection:
     spin_decay_tau_s: float | None = None
     spin_decay_exponent: float | None = None
 
+    def __post_init__(self):
+        self.model()
+
     def decay(self) -> SpinDecayModel | None:
         if self.spin_decay_tau_s is None and self.spin_decay_exponent is None:
             return None
@@ -126,25 +133,22 @@ class MemorySection:
                 "spin_decay_tau_s and spin_decay_exponent must be given together")
         return SpinDecayModel(self.spin_decay_tau_s, self.spin_decay_exponent)
 
+    def model(self, **parts) -> MemoryModel:
+        """The efficiency chain with this section's factors; parts names the rest."""
+        return MemoryModel(conversion_efficiency=self.conversion_efficiency,
+                           readout_loss=self.readout_loss, write_stage=self.write_stage,
+                           spin_decay=self.decay(), **parts)
+
 
 @dataclass(frozen=True)
-class NoiseSection:
-    optical_readout_noise: float = 5e-3
-    residual_coupling: float = 1.0
-    detector_dark: float = 0.0
-    excess: float = 0.0
+class NoiseSection(NoiseModel):
+    """The noise model plus the residual spin population it converts."""
+
     residual_population: float = 0.002
 
-    def to_domain(self) -> NoiseModel:
-        return NoiseModel(self.optical_readout_noise, self.residual_coupling,
-                          self.detector_dark, self.excess)
-
-    def validate(self):
-        """The noise budget p_n must be a probability; an out-of-range
-        residual_population is reported on its own by validate_config."""
-        model = self.to_domain()
-        if 0.0 <= self.residual_population <= 0.5:
-            noise_probability(model, self.residual_population)
+    def __post_init__(self):
+        super().__post_init__()
+        noise_probability(self, self.residual_population)
 
 
 @dataclass(frozen=True)
@@ -154,14 +158,14 @@ class DetectionSection:
     gate_duration_s: float = 2e-6
     gate_bins: int = 40
 
-    def gate(self) -> GateConfig:
-        return GateConfig(self.gate_duration_s, self.gate_bins)
-
-    def validate(self):
-        if not (math.isfinite(self.mu) and self.mu >= 0):
-            raise InvalidArgumentError(f"mu must be finite and >= 0, got {self.mu}")
+    def __post_init__(self):
+        if not self.mu >= 0:
+            raise InvalidArgumentError(f"mu must be >= 0, got {self.mu}")
         _check_count("trials", self.trials)
         self.gate()
+
+    def gate(self) -> GateConfig:
+        return GateConfig(self.gate_duration_s, self.gate_bins)
 
 
 @dataclass(frozen=True)
@@ -170,7 +174,7 @@ class ThermalizationSection:
     eps_xx: float = 0.036
     eps_xy4: float = 0.002
 
-    def validate(self):
+    def __post_init__(self):
         _check_count("n_max", self.n_max)
         for name in ("eps_xx", "eps_xy4"):
             v = getattr(self, name)
@@ -184,6 +188,14 @@ class ModesSection:
     mode_duration_s: float = 1.5e-6
     dead_time_fraction: float = 0.2
 
+    def __post_init__(self):
+        _check_count("n_modes", self.n_modes)
+        if not self.mode_duration_s > 0:
+            raise InvalidArgumentError(f"mode_duration_s must be > 0, got {self.mode_duration_s}")
+        if not 0.0 <= self.dead_time_fraction < 1.0:
+            raise InvalidArgumentError(
+                f"dead_time_fraction must be in [0, 1), got {self.dead_time_fraction}")
+
 
 @dataclass(frozen=True)
 class RandomPhaseSection:
@@ -192,12 +204,7 @@ class RandomPhaseSection:
     kinds: tuple[str, ...] = ("xx", "xy4", "xy8", "kdd")
 
     def __post_init__(self):
-        if isinstance(self.kinds, str):
-            raise InvalidArgumentError(f"kinds must be a list of sequence kinds, "
-                                       f"got the string {self.kinds!r}")
         object.__setattr__(self, "kinds", tuple(self.kinds))
-
-    def validate(self):
         _check_count("n_max", self.n_max)
         if not 0.0 < self.tilt < 1.0:
             raise InvalidArgumentError(f"tilt must be in (0, 1), got {self.tilt}")
@@ -217,9 +224,7 @@ class SweepSection:
 
     def __post_init__(self):
         object.__setattr__(self, "t_s_values_s", tuple(float(v) for v in self.t_s_values_s))
-
-    def validate(self):
-        if len(self.t_s_values_s) < 1:
+        if not self.t_s_values_s:
             raise InvalidArgumentError("t_s_values_s must not be empty")
         if any(v <= 0 for v in self.t_s_values_s):
             raise InvalidArgumentError("t_s_values_s must all be > 0")
@@ -237,7 +242,7 @@ class ExperimentConfig:
     pulse: PulseSection = field(default_factory=PulseSection)
     adiabatic: AdiabaticSection = field(default_factory=AdiabaticSection)
     sequence: SequenceSection = field(default_factory=SequenceSection)
-    comb: CombSection = field(default_factory=CombSection)
+    comb: CombConfig = field(default_factory=CombConfig)
     memory: MemorySection = field(default_factory=MemorySection)
     noise: NoiseSection = field(default_factory=NoiseSection)
     detection: DetectionSection = field(default_factory=DetectionSection)
@@ -247,29 +252,12 @@ class ExperimentConfig:
     random_phase: RandomPhaseSection = field(default_factory=RandomPhaseSection)
 
     def memory_model(self) -> MemoryModel:
-        return MemoryModel(comb=self.comb.to_domain(),
-                           conversion_efficiency=self.memory.conversion_efficiency,
-                           spin_line=self.ensemble.to_domain(),
-                           sequence_kind=self.sequence.kind,
-                           readout_loss=self.memory.readout_loss,
-                           write_stage=self.memory.write_stage,
-                           spin_decay=self.memory.decay())
+        return self.memory.model(comb=self.comb, spin_line=self.ensemble,
+                                 sequence_kind=self.sequence.kind)
 
 
-_SECTIONS = {
-    "ensemble": EnsembleSection,
-    "pulse": PulseSection,
-    "adiabatic": AdiabaticSection,
-    "sequence": SequenceSection,
-    "comb": CombSection,
-    "memory": MemorySection,
-    "noise": NoiseSection,
-    "detection": DetectionSection,
-    "thermalization": ThermalizationSection,
-    "modes": ModesSection,
-    "sweep": SweepSection,
-    "random_phase": RandomPhaseSection,
-}
+_SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(ExperimentConfig)
+             if f.default_factory is not dataclasses.MISSING}
 
 
 # JSON value types accepted per scalar field annotation.  A boolean is not a
@@ -284,8 +272,14 @@ _FIELD_TYPES = {
 
 
 def _has_field_type(annotation: str, value) -> bool:
-    allowed = _FIELD_TYPES.get(annotation)
-    return allowed is None or (isinstance(value, allowed) and not isinstance(value, bool))
+    """A tuple[T, ...] field takes a list of T; a number must be finite."""
+    if annotation.startswith("tuple["):
+        item = annotation[len("tuple["):-len(", ...]")]
+        return isinstance(value, list) and all(_has_field_type(item, v) for v in value)
+    if not isinstance(value, _FIELD_TYPES[annotation]) or isinstance(value, bool):
+        return False
+    # finite as a float: NaN, the infinities and integers past float range fail
+    return not isinstance(value, (int, float)) or abs(value) <= sys.float_info.max
 
 
 def _typed_kwargs(cls, data: dict, path: str, diags: list[Diagnostic]) -> dict:
@@ -293,11 +287,11 @@ def _typed_kwargs(cls, data: dict, path: str, diags: list[Diagnostic]) -> dict:
     types = {f.name: f.type for f in dataclasses.fields(cls)}
     kwargs = {}
     for key, value in data.items():
+        where = f"{path}.{key}" if path else key
         if key not in types:
-            diags.append(Diagnostic(f"{path}.{key}" if path else key, "unknown key"))
+            diags.append(Diagnostic(where, "unknown key"))
         elif not _has_field_type(types[key], value):
-            diags.append(Diagnostic(f"{path}.{key}" if path else key,
-                                    f"expected {types[key]}, got {type(value).__name__}"))
+            diags.append(Diagnostic(where, f"expected {types[key]}, got {value!r}"))
         else:
             kwargs[key] = value
     return kwargs
@@ -312,7 +306,7 @@ def _build_section(cls, data, path: str, diags: list[Diagnostic]):
     kwargs = _typed_kwargs(cls, data, path, diags)
     try:
         return cls(**kwargs)
-    except (InvalidArgumentError, TypeError, ValueError) as exc:
+    except InvalidArgumentError as exc:
         diags.append(Diagnostic(path, str(exc)))
         return cls()
 
@@ -327,60 +321,21 @@ def parse_config(data: dict) -> tuple[ExperimentConfig, list[Diagnostic]]:
     for key, value in data.items():
         if key in _SECTIONS:
             kwargs[key] = _build_section(_SECTIONS[key], value, key, diags)
-    try:
-        cfg = ExperimentConfig(**kwargs)
-    except (InvalidArgumentError, TypeError, ValueError) as exc:
-        diags.append(Diagnostic("<root>", str(exc)))
-        cfg = ExperimentConfig()
-    return cfg, diags
+    return ExperimentConfig(**kwargs), diags
 
 
 def validate_config(cfg: ExperimentConfig) -> list[Diagnostic]:
-    """All semantic violations in a parsed config; empty means runnable."""
+    """Violations of the top-level fields (sections check themselves)."""
     diags: list[Diagnostic] = []
     if cfg.pipeline not in PIPELINES:
         diags.append(Diagnostic("pipeline", f"must be one of {PIPELINES}, got {cfg.pipeline!r}"))
     if cfg.format not in FORMATS:
         diags.append(Diagnostic("format", f"must be one of {FORMATS}, got {cfg.format!r}"))
-    checks = [
-        ("seed", lambda: _check_count("seed", cfg.seed, minimum=0)),
-        ("ensemble", cfg.ensemble.to_domain),
-        ("pulse", cfg.pulse.to_domain),
-        ("adiabatic", cfg.adiabatic.to_domain),
-        ("sequence", cfg.sequence.validate),
-        ("comb", cfg.comb.to_domain),
-        ("memory.spin_decay", cfg.memory.decay),
-        ("noise", cfg.noise.validate),
-        ("detection", cfg.detection.validate),
-        ("thermalization", cfg.thermalization.validate),
-        ("sweep", cfg.sweep.validate),
-        ("random_phase", cfg.random_phase.validate),
-        ("modes", lambda: _check_count("n_modes", cfg.modes.n_modes)),
-    ]
-    for path, check in checks:
-        try:
-            check()
-        except (InvalidArgumentError, TypeError, ValueError) as exc:
-            diags.append(Diagnostic(path, str(exc)))
-    for name in ("conversion_efficiency", "write_stage", "readout_loss"):
-        v = getattr(cfg.memory, name)
-        if not 0.0 <= v <= 1.0:
-            diags.append(Diagnostic(f"memory.{name}", f"must be in [0, 1], got {v}"))
-    if not 0.0 <= cfg.noise.residual_population <= 0.5:
-        diags.append(Diagnostic("noise.residual_population",
-                                f"must be in [0, 0.5], got {cfg.noise.residual_population}"))
-    if not 0.0 <= cfg.modes.dead_time_fraction < 1.0:
-        diags.append(Diagnostic("modes.dead_time_fraction",
-                                f"must be in [0, 1), got {cfg.modes.dead_time_fraction}"))
-    if not cfg.modes.mode_duration_s > 0:
-        diags.append(Diagnostic("modes.mode_duration_s",
-                                f"must be > 0, got {cfg.modes.mode_duration_s}"))
+    try:
+        _check_count("seed", cfg.seed, minimum=0)
+    except InvalidArgumentError as exc:
+        diags.append(Diagnostic("seed", str(exc)))
     return diags
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    """Flatten a config back to its document form (for self-describing reports)."""
-    return dataclasses.asdict(cfg)
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -413,12 +368,13 @@ def load_config(target: str, overrides: dict | None = None) -> tuple[ExperimentC
 
     Returns (config, fixtures).  A target ending in .json or naming an
     existing file is read as a config; anything else (a directory too) is a
-    preset name.  An explicit config file may carry a
-    "preset" key whose document is used as the base layer.  Raises
-    ConfigError with the full diagnostic list on any violation.
+    preset name, read as an empty config naming that preset.  The layers
+    merge as preset < config (whose "preset" key names its base) <
+    overrides.  Raises ConfigError with the full diagnostic list on any
+    violation.
     """
-    fixtures: dict = {}
     path = Path(target)
+    doc: dict = {"preset": target}
     if path.suffix == ".json" or path.is_file():
         try:
             doc = json.loads(path.read_text())
@@ -430,22 +386,13 @@ def load_config(target: str, overrides: dict | None = None) -> tuple[ExperimentC
             raise ConfigError([Diagnostic("config", f"cannot read {target}: {exc}")])
         if not isinstance(doc, dict):
             raise ConfigError([Diagnostic("<root>", "config must be an object")])
-        base: dict = {}
-        preset_name = doc.pop("preset", None)
-        if preset_name is not None:
-            preset = load_preset(preset_name)
-            base = preset.get("config", {})
-            base["pipeline"] = preset.get("pipeline", "single_mode")
-            fixtures = preset.get("fixtures", {})
-        data = _deep_merge(base, doc)
-    else:
-        preset = load_preset(target)
-        data = dict(preset.get("config", {}))
-        data["pipeline"] = preset.get("pipeline", "single_mode")
+    data, fixtures = {}, {}
+    preset_name = doc.pop("preset", None)
+    if preset_name is not None:
+        preset = load_preset(preset_name)
+        data = dict(preset.get("config", {}), pipeline=preset.get("pipeline", "single_mode"))
         fixtures = preset.get("fixtures", {})
-    if overrides:
-        data = _deep_merge(data, overrides)
-    cfg, diags = parse_config(data)
+    cfg, diags = parse_config(_deep_merge(_deep_merge(data, doc), overrides or {}))
     diags.extend(validate_config(cfg))
     if diags:
         raise ConfigError(diags)

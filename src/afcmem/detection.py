@@ -16,8 +16,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, InvalidArgumentError
+from .errors import CapacityError, DomainError, InvalidArgumentError
 from .rng import DOMAIN_DETECTION, spawn_generator
+
+# Most photons a run may expect: each one is drawn and binned on its own
+# (8 bytes apiece, so 128 MiB here), and numpy's Poisson sampler refuses
+# means far above this anyway.
+MAX_RUN_PHOTONS = 2 ** 24
 
 
 class ValueWithError(NamedTuple):
@@ -189,12 +194,18 @@ def simulate_run(mu: float, eta: float, p_n: float, trials: int,
     per-bin placement is cosmetic and does not affect the estimators,
     which use whole-gate totals.  Identical seeds give identical
     histograms byte for byte; stream separates independent runs (e.g.
-    temporal modes) under one root seed.
+    temporal modes) under one root seed.  A run that expects more than
+    MAX_RUN_PHOTONS photons, input on and off together, raises
+    CapacityError.
     """
     if trials < 1:
         raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
     if mu < 0 or eta < 0 or p_n < 0:
         raise InvalidArgumentError("mu, eta and p_n must be >= 0")
+    expected = trials * (mu * eta + 2.0 * p_n)
+    if not expected <= MAX_RUN_PHOTONS:
+        raise CapacityError(f"the run expects {expected:g} photons, more than the "
+                            f"{MAX_RUN_PHOTONS} it may draw; lower trials or mu")
     if gate is None:
         gate = GateConfig()
     rng = spawn_generator(seed, DOMAIN_DETECTION, stream)

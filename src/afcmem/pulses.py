@@ -49,10 +49,11 @@ class PulseSpec:
     nominal_angle : float
         Intended rotation angle in rad (pi for inversion).
     systematic_error : float
-        Fractional angle error; the actual angle is nominal * (1 + error).
+        Fractional angle error in [-1, 1]; the actual angle is
+        nominal * (1 + error).
     jitter_sd : float
         Standard deviation of a per-application Gaussian angle jitter,
-        as a fraction of the nominal angle.
+        as a fraction of the nominal angle, in [0, 1].
     rabi_hz : float, optional
         When given, the rotation axis tilts out of the equator by
         atan(detuning / rabi) and the angle scales by the generalized Rabi
@@ -68,8 +69,13 @@ class PulseSpec:
     def __post_init__(self):
         if not self.nominal_angle > 0:
             raise InvalidArgumentError(f"nominal_angle must be > 0, got {self.nominal_angle}")
-        if self.jitter_sd < 0:
-            raise InvalidArgumentError(f"jitter_sd must be >= 0, got {self.jitter_sd}")
+        # Past 100% of the nominal angle an error is no longer a pulse error,
+        # and the bound keeps every rotation angle finite.
+        if not -1.0 <= self.systematic_error <= 1.0:
+            raise InvalidArgumentError(
+                f"systematic_error must be in [-1, 1], got {self.systematic_error}")
+        if not 0.0 <= self.jitter_sd <= 1.0:
+            raise InvalidArgumentError(f"jitter_sd must be in [0, 1], got {self.jitter_sd}")
         if self.rabi_hz is not None and not self.rabi_hz > 0:
             raise InvalidArgumentError(f"rabi_hz must be > 0 when given, got {self.rabi_hz}")
 

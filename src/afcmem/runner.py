@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import afc, detection, sequences
-from .config import SCHEMA_VERSION, ExperimentConfig, config_to_dict
+from .config import SCHEMA_VERSION, ExperimentConfig
 from .ensemble import coherence_1e_time
 
 _FLOAT_FMT = "%.12g"  # '%.12g' % v == format(float(v), '.12g'), nan/inf/-0.0 included
@@ -58,7 +58,7 @@ def _flatten(prefix: str, obj, out: dict):
 
 
 def _write_report(out_dir: Path, cfg: ExperimentConfig, results: dict) -> Path:
-    parameters = config_to_dict(cfg)
+    parameters = asdict(cfg)
     parameters.pop("output_dir", None)  # location must not affect report bytes
     doc = _sanitize({"schema_version": SCHEMA_VERSION,
                      "pipeline": cfg.pipeline,
@@ -79,7 +79,7 @@ def _chain_results(cfg: ExperimentConfig) -> dict:
     model = cfg.memory_model()
     t_s = cfg.sequence.t_s_s
     eta = afc.memory_efficiency(model, t_s, pulse=cfg.pulse.to_domain(), seed=cfg.seed)
-    p_n = detection.noise_probability(cfg.noise.to_domain(), cfg.noise.residual_population)
+    p_n = detection.noise_probability(cfg.noise, cfg.noise.residual_population)
     mu = cfg.detection.mu
     m1 = detection.mu1(p_n, eta)
     window = detection.quantum_regime_window(m1)
@@ -121,7 +121,7 @@ def _write_histogram(path: Path, runs: list[detection.RunStatistics]) -> Path:
 
 
 def _write_comb_traces(out_dir: Path, cfg: ExperimentConfig) -> list[Path]:
-    comb = afc.build_comb(cfg.comb.to_domain())
+    comb = afc.build_comb(cfg.comb)
     paths = [_write_csv(out_dir / "comb_spectrum.csv", ["frequency_hz", "depth"],
                         zip(comb.freq_hz.tolist(), comb.depth.tolist()))]
     delay = comb.config.afc_delay_s
@@ -202,7 +202,7 @@ def _run_thermalization(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) ->
 def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) -> list[Path]:
     model = cfg.memory_model()
     pulse = cfg.pulse.to_domain()
-    p_n = detection.noise_probability(cfg.noise.to_domain(), cfg.noise.residual_population)
+    p_n = detection.noise_probability(cfg.noise, cfg.noise.residual_population)
     mu = cfg.detection.mu
     fixture_rows = {row["t_s_s"]: row for row in fixtures.get("rows", [])}
     header = ["t_s_s", "eta_model", "p_n_model", "snr_model", "mu1_model",
@@ -231,7 +231,7 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) -> list[Pat
                             "snr_model": snr_model, "mu1_model": mu1_model})
     results = {"mu": mu, "p_n_model": p_n, "rows": report_rows,
                "spin_decay_fitted": cfg.memory.decay() is not None,
-               "envelope_no_dd_1e_s": coherence_1e_time(cfg.ensemble.to_domain())}
+               "envelope_no_dd_1e_s": coherence_1e_time(cfg.ensemble)}
     if fixtures:
         results["fixtures"] = fixtures
     paths = [_write_csv(out_dir / "table.csv", header, rows)]
@@ -241,7 +241,6 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) -> list[Pat
 
 def _run_random_phase(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) -> list[Path]:
     rp = cfg.random_phase
-    dist = cfg.ensemble.to_domain()
     eps_pulse = sequences.calibrate_systematic_error(cfg.thermalization.eps_xx, kind="xx",
                                                      t_s=cfg.sequence.t_s_s)
     pulse = replace(cfg.pulse.to_domain(), systematic_error=eps_pulse)
@@ -251,7 +250,7 @@ def _run_random_phase(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) -> l
     for kind in rp.kinds:
         seq = sequences.build_sequence(kind, cfg.sequence.t_s_s, pulse)
         study = sequences.random_phase_population_study(
-            seq, dist, cfg.ensemble.n_spins, rp.n_max, tilt=rp.tilt, seed=cfg.seed)
+            seq, cfg.ensemble, cfg.ensemble.n_spins, rp.n_max, tilt=rp.tilt, seed=cfg.seed)
         curves[kind] = study.rho_g
         results["final_rho_g"][kind] = float(study.rho_g[-1])
     header = ["N"] + [f"rho_g_{kind}" for kind in rp.kinds]

@@ -7,7 +7,7 @@ from afcmem import (CapacityError, CombConfig, DetuningDistribution, InvalidArgu
                     MemoryModel, PulseSpec, SpinDecayModel, afc_echo_amplitude, afc_efficiency,
                     build_comb, comb_dephasing_factor, dephasing_envelope, echo_trace,
                     find_echo_peak, memory_efficiency, memory_timeline, spinwave_excitation)
-from afcmem.afc import MAX_COMB_GRID_POINTS
+from afcmem.afc import MAX_COMB_BUILD_WORK, MAX_COMB_GRID_POINTS
 
 GAUSS27 = DetuningDistribution("gaussian", 27e3)
 
@@ -62,6 +62,24 @@ class TestBuildComb:
         assert CombConfig(finesse=1000.0).grid_points == 500_201 <= MAX_COMB_GRID_POINTS
         with pytest.raises(InvalidArgumentError, match="200000201 grid points"):
             CombConfig(periodicity_hz=1.0)
+        with pytest.raises(InvalidArgumentError, match="grid points"):
+            CombConfig(finesse=1e308)  # the size is compared as a float, never int(inf)
+
+    def test_build_work_is_bounded_before_sampling(self):
+        # teeth x grid points, the exp evaluations build_comb makes
+        big = CombConfig(finesse=1000.0)
+        assert big.n_teeth * big.grid_points == 21 * 500_201 <= MAX_COMB_BUILD_WORK
+        assert build_comb(DEFAULT_COMB).depth.size * DEFAULT_COMB.n_teeth == 2201 * 21
+        with pytest.raises(InvalidArgumentError, match="40001 teeth over 1010201 grid points"):
+            CombConfig(periodicity_hz=50.0, finesse=1.01)
+
+    @pytest.mark.parametrize("field", ["optical_depth", "background_depth"])
+    def test_depth_is_bounded(self, field):
+        # past 700 the sample is opaque and the sampled comb's sums overflow
+        assert 0.0 <= afc_efficiency(CombConfig(**{field: 700.0})) <= 1.0
+        for depth in (700.5, 1e308):
+            with pytest.raises(InvalidArgumentError, match=field):
+                CombConfig(**{field: depth})
 
 
 class TestEcho:
@@ -169,6 +187,11 @@ class TestMemoryEfficiency:
         lo = memory_efficiency(MemoryModel(conversion_efficiency=0.25), 0.5e-3)
         hi = memory_efficiency(MemoryModel(conversion_efficiency=0.5), 0.5e-3)
         assert hi == pytest.approx(4.0 * lo, rel=1e-12)
+
+    def test_decay_factor_past_float_range_is_zero(self):
+        decay = SpinDecayModel(1e-3, 1e308)
+        assert decay.factor(2e-3) == 0.0  # (t/tau)^exponent overflows
+        assert decay.factor(0.5e-3) == 1.0
 
     def test_monotone_in_storage_time_with_decay(self):
         model = MemoryModel(spin_decay=SpinDecayModel(0.9e-3, 1.5))

@@ -1,6 +1,12 @@
+import dataclasses
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from afcmem.cli import main
 from afcmem.config import (ExperimentConfig, load_config, load_preset, parse_config,
@@ -8,6 +14,23 @@ from afcmem.config import (ExperimentConfig, load_config, load_preset, parse_con
 from afcmem.errors import ConfigError
 
 ALL_PRESETS = ["fig1d", "fig2a", "fig2b", "fig2c", "random_phase", "table1"]
+
+# Wrong types, non-finite and huge numbers, empty and odd containers; no large
+# integer, so no draw can ask for a huge ensemble or trial count.
+VALUE_POOL = [None, True, -1, 0, 1, 0.5, 1e308, -1e308, math.nan, math.inf, "x", [], [0.0],
+              [math.inf], {}]
+
+
+def _config_fields():
+    """(section, field) for every section field; (None, field) at the top level."""
+    for f in dataclasses.fields(ExperimentConfig):
+        if f.default_factory is dataclasses.MISSING:
+            yield None, f.name
+        else:
+            yield from ((f.name, g.name) for g in dataclasses.fields(f.default_factory))
+
+
+CONFIG_FIELDS = list(_config_fields())
 
 
 class TestParsing:
@@ -97,7 +120,7 @@ class TestPresetCalibrations:
         eta = memory_efficiency(model, 0.5e-3, pulse=cfg.pulse.to_domain())
         assert abs(eta - 0.051) <= 0.004
         assert spinwave_excitation(2.0, model) == pytest.approx(1.0)
-        p_n = noise_probability(cfg.noise.to_domain(), cfg.noise.residual_population)
+        p_n = noise_probability(cfg.noise, cfg.noise.residual_population)
         assert abs(p_n - 0.010) <= 0.002
 
     def test_fig2c_per_mode_figures(self):
@@ -105,7 +128,7 @@ class TestPresetCalibrations:
         cfg, fixtures = load_config("fig2c")
         eta = memory_efficiency(cfg.memory_model(), 0.5e-3, pulse=cfg.pulse.to_domain())
         assert abs(eta - fixtures["eta"]["value"]) <= fixtures["eta"]["err"]
-        p_n = noise_probability(cfg.noise.to_domain(), cfg.noise.residual_population)
+        p_n = noise_probability(cfg.noise, cfg.noise.residual_population)
         snr = snr_analytic(2.0, eta, p_n)
         assert abs(snr - fixtures["snr"]["value"]) <= fixtures["snr"]["err"]
 
@@ -156,7 +179,7 @@ class TestCli:
         ("fig1d", {"thermalization": {"n_max": 2.5}}, "n_max"),
         ("fig1d", {"ensemble": {"n_spins": 100.5}}, "n_spins"),
         ("random_phase", {"random_phase": {"n_max": True}}, "n_max"),
-        ("random_phase", {"random_phase": {"kinds": "xx"}}, "the string"),
+        ("random_phase", {"random_phase": {"kinds": "xx"}}, "random_phase.kinds"),
         ("random_phase", {"random_phase": {"kinds": ["xx", "xx"]}}, "repeat"),
         ("random_phase", {"random_phase": {"kinds": []}}, "at least one"),
         ("fig2c", {"modes": {"n_modes": 1.5}}, "n_modes"),
@@ -166,10 +189,12 @@ class TestCli:
         ("table1", {"pulse": {"systematic_error": None}}, "pulse.systematic_error"),
         ("fig1d", {"random_phase": {"tilt": {"a": 1}}}, "random_phase.tilt"),
         ("fig2a", {"comb": {"periodicity_hz": True}}, "comb.periodicity_hz"),
+        ("table1", {"sweep": {"t_s_values_s": [1e-3, math.inf]}}, "sweep.t_s_values_s"),
+        ("fig2a", {"detection": {"mu": 10 ** 400}}, "detection.mu"),
     ], ids=["rp_n_max_float", "therm_n_max_float", "n_spins_float", "rp_n_max_bool",
             "kinds_string", "kinds_repeated", "kinds_empty", "n_modes_float",
             "trials_float", "mu_string", "decay_string", "pulse_null", "tilt_object",
-            "comb_bool"])
+            "comb_bool", "sweep_inf_item", "mu_int_past_float_range"])
     def test_malformed_count_or_kinds_exit_2(self, tmp_path, capsys, preset, override, needle):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dict(override, preset=preset)))
@@ -184,6 +209,39 @@ class TestCli:
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
         assert "mu" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("preset,override,code,needle", [
+        ("fig2a", {"comb": {"finesse": 1e308}}, 2, "grid points"),
+        ("fig2c", {"pulse": {"systematic_error": 1e308}}, 2, "systematic_error"),
+        ("fig2c", {"pulse": {"systematic_error": -1e308}}, 2, "systematic_error"),
+        ("table1", {"pulse": {"jitter_sd": 1e308}}, 2, "jitter_sd"),
+        ("table1", {"comb": {"background_depth": 1e308}}, 2, "background_depth"),
+        ("fig2c", {"comb": {"background_depth": 1e308}}, 2, "background_depth"),
+        ("fig2a", {"detection": {"mu": 1e308}}, 3, "photons"),
+        ("table1", {"memory": {"spin_decay_exponent": 1e308}}, 3, "eta = 0"),
+        ("fig2c", {"pulse": {"rabi_hz": 1e308}}, 3, "eta must be"),
+    ], ids=["finesse", "pulse_error", "pulse_error_negative", "jitter", "background_table1",
+            "background_fig2c", "mu", "decay_exponent", "rabi_nan_efficiency"])
+    def test_huge_finite_value_exit_2_or_3(self, tmp_path, capsys, preset, override, code,
+                                           needle):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(dict(override, preset=preset)))
+        assert main(["validate", str(path)]) == (2 if code == 2 else 0)
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == code
+        assert needle in capsys.readouterr().err
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(preset=st.sampled_from(ALL_PRESETS), where=st.sampled_from(CONFIG_FIELDS),
+           value=st.sampled_from(VALUE_POOL))
+    def test_any_pool_value_in_any_field_exits_0_2_or_3(self, tmp_path, preset, where, value):
+        section, name = where
+        doc = {"preset": preset, **({section: {name: value}} if section else {name: value})}
+        with tempfile.TemporaryDirectory(dir=tmp_path) as d:
+            path = Path(d) / "cfg.json"
+            path.write_text(json.dumps(doc))
+            assert main(["validate", str(path)]) in (0, 2, 3)
+            assert main(["run", str(path), "--out", str(Path(d) / "out")]) in (0, 2, 3)
 
     def test_non_string_output_dir_exit_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -233,6 +291,24 @@ class TestCli:
         assert main([command, str(path)] + extra) == 2
         err = capsys.readouterr().err
         assert "comb" in err and "200000201 grid points" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_comb_build_work_exit_2_without_building_it(self, tmp_path, monkeypatch, capsys,
+                                                        command):
+        import afcmem.afc
+
+        def refuse(cfg):
+            raise AssertionError("build_comb was called")
+
+        monkeypatch.setattr(afcmem.afc, "build_comb", refuse)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "fig2a",
+                                    "comb": {"periodicity_hz": 50, "finesse": 1.01}}))
+        extra = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, str(path)] + extra) == 2
+        err = capsys.readouterr().err
+        assert "comb" in err and "40001 teeth over 1010201 grid points" in err
         assert not (tmp_path / "out").exists()
 
     def test_validate_subcommand(self, tmp_path, capsys):

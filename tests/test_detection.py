@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afcmem import (DomainError, GateConfig, InvalidArgumentError, NoiseModel, mu1,
+from afcmem import (CapacityError, DomainError, GateConfig, InvalidArgumentError, NoiseModel, mu1,
                     noise_probability, qubit_fidelity, quantum_regime_window, simulate_run,
                     snr_analytic)
 
@@ -177,3 +177,9 @@ class TestSimulateRun:
     def test_invalid_args(self):
         with pytest.raises(InvalidArgumentError):
             simulate_run(1.0, 0.1, 0.01, 0)
+
+    @pytest.mark.parametrize("mu,trials", [(1e308, 100_000), (2.0, 10 ** 9)])
+    def test_photon_count_is_bounded_before_drawing(self, mu, trials):
+        # mu 1e308 once reached numpy's "lam value too large"
+        with pytest.raises(CapacityError, match="photons"):
+            simulate_run(mu, 0.05, 0.01, trials)

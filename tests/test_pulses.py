@@ -110,6 +110,17 @@ class TestInstantaneousRotations:
         with pytest.raises(InvalidArgumentError):
             PulseSpec(rabi_hz=0.0)
 
+    @pytest.mark.parametrize("kwargs", [{"systematic_error": 1e308},
+                                        {"systematic_error": -1e308},
+                                        {"systematic_error": 1.01},
+                                        {"jitter_sd": 1e308}, {"jitter_sd": 1.01}])
+    def test_angle_errors_are_bounded(self, kwargs):
+        # beyond 100% of the nominal angle, and angles would overflow to inf
+        with pytest.raises(InvalidArgumentError):
+            PulseSpec(**kwargs)
+        edge = {k: math.copysign(1.0, v) for k, v in kwargs.items()}
+        assert np.isfinite(apply_rotation(UP, PulseSpec(**edge))).all()
+
 
 class TestBlochIntegration:
     def test_no_drive_leaves_state(self):
