@@ -228,18 +228,17 @@ def echo_trace(comb: CombSpectrum, times: np.ndarray) -> np.ndarray:
     return np.abs((total - b * m) * envelope * teeth / centers.size + b * pedestal) / total
 
 
-def find_echo_peak(comb: CombSpectrum, n_grid: int = 801,
-                   window: tuple[float, float] = (0.3, 1.7)) -> tuple[float, float]:
-    """Locate the echo maximum inside a window around the nominal delay.
+def find_echo_peak(comb: CombSpectrum, n_grid: int = 801) -> tuple[float, float]:
+    """Locate the echo maximum between 0.3 and 1.7 times the nominal delay.
 
-    Returns (t_peak, amplitude); the window is in units of 1/periodicity
-    and excludes the trivial response at t = 0.  Timing is resolved to the
-    grid step (window span / (n_grid - 1)); at very low finesse the true
+    Returns (t_peak, amplitude); the window, in units of 1/periodicity,
+    excludes the trivial response at t = 0.  Timing is resolved to the
+    grid step (1.4 delays / (n_grid - 1)); at very low finesse the true
     peak sits up to ~0.2% of the delay away from 1/periodicity because the
     baseline lobe of an overlapping comb interferes with the echo sideband.
     """
     delay = comb.config.afc_delay_s
-    times = np.linspace(window[0] * delay, window[1] * delay, n_grid)
+    times = np.linspace(0.3 * delay, 1.7 * delay, n_grid)
     amps = echo_trace(comb, times)
     k = int(np.argmax(amps))
     return float(times[k]), float(amps[k])
@@ -250,13 +249,11 @@ def comb_dephasing_factor(comb: CombSpectrum) -> float:
     return abs(afc_echo_amplitude(comb, comb.config.afc_delay_s)) ** 2
 
 
-def afc_efficiency(cfg: CombConfig, comb: CombSpectrum | None = None) -> float:
+def afc_efficiency(cfg: CombConfig) -> float:
     """Echo efficiency of the comb alone (absorption factor x dephasing factor)."""
-    if comb is None:
-        comb = build_comb(cfg)
     d_eff = cfg.peak_depth / cfg.finesse
     absorption = d_eff ** 2 * math.exp(-d_eff) * math.exp(-cfg.background_depth)
-    return absorption * comb_dephasing_factor(comb)
+    return absorption * comb_dephasing_factor(build_comb(cfg))
 
 
 @dataclass(frozen=True)
@@ -312,7 +309,7 @@ class MemoryModel:
 
 
 def memory_efficiency(model: MemoryModel, t_s: float, pulse: PulseSpec | None = None,
-                      n_spins: int = 4096, seed: int = 0) -> float:
+                      seed: int = 0) -> float:
     """End-to-end probability of retrieving an input photon after storage.
 
     eta = eta_afc * eta_c^2 * |spin amplitude(t_s)|^2
@@ -320,7 +317,7 @@ def memory_efficiency(model: MemoryModel, t_s: float, pulse: PulseSpec | None = 
 
     Without a decoupling sequence the spin amplitude is the closed-form
     inhomogeneous envelope at t_s; with one it is the simulated rephasing
-    fidelity over a stratified ensemble (deterministic for given n_spins).
+    fidelity over a stratified ensemble of 4096 spins (deterministic).
     """
     if t_s < 0:
         raise InvalidArgumentError(f"t_s must be >= 0, got {t_s}")
@@ -329,7 +326,7 @@ def memory_efficiency(model: MemoryModel, t_s: float, pulse: PulseSpec | None = 
         amp = dephasing_envelope(model.spin_line, t_s)
     else:
         seq = build_sequence(model.sequence_kind, t_s, pulse)
-        ens = grid_ensemble(model.spin_line, n_spins)
+        ens = grid_ensemble(model.spin_line, 4096)
         amp = rephasing_fidelity(ens, seq, seed=seed)
     eta *= amp ** 2
     if model.spin_decay is not None:

@@ -7,7 +7,8 @@
 Exit codes: 0 success, 2 invalid configuration (diagnostics on stderr),
 3 any other error this package raises while running: a capacity limit, a
 domain error, or a derived quantity out of range such as a NaN efficiency
-(the message names the violated constraint).
+(the message names the violated constraint), or an output directory or
+file that cannot be written (the message names the path).
 The output directory resolves as flag > AFCMEM_OUT environment variable >
 config value; nothing else is read from the environment.
 """
@@ -72,7 +73,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{args.target}: ok")
             return EXIT_OK
         cfg, fixtures = load_config(args.target, _overrides(args))
-        paths = run_experiment(cfg, fixtures)
+        try:
+            paths = run_experiment(cfg, fixtures)
+        except OSError as exc:  # the output directory or a file in it cannot be written
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DOMAIN
         for p in paths:
             print(p)
         return EXIT_OK

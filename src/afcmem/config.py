@@ -40,6 +40,15 @@ FORMATS = ("csv", "json")
 # Output directory may be overridden by this environment variable only.
 OUTPUT_DIR_ENV = "AFCMEM_OUT"
 
+# Largest counts that size arrays.  Each keeps the peak memory its count adds
+# to a run under 160 MiB, at the cost per unit measured with tracemalloc:
+# about 150 bytes per spin (random_phase; 10 on thermalization), 290 per
+# thermalization sequence (fig1d) and 530 per random-phase repetition (four
+# kinds), mostly arrays and CSV rows.
+MAX_SPINS = 2 ** 20
+MAX_THERMALIZATION_SEQUENCES = 2 ** 19
+MAX_RANDOM_PHASE_REPETITIONS = 2 ** 18
+
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -52,10 +61,12 @@ class Diagnostic:
         return f"{self.path}: {self.message}"
 
 
-def _check_count(name: str, value, minimum: int = 1) -> None:
-    """Reject a count that is not an integer >= minimum (booleans included)."""
+def _check_count(name: str, value, minimum: int = 1, maximum: int | None = None) -> None:
+    """Reject a count that is not an integer in [minimum, maximum] (booleans included)."""
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise InvalidArgumentError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise InvalidArgumentError(f"{name} must be <= {maximum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -66,7 +77,7 @@ class EnsembleSection(DetuningDistribution):
 
     def __post_init__(self):
         super().__post_init__()
-        _check_count("n_spins", self.n_spins)
+        _check_count("n_spins", self.n_spins, maximum=MAX_SPINS)
 
     def to_domain(self) -> DetuningDistribution:
         return DetuningDistribution(self.shape, self.fwhm_hz)
@@ -175,7 +186,7 @@ class ThermalizationSection:
     eps_xy4: float = 0.002
 
     def __post_init__(self):
-        _check_count("n_max", self.n_max)
+        _check_count("n_max", self.n_max, maximum=MAX_THERMALIZATION_SEQUENCES)
         for name in ("eps_xx", "eps_xy4"):
             v = getattr(self, name)
             if not 0.0 <= v <= 0.5:
@@ -205,7 +216,7 @@ class RandomPhaseSection:
 
     def __post_init__(self):
         object.__setattr__(self, "kinds", tuple(self.kinds))
-        _check_count("n_max", self.n_max)
+        _check_count("n_max", self.n_max, maximum=MAX_RANDOM_PHASE_REPETITIONS)
         if not 0.0 < self.tilt < 1.0:
             raise InvalidArgumentError(f"tilt must be in (0, 1), got {self.tilt}")
         if not self.kinds:

@@ -92,7 +92,6 @@ class SpinEnsemble:
     detunings_hz: np.ndarray  # (n,)
     states: np.ndarray        # (n, 3) Bloch vectors
     weights: np.ndarray       # (n,)
-    seed: int = 0
 
     def __post_init__(self):
         det = np.ascontiguousarray(self.detunings_hz, dtype=float)
@@ -141,20 +140,20 @@ def sample_detunings(dist: DetuningDistribution, n: int, seed: int) -> SpinEnsem
     det = dist.sample(n, rng)
     states = np.zeros((n, 3))
     states[:, 2] = 1.0
-    return SpinEnsemble(det, states, np.full(n, 1.0 / n), seed=seed)
+    return SpinEnsemble(det, states, np.full(n, 1.0 / n))
 
 
-def grid_ensemble(dist: DetuningDistribution, n: int, span_sigma: float = 4.5) -> SpinEnsemble:
+def grid_ensemble(dist: DetuningDistribution, n: int) -> SpinEnsemble:
     """Deterministic stratified ensemble: a detuning grid weighted by the line pdf.
 
     Replaces random sampling where low-noise averages are needed (envelope
-    checks, efficiency chains).  The grid spans +-span_sigma standard
-    deviations for a Gaussian line and +-3 FWHM for a Lorentzian.
+    checks, efficiency chains).  The grid spans +-4.5 standard deviations
+    for a Gaussian line and +-3 FWHM for a Lorentzian.
     """
     if n < 1:
         raise InvalidArgumentError(f"n must be >= 1, got {n}")
     if dist.shape == "gaussian":
-        half = span_sigma * dist.sigma_hz
+        half = 4.5 * dist.sigma_hz
     else:
         half = 3.0 * dist.fwhm_hz
     det = np.linspace(-half, half, n)

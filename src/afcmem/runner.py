@@ -1,8 +1,10 @@
 """Experiment pipelines and deterministic result emission.
 
-Each pipeline writes a self-describing report (the full parameter set plus
-results) and pipeline-specific CSV traces.  Identical (config, seed) give
-byte-identical files: no timestamps, fixed float formatting, sorted keys.
+Each pipeline writes its CSV traces and returns its results; run_experiment
+then writes the self-describing report last (the full parameter set, the
+results, and the preset's fixtures when it has any).  Identical (config,
+seed) give byte-identical files: no timestamps, fixed float formatting,
+sorted keys.
 """
 
 from __future__ import annotations
@@ -17,9 +19,13 @@ import numpy as np
 from . import afc, detection, sequences
 from .config import SCHEMA_VERSION, ExperimentConfig
 from .ensemble import coherence_1e_time
+from .pulses import PulseSpec
 
 _FLOAT_FMT = "%.12g"  # '%.12g' % v == format(float(v), '.12g'), nan/inf/-0.0 included
 _FLOAT_TYPES = (float, np.floating)
+
+# What a pipeline returns: the trace files it wrote, and its results.
+_PipelineOutput = tuple[list[Path], dict]
 
 
 def _sanitize(obj):
@@ -51,8 +57,6 @@ def _flatten(prefix: str, obj, out: dict):
     elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
             _flatten(f"{prefix}[{i}]", v, out)
-    elif isinstance(obj, (np.floating, np.integer)):
-        out[prefix] = obj.item()
     else:
         out[prefix] = obj
 
@@ -74,10 +78,9 @@ def _write_report(out_dir: Path, cfg: ExperimentConfig, results: dict) -> Path:
                       sorted(flat.items()))
 
 
-def _chain_results(cfg: ExperimentConfig) -> dict:
-    """Analytic efficiency and noise chain shared by the mode pipelines."""
+def _chain_results(cfg: ExperimentConfig, t_s: float) -> dict:
+    """Analytic efficiency and noise chain at storage time t_s."""
     model = cfg.memory_model()
-    t_s = cfg.sequence.t_s_s
     eta = afc.memory_efficiency(model, t_s, pulse=cfg.pulse.to_domain(), seed=cfg.seed)
     p_n = detection.noise_probability(cfg.noise, cfg.noise.residual_population)
     mu = cfg.detection.mu
@@ -132,23 +135,27 @@ def _write_comb_traces(out_dir: Path, cfg: ExperimentConfig) -> list[Path]:
     return paths
 
 
-def _run_single_mode(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) -> list[Path]:
-    results = _chain_results(cfg)
+def _calibrated_pulse(cfg: ExperimentConfig) -> PulseSpec:
+    """The configured pulse with the per-pulse error that makes the xx
+    sequence reproduce the measured per-sequence error eps_xx."""
+    eps = sequences.calibrate_systematic_error(cfg.thermalization.eps_xx, kind="xx",
+                                               t_s=cfg.sequence.t_s_s)
+    return replace(cfg.pulse.to_domain(), systematic_error=eps)
+
+
+def _run_single_mode(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) -> _PipelineOutput:
+    results = _chain_results(cfg, cfg.sequence.t_s_s)
     run = _simulate_mode(cfg, results)
     results["simulated"] = run.to_report()
-    if fixtures:
-        results["fixtures"] = fixtures
     paths = [_write_histogram(out_dir / "histogram.csv", [run])]
-    paths += _write_comb_traces(out_dir, cfg)
-    paths.append(_write_report(out_dir, cfg, results))
-    return paths
+    return paths + _write_comb_traces(out_dir, cfg), results
 
 
-def _run_multimode(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) -> list[Path]:
+def _run_multimode(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) -> _PipelineOutput:
     timeline = afc.memory_timeline(cfg.comb.periodicity_hz, cfg.sequence.t_s_s,
                                    cfg.modes.n_modes, cfg.modes.mode_duration_s,
                                    cfg.modes.dead_time_fraction)
-    results = _chain_results(cfg)
+    results = _chain_results(cfg, cfg.sequence.t_s_s)
     runs = [_simulate_mode(cfg, results, stream=k) for k in range(cfg.modes.n_modes)]
     results["per_mode"] = [{"mode": k, "snr_simulated": run.snr.value,
                             "snr_stderr": run.snr.stderr}
@@ -157,25 +164,19 @@ def _run_multimode(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) -> list
     results["timeline"] = {"afc_delay_s": timeline.afc_delay_s,
                            "total_s": timeline.total_s,
                            "n_modes": len(timeline.mode_slots)}
-    if fixtures:
-        results["fixtures"] = fixtures
     paths = [_write_csv(out_dir / "timeline.csv",
                         ["mode", "input_time_s", "output_time_s", "total_s"],
                         [(k, t_in, t_out, timeline.total_s)
                          for k, (t_in, t_out) in enumerate(timeline.mode_slots)])]
     paths.append(_write_histogram(out_dir / "histograms.csv", runs))
-    paths += _write_comb_traces(out_dir, cfg)
-    paths.append(_write_report(out_dir, cfg, results))
-    return paths
+    return paths + _write_comb_traces(out_dir, cfg), results
 
 
-def _run_thermalization(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) -> list[Path]:
+def _run_thermalization(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) -> _PipelineOutput:
     therm = cfg.thermalization
-    eps_pulse = sequences.calibrate_systematic_error(therm.eps_xx, kind="xx",
-                                                     t_s=cfg.sequence.t_s_s)
-    pulse = cfg.pulse.to_domain()
+    pulse = _calibrated_pulse(cfg)
     paths = []
-    results = {"calibrated_pulse_error": eps_pulse, "n_max": therm.n_max}
+    results = {"calibrated_pulse_error": pulse.systematic_error, "n_max": therm.n_max}
     for stream, (kind, eps_fixture) in enumerate((("xx", therm.eps_xx),
                                                   ("xy4", therm.eps_xy4))):
         # Chirped inversion acts uniformly across the line, so the Monte
@@ -187,37 +188,27 @@ def _run_thermalization(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) ->
         paths.append(_write_csv(out_dir / f"thermalization_{kind}.csv",
                                 ["N", "rho_g_closed_form", "rho_g_monte_carlo", "stderr"],
                                 rows))
-        seq = sequences.build_sequence(kind, cfg.sequence.t_s_s,
-                                       replace(pulse, systematic_error=eps_pulse))
+        seq = sequences.build_sequence(kind, cfg.sequence.t_s_s, pulse)
         results[f"{kind}_eps_closed_form"] = eps_fixture
         results[f"{kind}_rho_g_50_closed_form"] = float(mc.rho_g[min(50, therm.n_max)])
         results[f"{kind}_composition_eps_per_sequence"] = float(
             sequences.sequence_population_error(seq))
-    if fixtures:
-        results["fixtures"] = fixtures
-    paths.append(_write_report(out_dir, cfg, results))
-    return paths
+    return paths, results
 
 
-def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) -> list[Path]:
-    model = cfg.memory_model()
-    pulse = cfg.pulse.to_domain()
-    p_n = detection.noise_probability(cfg.noise, cfg.noise.residual_population)
+def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) -> _PipelineOutput:
     mu = cfg.detection.mu
     fixture_rows = {row["t_s_s"]: row for row in fixtures.get("rows", [])}
     header = ["t_s_s", "eta_model", "p_n_model", "snr_model", "mu1_model",
               "quantum_window_empty",
               "eta", "eta_err", "p_n", "p_n_err", "snr", "snr_err", "mu1", "mu1_err",
               "snr_check", "mu1_check"]
+    chains = [_chain_results(cfg, t_s) for t_s in cfg.sweep.t_s_values_s]
     rows = []
-    report_rows = []
-    for t_s in cfg.sweep.t_s_values_s:
-        eta_model = afc.memory_efficiency(model, t_s, pulse=pulse, seed=cfg.seed)
-        snr_model = detection.snr_analytic(mu, eta_model, p_n)
-        mu1_model = detection.mu1(p_n, eta_model)
-        window = detection.quantum_regime_window(mu1_model)
-        row = [t_s, eta_model, p_n, snr_model, mu1_model, window.empty]
-        fx = fixture_rows.get(t_s)
+    for chain in chains:
+        row = [chain[k] for k in ("t_s_s", "eta_model", "p_n_model", "snr_analytic", "mu1",
+                                  "quantum_window_empty")]
+        fx = fixture_rows.get(chain["t_s_s"])
         if fx:
             snr_check = detection.snr_analytic(fixtures.get("mu", mu), fx["eta"], fx["p_n"])
             mu1_check = detection.mu1(fx["p_n"], fx["eta"])
@@ -227,26 +218,21 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) -> list[Pat
         else:
             row += [math.nan] * 10
         rows.append(row)
-        report_rows.append({"t_s_s": t_s, "eta_model": eta_model,
-                            "snr_model": snr_model, "mu1_model": mu1_model})
-    results = {"mu": mu, "p_n_model": p_n, "rows": report_rows,
+    results = {"mu": mu, "p_n_model": chains[0]["p_n_model"],
+               "rows": [{"t_s_s": c["t_s_s"], "eta_model": c["eta_model"],
+                         "snr_model": c["snr_analytic"], "mu1_model": c["mu1"]}
+                        for c in chains],
                "spin_decay_fitted": cfg.memory.decay() is not None,
                "envelope_no_dd_1e_s": coherence_1e_time(cfg.ensemble)}
-    if fixtures:
-        results["fixtures"] = fixtures
-    paths = [_write_csv(out_dir / "table.csv", header, rows)]
-    paths.append(_write_report(out_dir, cfg, results))
-    return paths
+    return [_write_csv(out_dir / "table.csv", header, rows)], results
 
 
-def _run_random_phase(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) -> list[Path]:
+def _run_random_phase(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) -> _PipelineOutput:
     rp = cfg.random_phase
-    eps_pulse = sequences.calibrate_systematic_error(cfg.thermalization.eps_xx, kind="xx",
-                                                     t_s=cfg.sequence.t_s_s)
-    pulse = replace(cfg.pulse.to_domain(), systematic_error=eps_pulse)
+    pulse = _calibrated_pulse(cfg)
     curves = {}
-    results = {"tilt": rp.tilt, "n_max": rp.n_max, "calibrated_pulse_error": eps_pulse,
-               "final_rho_g": {}}
+    results = {"tilt": rp.tilt, "n_max": rp.n_max,
+               "calibrated_pulse_error": pulse.systematic_error, "final_rho_g": {}}
     for kind in rp.kinds:
         seq = sequences.build_sequence(kind, cfg.sequence.t_s_s, pulse)
         study = sequences.random_phase_population_study(
@@ -255,9 +241,7 @@ def _run_random_phase(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) -> l
         results["final_rho_g"][kind] = float(study.rho_g[-1])
     header = ["N"] + [f"rho_g_{kind}" for kind in rp.kinds]
     rows = [[n] + [curves[kind][n] for kind in rp.kinds] for n in range(rp.n_max + 1)]
-    paths = [_write_csv(out_dir / "random_phase.csv", header, rows)]
-    paths.append(_write_report(out_dir, cfg, results))
-    return paths
+    return [_write_csv(out_dir / "random_phase.csv", header, rows)], results
 
 
 _PIPELINES = {
@@ -271,7 +255,12 @@ _PIPELINES = {
 
 def run_experiment(cfg: ExperimentConfig, fixtures: dict | None = None,
                    out_dir: str | Path | None = None) -> list[Path]:
-    """Execute the configured pipeline; returns the written file paths."""
+    """Execute the configured pipeline and write its report last, with the
+    preset's fixtures embedded when there are any; returns the written
+    file paths, the report's at the end."""
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return _PIPELINES[cfg.pipeline](cfg, out, fixtures or {})
+    paths, results = _PIPELINES[cfg.pipeline](cfg, out, fixtures or {})
+    if fixtures:
+        results["fixtures"] = fixtures
+    return paths + [_write_report(out, cfg, results)]

@@ -138,8 +138,7 @@ def _pulse_matrix(pulse: PulseSpec, detunings_hz: np.ndarray, jitter: float):
 
 
 def _propagate(states: np.ndarray, detunings_hz: np.ndarray, seq: DDSequence,
-               seed: int | None, t2: float | None = None, first_pulse: int = 0,
-               error_model: PulseSpec | None = None) -> np.ndarray:
+               seed: int | None, t2: float | None = None, first_pulse: int = 0) -> np.ndarray:
     """Step component-major Bloch vectors through the sequence; the one
     sequence propagator.
 
@@ -150,9 +149,7 @@ def _propagate(states: np.ndarray, detunings_hz: np.ndarray, seq: DDSequence,
     every column, with cos/sin computed once per distinct wait length;
     pulses act as 3x3 matrices, each computed once per distinct pulse and
     jitter.  The k-th pulse of the sequence draws its jitter keyed by
-    (seed, first_pulse + k), and a seed of None means no jitter.  When
-    error_model is given, its systematic_error and rabi_hz replace those of
-    every pulse.
+    (seed, first_pulse + k), and a seed of None means no jitter.
     """
     if t2 is not None and not t2 > 0:
         raise InvalidArgumentError(f"t2 must be > 0 when given, got {t2}")
@@ -171,15 +168,11 @@ def _propagate(states: np.ndarray, detunings_hz: np.ndarray, seq: DDSequence,
             for v in columns:
                 precess_in_place(v[0], v[1], c, s, damp, scratch)
         if step.pulse is not None:
-            pulse = step.pulse
-            if error_model is not None:
-                pulse = replace(pulse, systematic_error=error_model.systematic_error,
-                                rabi_hz=error_model.rabi_hz)
-            key = (pulse, jitter_angle(pulse, seed, pulse_index))
+            key = (step.pulse, jitter_angle(step.pulse, seed, pulse_index))
             m = matrices.get(key)
             if m is None:
-                m = _pulse_matrix(pulse, detunings_hz, key[1])
-                if pulse.rabi_hz is None:  # per-spin stacks are not kept: (3, 3, n) each
+                m = _pulse_matrix(step.pulse, detunings_hz, key[1])
+                if step.pulse.rabi_hz is None:  # per-spin stacks are not kept: (3, 3, n) each
                     matrices[key] = m
             for v in columns:
                 _rotate_in_place(m, v, scratch)
@@ -199,31 +192,28 @@ def apply_sequence(ens: SpinEnsemble, seq: DDSequence, seed: int = 0,
     return replace(ens, states=states.T)
 
 
-def _sequence_maps(seq: DDSequence, detunings_hz: np.ndarray,
-                   error_model: PulseSpec | None = None) -> np.ndarray:
+def _sequence_maps(seq: DDSequence, detunings_hz: np.ndarray) -> np.ndarray:
     """Component-major (3, 3, n) sequence maps: the identity propagated once."""
     identity = np.broadcast_to(_IDENTITY, (3, 3, detunings_hz.size))
-    return _propagate(identity, detunings_hz, seq, None, error_model=error_model)
+    return _propagate(identity, detunings_hz, seq, None)
 
 
-def sequence_rotation_matrix(seq: DDSequence, detuning_hz: float | np.ndarray = 0.0,
-                             error_model: PulseSpec | None = None) -> np.ndarray:
+def sequence_rotation_matrix(seq: DDSequence, detuning_hz: float | np.ndarray = 0.0) -> np.ndarray:
     """Exact 3x3 rotation implemented by one sequence at a given detuning.
 
     The columns are the images of the x, y and z basis vectors.  A scalar
     detuning gives one (3, 3) matrix; a 1-d array of n detunings gives an
     (n, 3, 3) stack, built by propagating the three basis vectors together
-    in one pass.  When error_model is given, its systematic_error and
-    rabi_hz replace those of every pulse in the sequence (jitter is
-    excluded; this is the deterministic map used for error budgets).
+    in one pass.  Jitter is excluded: this is the deterministic map used
+    for error budgets.
     """
     det = np.asarray(detuning_hz, dtype=float)
-    maps = np.ascontiguousarray(np.moveaxis(_sequence_maps(seq, det.ravel(), error_model), 2, 0))
+    maps = np.ascontiguousarray(np.moveaxis(_sequence_maps(seq, det.ravel()), 2, 0))
     return maps[0] if det.ndim == 0 else maps
 
 
-def sequence_population_error(seq: DDSequence, detuning_hz: float | np.ndarray = 0.0,
-                              error_model: PulseSpec | None = None) -> float | np.ndarray:
+def sequence_population_error(seq: DDSequence,
+                              detuning_hz: float | np.ndarray = 0.0) -> float | np.ndarray:
     """Population moved to the |g> pole by one sequence (no jitter, no Monte Carlo).
 
     A spin starts at z = +1; an even sequence should return it there, so
@@ -232,7 +222,7 @@ def sequence_population_error(seq: DDSequence, detuning_hz: float | np.ndarray =
     """
     det = np.asarray(detuning_hz, dtype=float)
     states = np.broadcast_to(_POLE, (3, det.size))
-    z_final = _propagate(states, det.ravel(), seq, None, error_model=error_model)[2]
+    z_final = _propagate(states, det.ravel(), seq, None)[2]
     err = 0.5 * (1.0 - z_final)
     return float(err[0]) if det.ndim == 0 else err
 
@@ -313,8 +303,7 @@ def _flip_monte_carlo(eps, n_spins: int, n_max: int,
 
 
 def thermalization_monte_carlo(seq: DDSequence, dist: DetuningDistribution, n_spins: int,
-                               n_max: int, seed: int = 0,
-                               error_model: PulseSpec | None = None) -> ThermalizationCurve:
+                               n_max: int, seed: int = 0) -> ThermalizationCurve:
     """Monte Carlo thermalization under repeated sequences with interleaved
     population readout.
 
@@ -326,7 +315,7 @@ def thermalization_monte_carlo(seq: DDSequence, dist: DetuningDistribution, n_sp
     error is returned alongside the sampled one.
     """
     ens = sample_detunings(dist, n_spins, seed)
-    eps = np.clip(sequence_population_error(seq, ens.detunings_hz, error_model), 0.0, 1.0)
+    eps = np.clip(sequence_population_error(seq, ens.detunings_hz), 0.0, 1.0)
     rng = spawn_generator(seed, DOMAIN_THERMALIZATION)
     return _flip_monte_carlo(eps, n_spins, n_max, rng)
 

@@ -15,10 +15,11 @@ from afcmem.errors import ConfigError
 
 ALL_PRESETS = ["fig1d", "fig2a", "fig2b", "fig2c", "random_phase", "table1"]
 
-# Wrong types, non-finite and huge numbers, empty and odd containers; no large
-# integer, so no draw can ask for a huge ensemble or trial count.
+# Wrong types, non-finite and huge numbers, empty and odd containers, and a
+# huge integer, which every count that sizes an array must refuse before
+# allocating.
 VALUE_POOL = [None, True, -1, 0, 1, 0.5, 1e308, -1e308, math.nan, math.inf, "x", [], [0.0],
-              [math.inf], {}]
+              [math.inf], {}, 2 ** 40]
 
 
 def _config_fields():
@@ -310,6 +311,79 @@ class TestCli:
         err = capsys.readouterr().err
         assert "comb" in err and "40001 teeth over 1010201 grid points" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("preset,section,name,needle,allocator", [
+        ("random_phase", "ensemble", "n_spins", "n_spins must be <= 1048576",
+         "sequences.random_phase_population_study"),
+        ("fig2a", "detection", "gate_bins", "n_bins must be in [1, 262144]",
+         "detection.simulate_run"),
+        ("fig1d", "thermalization", "n_max", "n_max must be <= 524288",
+         "sequences.thermalization_monte_carlo_uniform"),
+        ("random_phase", "random_phase", "n_max", "n_max must be <= 262144",
+         "sequences.random_phase_population_study"),
+    ], ids=["n_spins", "gate_bins", "thermalization_n_max", "random_phase_n_max"])
+    def test_huge_count_exit_2_without_allocating(self, tmp_path, monkeypatch, capsys,
+                                                  command, preset, section, name, needle,
+                                                  allocator):
+        import afcmem
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{allocator} was called")
+
+        module, attr = allocator.split(".")
+        monkeypatch.setattr(getattr(afcmem, module), attr, refuse)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": preset, section: {name: 2 ** 40}}))
+        extra = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, str(path)] + extra) == 2
+        err = capsys.readouterr().err
+        assert f"error: {section}: {needle}, got {2 ** 40}" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_output_dir_under_a_file_exit_3(self, tmp_path, monkeypatch, capsys, route):
+        monkeypatch.delenv("AFCMEM_OUT", raising=False)
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "fig2a", "output_dir": str(out)}))
+        argv = ["run", "fig2a", "--out", str(out)] if route == "flag" else ["run", str(path)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+
+    @pytest.mark.parametrize("preset,written", [
+        ("fig1d", ["thermalization_xx.csv", "thermalization_xy4.csv"]),
+        ("fig2a", ["histogram.csv", "comb_spectrum.csv", "echo_trace.csv"]),
+        ("fig2b", ["histogram.csv", "comb_spectrum.csv", "echo_trace.csv"]),
+        ("fig2c", ["timeline.csv", "histograms.csv", "comb_spectrum.csv", "echo_trace.csv"]),
+        ("random_phase", ["random_phase.csv"]),
+        ("table1", ["table.csv"]),
+    ])
+    def test_every_pipeline_writes_its_report_last(self, tmp_path, capsys, preset, written):
+        out = tmp_path / preset
+        assert main(["run", preset, "--out", str(out), "--format", "json",
+                     "--spins", "500", "--trials", "5000"]) == 0
+        expected = [str(out / name) for name in written + ["report.json"]]
+        assert capsys.readouterr().out.splitlines() == expected
+        assert sorted(p.name for p in out.iterdir()) == sorted(written + ["report.json"])
+        results = json.loads((out / "report.json").read_text())["results"]
+        fixtures = load_preset(preset).get("fixtures")
+        if fixtures:
+            assert results["fixtures"] == fixtures
+        else:
+            assert "fixtures" not in results
+
+    def test_random_phase_pipeline_embeds_its_base_fixtures(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "fig1d", "pipeline": "random_phase",
+                                    "random_phase": {"n_max": 2}}))
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out", str(out), "--format", "json",
+                     "--spins", "100"]) == 0
+        results = json.loads((out / "report.json").read_text())["results"]
+        assert results["fixtures"] == load_preset("fig1d")["fixtures"]
 
     def test_validate_subcommand(self, tmp_path, capsys):
         assert main(["validate", "fig2a"]) == 0

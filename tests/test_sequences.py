@@ -36,22 +36,22 @@ def _axis_rotation(axis, angle):
     return np.eye(3) + math.sin(angle) * k + (1.0 - math.cos(angle)) * (k @ k)
 
 
-def _oracle_sequence_matrix(seq, detuning_hz, error_model=None):
+def _oracle_sequence_matrix(seq, detuning_hz):
     """Explicit product of the closed-form wait and pulse rotations."""
     m = np.eye(3)
     for step in seq.steps:
         m = _z_rotation(2.0 * math.pi * detuning_hz * step.wait_s) @ m
         if step.pulse is None:
             continue
-        model = error_model or step.pulse
-        angle = step.pulse.nominal_angle * (1.0 + model.systematic_error)
-        cphi, sphi = math.cos(step.pulse.axis_phase), math.sin(step.pulse.axis_phase)
-        if model.rabi_hz is None:
+        pulse = step.pulse
+        angle = pulse.nominal_angle * (1.0 + pulse.systematic_error)
+        cphi, sphi = math.cos(pulse.axis_phase), math.sin(pulse.axis_phase)
+        if pulse.rabi_hz is None:
             m = _axis_rotation((cphi, sphi, 0.0), angle) @ m
         else:
-            g = math.hypot(model.rabi_hz, detuning_hz)
-            axis = (model.rabi_hz * cphi / g, model.rabi_hz * sphi / g, detuning_hz / g)
-            m = _axis_rotation(axis, angle * g / model.rabi_hz) @ m
+            g = math.hypot(pulse.rabi_hz, detuning_hz)
+            axis = (pulse.rabi_hz * cphi / g, pulse.rabi_hz * sphi / g, detuning_hz / g)
+            m = _axis_rotation(axis, angle * g / pulse.rabi_hz) @ m
     return m
 
 
@@ -224,29 +224,29 @@ class TestPopulationError:
         assert xy4 <= xx / 10.0
 
     @pytest.mark.parametrize("kind", ["xx", "xy4", "xy8", "kdd"])
-    @pytest.mark.parametrize("pulse,error_model", [
-        (PulseSpec(), None),
-        (PulseSpec(systematic_error=0.03), None),
-        (PulseSpec(systematic_error=-0.02, rabi_hz=80e3), None),
-        (PulseSpec(jitter_sd=0.1), PulseSpec(systematic_error=0.015)),
-        (PulseSpec(systematic_error=0.01), PulseSpec(systematic_error=0.02, rabi_hz=50e3)),
+    @pytest.mark.parametrize("pulse", [
+        PulseSpec(),
+        PulseSpec(systematic_error=0.03),
+        PulseSpec(systematic_error=-0.02, rabi_hz=80e3),
+        PulseSpec(jitter_sd=0.1, systematic_error=0.015),
+        PulseSpec(systematic_error=0.02, rabi_hz=50e3),
     ])
-    def test_rotation_matrix_matches_explicit_product(self, kind, pulse, error_model):
+    def test_rotation_matrix_matches_explicit_product(self, kind, pulse):
         seq = build_sequence(kind, 0.37e-3, pulse)
         dets = (0.0, 1.3e3, -9.1e3, 27e3)
         for det in dets:
-            m = sequence_rotation_matrix(seq, det, error_model)
-            np.testing.assert_allclose(m, _oracle_sequence_matrix(seq, det, error_model),
+            m = sequence_rotation_matrix(seq, det)
+            np.testing.assert_allclose(m, _oracle_sequence_matrix(seq, det),
                                        rtol=0.0, atol=1e-12)
-            err = sequence_population_error(seq, det, error_model)
+            err = sequence_population_error(seq, det)
             assert err == pytest.approx(0.5 * (1.0 - m[2, 2]), abs=1e-12)
-        stack = sequence_rotation_matrix(seq, np.array(dets), error_model)
+        stack = sequence_rotation_matrix(seq, np.array(dets))
         assert stack.shape == (len(dets), 3, 3)
         np.testing.assert_allclose(
-            stack, np.stack([sequence_rotation_matrix(seq, d, error_model) for d in dets]),
+            stack, np.stack([sequence_rotation_matrix(seq, d) for d in dets]),
             rtol=0.0, atol=1e-15)
         np.testing.assert_allclose(
-            stack, np.stack([_oracle_sequence_matrix(seq, d, error_model) for d in dets]),
+            stack, np.stack([_oracle_sequence_matrix(seq, d) for d in dets]),
             rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("detuning_hz", [0.0, 5e3])
@@ -269,8 +269,8 @@ class TestPopulationError:
         assert calibrate_systematic_error(target, kind, 0.5e-3, detuning_hz) == 0.5 * (lo + hi)
 
     def test_error_model_override(self):
-        seq = build_sequence("xx", 0.5e-3)
-        err = sequence_population_error(seq, error_model=PulseSpec(systematic_error=0.02))
+        seq = build_sequence("xx", 0.5e-3, PulseSpec(systematic_error=0.02))
+        err = sequence_population_error(seq)
         assert err == pytest.approx(math.sin(math.pi * 0.02) ** 2, abs=1e-12)
 
 
