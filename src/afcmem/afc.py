@@ -10,11 +10,12 @@ readout loss.
 The absorption part of the echo efficiency, d_eff^2 * exp(-d_eff) *
 exp(-d0) with d_eff = peak depth / finesse, is the standard forward-recall
 result from the AFC literature; it is a modeling choice here, not something
-derived by this package, and the comb dephasing part is always computed
-numerically from the sampled comb (a DFT at the echo time) so the two
-routes can be cross-checked.  The echo trace over time is evaluated in
-closed form instead (Gaussian envelope times a tooth sum, plus the
-pedestal's Dirichlet kernel); the sampled DFT is its oracle.
+derived by this package.  The comb dephasing part and the echo trace over
+time are both evaluated in closed form (Gaussian envelope times a tooth
+sum, plus the pedestal's Dirichlet kernel), the dephasing part from the
+comb's config alone, so the efficiency chain never samples a comb; the
+DFT of the sampled comb (afc_echo_amplitude) is the oracle of both, and
+only the spectrum and echo-trace outputs sample the comb.
 """
 
 from __future__ import annotations
@@ -178,12 +179,31 @@ def afc_echo_amplitude(comb: CombSpectrum, t: float) -> complex:
 
     The echo re-phases when t is a multiple of 1/periodicity; the tooth
     width sets how much amplitude survives there.  This is the sampled
-    DFT of the comb, and the oracle for echo_trace's closed form.
+    DFT of the comb, the oracle for the closed forms of echo_trace and
+    comb_dephasing_factor; no pipeline calls it.
     """
     if t < 0:
         raise InvalidArgumentError(f"t must be >= 0, got {t}")
     phases = np.exp(2j * math.pi * comb.freq_hz * t)
     return complex(np.dot(comb.depth, phases) / comb.depth.sum())
+
+
+def _grid_step(cfg: CombConfig) -> float:
+    """Spacing of build_comb's grid, as np.linspace computes it."""
+    return 2.0 * cfg.grid_half_span_hz / (cfg.grid_points - 1)
+
+
+def _echo_magnitude(cfg: CombConfig, times: np.ndarray, m: int, df: float,
+                    total: float) -> np.ndarray:
+    """|N(t)| / total for the comb's m-point grid of step df (see echo_trace)."""
+    centers = _tooth_centers(cfg)
+    teeth = np.cos(2.0 * math.pi * np.multiply.outer(times, centers)).sum(axis=-1)
+    envelope = np.exp(-(math.pi * times) ** 2 / _tooth_rate(cfg))
+    x = math.pi * df * times
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pedestal = np.where(x == 0.0, float(m), np.sin(m * x) / np.sin(x))
+    b = cfg.background_depth
+    return np.abs((total - b * m) * envelope * teeth / centers.size + b * pedestal) / total
 
 
 def echo_trace(comb: CombSpectrum, times: np.ndarray) -> np.ndarray:
@@ -209,7 +229,6 @@ def echo_trace(comb: CombSpectrum, times: np.ndarray) -> np.ndarray:
     long-double evaluation of the sampled DFT.  `comb` must come from
     build_comb; times beyond 1/(2 df) are rejected.
     """
-    cfg = comb.config
     times = np.asarray(times, dtype=float)
     m = comb.freq_hz.size
     df = (comb.freq_hz[-1] - comb.freq_hz[0]) / (m - 1)
@@ -217,15 +236,7 @@ def echo_trace(comb: CombSpectrum, times: np.ndarray) -> np.ndarray:
         raise InvalidArgumentError(
             f"echo_trace covers |t| <= {0.5 / df:g} s (half the grid's alias period), "
             f"got {np.abs(times).max():g}")
-    total = comb.depth.sum()
-    centers = _tooth_centers(cfg)
-    teeth = np.cos(2.0 * math.pi * np.multiply.outer(times, centers)).sum(axis=-1)
-    envelope = np.exp(-(math.pi * times) ** 2 / _tooth_rate(cfg))
-    x = math.pi * df * times
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pedestal = np.where(x == 0.0, float(m), np.sin(m * x) / np.sin(x))
-    b = cfg.background_depth
-    return np.abs((total - b * m) * envelope * teeth / centers.size + b * pedestal) / total
+    return _echo_magnitude(comb.config, times, m, df, comb.depth.sum())
 
 
 def find_echo_peak(comb: CombSpectrum, n_grid: int = 801) -> tuple[float, float]:
@@ -244,16 +255,50 @@ def find_echo_peak(comb: CombSpectrum, n_grid: int = 801) -> tuple[float, float]
     return float(times[k]), float(amps[k])
 
 
-def comb_dephasing_factor(comb: CombSpectrum) -> float:
-    """Intensity fraction surviving tooth-width dephasing at the echo time."""
-    return abs(afc_echo_amplitude(comb, comb.config.afc_delay_s)) ** 2
+def _depth_total(cfg: CombConfig) -> float:
+    """depth.sum() of build_comb's comb, from the config alone.
+
+    Each tooth's Gaussian sums to sqrt(pi/c)/df over the grid (Poisson
+    summation, with the dropped terms echo_trace bounds), so the teeth
+    total n_teeth sqrt(pi/c)/df before build_comb scales them by
+    peak_depth over their sampled maximum.  That maximum lies at a grid
+    point next to a tooth centre, so the teeth are summed at those points
+    only, at the grid values np.linspace gives.  MAX_COMB_BUILD_WORK keeps
+    n_teeth under 820, so that is at most 3 x 820^2 sums (16 MB).
+    """
+    centers, c = _tooth_centers(cfg), _tooth_rate(cfg)
+    m, df, half = cfg.grid_points, _grid_step(cfg), cfg.grid_half_span_hz
+    # grid indices next to each tooth; the outermost sit 100 points (4 FWHM)
+    # inside the grid's edges, so every neighbour is on the grid
+    nearest = np.rint((centers + half) / df)
+    freq = np.concatenate([nearest - 1.0, nearest, nearest + 1.0]) * df - half
+    gauss = np.subtract.outer(freq, centers)
+    gauss *= gauss
+    gauss *= -c
+    peak = float(np.exp(gauss, out=gauss).sum(axis=1).max())
+    tooth_sums = centers.size * math.sqrt(math.pi / c) / df
+    return cfg.peak_depth * tooth_sums / peak + cfg.background_depth * m
+
+
+def comb_dephasing_factor(cfg: CombConfig) -> float:
+    """Intensity fraction surviving tooth-width dephasing at the echo time.
+
+    echo_trace's closed form at t = 1/delta, with the grid size, step and
+    depth total of build_comb's comb computed from the config, so no comb
+    is sampled; |afc_echo_amplitude|^2 of the sampled comb is its oracle.
+    Without a background it is the Gaussian envelope squared,
+    exp(-pi^2 / (2 ln2 finesse^2)), up to rounding.
+    """
+    t = np.array([cfg.afc_delay_s])
+    amp = _echo_magnitude(cfg, t, cfg.grid_points, _grid_step(cfg), _depth_total(cfg))
+    return float(amp[0]) ** 2
 
 
 def afc_efficiency(cfg: CombConfig) -> float:
     """Echo efficiency of the comb alone (absorption factor x dephasing factor)."""
     d_eff = cfg.peak_depth / cfg.finesse
     absorption = d_eff ** 2 * math.exp(-d_eff) * math.exp(-cfg.background_depth)
-    return absorption * comb_dephasing_factor(build_comb(cfg))
+    return absorption * comb_dephasing_factor(cfg)
 
 
 @dataclass(frozen=True)

@@ -43,11 +43,14 @@ OUTPUT_DIR_ENV = "AFCMEM_OUT"
 # Largest counts that size arrays.  Each keeps the peak memory its count adds
 # to a run under 160 MiB, at the cost per unit measured with tracemalloc:
 # about 150 bytes per spin (random_phase; 10 on thermalization), 290 per
-# thermalization sequence (fig1d) and 530 per random-phase repetition (four
-# kinds), mostly arrays and CSV rows.
+# thermalization sequence (fig1d), 530 per random-phase repetition (four
+# kinds) and 9.3 KB per mode (fig2c, 40 bins), mostly arrays and CSV rows.
+# Each mode is also one counting Monte Carlo: about 0.4 ms at fig2c's
+# 100,000 trials on a 2-vCPU host, so the most modes take about 7 s.
 MAX_SPINS = 2 ** 20
 MAX_THERMALIZATION_SEQUENCES = 2 ** 19
 MAX_RANDOM_PHASE_REPETITIONS = 2 ** 18
+MAX_MODES = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -200,7 +203,7 @@ class ModesSection:
     dead_time_fraction: float = 0.2
 
     def __post_init__(self):
-        _check_count("n_modes", self.n_modes)
+        _check_count("n_modes", self.n_modes, maximum=MAX_MODES)
         if not self.mode_duration_s > 0:
             raise InvalidArgumentError(f"mode_duration_s must be > 0, got {self.mode_duration_s}")
         if not 0.0 <= self.dead_time_fraction < 1.0:

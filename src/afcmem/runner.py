@@ -18,7 +18,7 @@ import numpy as np
 
 from . import afc, detection, sequences
 from .config import SCHEMA_VERSION, ExperimentConfig
-from .ensemble import coherence_1e_time
+from .ensemble import coherence_1e_time, sample_detunings
 from .pulses import PulseSpec
 
 _FLOAT_FMT = "%.12g"  # '%.12g' % v == format(float(v), '.12g'), nan/inf/-0.0 included
@@ -29,24 +29,43 @@ _PipelineOutput = tuple[list[Path], dict]
 
 
 def _sanitize(obj):
-    """Replace non-finite floats with None so reports stay valid JSON."""
+    """Plain values for JSON: every numpy scalar (np.bool_ included) becomes
+    its Python equivalent, and non-finite floats become None."""
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
-    if isinstance(obj, (float, np.floating)) and not math.isfinite(obj):
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
         return None
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     return obj
 
 
-def _write_csv(path: Path, header: list[str], rows) -> Path:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join([_FLOAT_FMT % v if isinstance(v, _FLOAT_TYPES) else str(v)
-                               for v in row]))
-    path.write_text("\n".join(lines) + "\n")
+def _column_cells(column) -> tuple[str, list]:
+    """(row-template field, cell values) of one CSV column.
+
+    A float array is formatted by the template itself, with _FLOAT_FMT;
+    any other column (ints, bools, strings, mixed report values) is
+    formatted cell by cell: floats with _FLOAT_FMT, anything else with str.
+    """
+    if isinstance(column, np.ndarray):
+        if column.dtype.kind == "f":
+            return _FLOAT_FMT, column.tolist()
+        column = column.tolist()
+    return "%s", [_FLOAT_FMT % v if isinstance(v, _FLOAT_TYPES) else str(v) for v in column]
+
+
+def _write_csv(path: Path, columns: dict) -> Path:
+    """Write equal-length columns, headed by their names, as one % over a
+    row template repeated once per row."""
+    fields, cells = zip(*map(_column_cells, columns.values()))
+    width, n_rows = len(cells), len(cells[0])
+    flat = [None] * (width * n_rows)
+    for j, column in enumerate(cells):
+        flat[j::width] = column  # a column of another length raises ValueError
+    rows = (",".join(fields) + "\n") * n_rows
+    path.write_text(",".join(columns) + "\n" + rows % tuple(flat))
     return path
 
 
@@ -74,8 +93,8 @@ def _write_report(out_dir: Path, cfg: ExperimentConfig, results: dict) -> Path:
         return path
     flat: dict = {}
     _flatten("", doc, flat)
-    return _write_csv(out_dir / "report.csv", ["key", "value"],
-                      sorted(flat.items()))
+    keys = sorted(flat)
+    return _write_csv(out_dir / "report.csv", {"key": keys, "value": [flat[k] for k in keys]})
 
 
 def _chain_results(cfg: ExperimentConfig, t_s: float) -> dict:
@@ -109,30 +128,21 @@ def _simulate_mode(cfg: ExperimentConfig, results: dict, stream: int = 0):
 
 
 def _write_histogram(path: Path, runs: list[detection.RunStatistics]) -> Path:
-    header = ["bin_start_s"]
-    for i in range(len(runs)):
+    columns = {"bin_start_s": runs[0].bin_edges_s[:-1]}
+    for i, run in enumerate(runs):
         tag = f"_mode{i}" if len(runs) > 1 else ""
-        header += [f"counts_with{tag}", f"counts_without{tag}"]
-    rows = []
-    edges = runs[0].bin_edges_s
-    for b in range(edges.size - 1):
-        row = [edges[b]]
-        for run in runs:
-            row += [int(run.counts_with[b]), int(run.counts_without[b])]
-        rows.append(row)
-    return _write_csv(path, header, rows)
+        columns[f"counts_with{tag}"] = run.counts_with
+        columns[f"counts_without{tag}"] = run.counts_without
+    return _write_csv(path, columns)
 
 
 def _write_comb_traces(out_dir: Path, cfg: ExperimentConfig) -> list[Path]:
     comb = afc.build_comb(cfg.comb)
-    paths = [_write_csv(out_dir / "comb_spectrum.csv", ["frequency_hz", "depth"],
-                        zip(comb.freq_hz.tolist(), comb.depth.tolist()))]
-    delay = comb.config.afc_delay_s
-    times = np.linspace(0.0, 2.0 * delay, 801)
-    amps = afc.echo_trace(comb, times)
-    paths.append(_write_csv(out_dir / "echo_trace.csv", ["time_s", "amplitude"],
-                            zip(times.tolist(), amps.tolist())))
-    return paths
+    times = np.linspace(0.0, 2.0 * comb.config.afc_delay_s, 801)
+    return [_write_csv(out_dir / "comb_spectrum.csv",
+                       {"frequency_hz": comb.freq_hz, "depth": comb.depth}),
+            _write_csv(out_dir / "echo_trace.csv",
+                       {"time_s": times, "amplitude": afc.echo_trace(comb, times)})]
 
 
 def _calibrated_pulse(cfg: ExperimentConfig) -> PulseSpec:
@@ -164,10 +174,10 @@ def _run_multimode(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) -> _Pip
     results["timeline"] = {"afc_delay_s": timeline.afc_delay_s,
                            "total_s": timeline.total_s,
                            "n_modes": len(timeline.mode_slots)}
+    t_in, t_out = zip(*timeline.mode_slots)
     paths = [_write_csv(out_dir / "timeline.csv",
-                        ["mode", "input_time_s", "output_time_s", "total_s"],
-                        [(k, t_in, t_out, timeline.total_s)
-                         for k, (t_in, t_out) in enumerate(timeline.mode_slots)])]
+                        {"mode": range(len(t_in)), "input_time_s": t_in, "output_time_s": t_out,
+                         "total_s": [timeline.total_s] * len(t_in)})]
     paths.append(_write_histogram(out_dir / "histograms.csv", runs))
     return paths + _write_comb_traces(out_dir, cfg), results
 
@@ -183,11 +193,9 @@ def _run_thermalization(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) ->
         # Carlo samples the measured per-sequence error for every spin.
         mc = sequences.thermalization_monte_carlo_uniform(
             eps_fixture, cfg.ensemble.n_spins, therm.n_max, seed=cfg.seed, stream=stream)
-        rows = zip(mc.n_sequences.tolist(), mc.rho_g.tolist(),
-                   mc.rho_g_mc.tolist(), mc.stderr.tolist())
         paths.append(_write_csv(out_dir / f"thermalization_{kind}.csv",
-                                ["N", "rho_g_closed_form", "rho_g_monte_carlo", "stderr"],
-                                rows))
+                                {"N": mc.n_sequences, "rho_g_closed_form": mc.rho_g,
+                                 "rho_g_monte_carlo": mc.rho_g_mc, "stderr": mc.stderr}))
         seq = sequences.build_sequence(kind, cfg.sequence.t_s_s, pulse)
         results[f"{kind}_eps_closed_form"] = eps_fixture
         results[f"{kind}_rho_g_50_closed_form"] = float(mc.rho_g[min(50, therm.n_max)])
@@ -224,24 +232,27 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) -> _Pipelin
                         for c in chains],
                "spin_decay_fitted": cfg.memory.decay() is not None,
                "envelope_no_dd_1e_s": coherence_1e_time(cfg.ensemble)}
-    return [_write_csv(out_dir / "table.csv", header, rows)], results
+    return [_write_csv(out_dir / "table.csv", dict(zip(header, zip(*rows))))], results
 
 
 def _run_random_phase(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) -> _PipelineOutput:
     rp = cfg.random_phase
     pulse = _calibrated_pulse(cfg)
-    curves = {}
+    # one draw serves every kind; only its detunings and weights are kept,
+    # so its (n, 3) |s> states are freed before the studies run
+    ens = sample_detunings(cfg.ensemble, cfg.ensemble.n_spins, cfg.seed)
+    det, w = ens.detunings_hz, ens.weights
+    del ens
+    columns = {"N": range(rp.n_max + 1)}
     results = {"tilt": rp.tilt, "n_max": rp.n_max,
                "calibrated_pulse_error": pulse.systematic_error, "final_rho_g": {}}
     for kind in rp.kinds:
         seq = sequences.build_sequence(kind, cfg.sequence.t_s_s, pulse)
-        study = sequences.random_phase_population_study(
-            seq, cfg.ensemble, cfg.ensemble.n_spins, rp.n_max, tilt=rp.tilt, seed=cfg.seed)
-        curves[kind] = study.rho_g
+        study = sequences.random_phase_population_study(seq, det, w, rp.n_max, tilt=rp.tilt,
+                                                        seed=cfg.seed)
+        columns[f"rho_g_{kind}"] = study.rho_g
         results["final_rho_g"][kind] = float(study.rho_g[-1])
-    header = ["N"] + [f"rho_g_{kind}" for kind in rp.kinds]
-    rows = [[n] + [curves[kind][n] for kind in rp.kinds] for n in range(rp.n_max + 1)]
-    return [_write_csv(out_dir / "random_phase.csv", header, rows)], results
+    return [_write_csv(out_dir / "random_phase.csv", columns)], results
 
 
 _PIPELINES = {

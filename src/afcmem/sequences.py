@@ -17,9 +17,8 @@ import numpy as np
 
 # free_evolve is unused here but stays bound: the span tracer in
 # benchmarks/tracing.py patches it under this module.
-from .ensemble import (DetuningDistribution, SpinEnsemble, collective_coherence,  # noqa: F401
-                       free_evolve, precess_in_place, precession_turn, sample_detunings,
-                       with_transverse_states)
+from .ensemble import (DetuningDistribution, SpinEnsemble, free_evolve,  # noqa: F401
+                       precess_in_place, precession_turn, sample_detunings)
 from .errors import InvalidArgumentError
 from .pulses import PulseSpec, jitter_angle, rotate_states, rotation_matrix
 from .rng import DOMAIN_RANDOM_PHASE, DOMAIN_THERMALIZATION, spawn_generator
@@ -344,9 +343,12 @@ def rephasing_fidelity(ens: SpinEnsemble, seq: DDSequence, seed: int = 0,
     collective amplitude magnitude is returned.  Its square is the
     intensity factor that feeds the memory efficiency chain.
     """
-    prepared = with_transverse_states(ens, phase)
-    final = apply_sequence(prepared, seq, seed=seed, t2=t2)
-    return abs(collective_coherence(final))
+    transverse = np.broadcast_to([[math.cos(phase)], [math.sin(phase)], [0.0]], (3, ens.n))
+    # reduced over spin-major (n, 3) rows, as collective_coherence of the
+    # final ensemble would: contiguous rows sum in another BLAS order
+    final = np.ascontiguousarray(_propagate(transverse, ens.detunings_hz, seq, seed, t2).T)
+    w = ens.weights
+    return abs(complex(np.dot(w, final[:, 0]), -np.dot(w, final[:, 1])))
 
 
 @dataclass(frozen=True)
@@ -359,26 +361,27 @@ class RandomPhaseStudy:
     rho_g: np.ndarray
 
 
-def random_phase_population_study(seq: DDSequence, dist: DetuningDistribution, n_spins: int,
-                                  n_max: int, tilt: float = 0.1,
+def random_phase_population_study(seq: DDSequence, detunings_hz: np.ndarray,
+                                  weights: np.ndarray, n_max: int, tilt: float = 0.1,
                                   seed: int = 0) -> RandomPhaseStudy:
     """Track |g> population while a sequence acts on near-pole random-phase spins.
 
-    Each spin starts tilted off |s> by the given transverse amplitude at an
-    independent uniform phase (the state produced by storing a weak random
-    optical field), and the sequence is applied coherently n_max times with
-    no readout in between.  Without jitter every repetition is the same
-    map, so each spin's 3x3 sequence map is composed once and applied
-    n_max times.  With jitter the sequence is stepped pulse by pulse, and
-    pulses are counted across repetitions: the k-th pulse of repetition r
-    (both from 0) draws its jitter keyed by (seed, r * seq.n_pulses + k),
-    so no two applications share a draw.
+    The spins are given by their detunings and weights (those of a
+    SpinEnsemble, whose states are not needed, so one sample_detunings draw
+    serves every sequence kind).  Each starts tilted off |s> by the given
+    transverse amplitude at an independent uniform phase (the state
+    produced by storing a weak random optical field), and the sequence is
+    applied coherently n_max times with no readout in between.
+    Without jitter every repetition is the same map, so each spin's 3x3
+    sequence map is composed once and applied n_max times.  With jitter the
+    sequence is stepped pulse by pulse, and pulses are counted across
+    repetitions: the k-th pulse of repetition r (both from 0) draws its
+    jitter keyed by (seed, r * seq.n_pulses + k), so no two applications
+    share a draw.
     """
     if not 0.0 < tilt < 1.0:
         raise InvalidArgumentError(f"tilt must be in (0, 1), got {tilt}")
-    ens = sample_detunings(dist, n_spins, seed)
-    det, w = ens.detunings_hz, ens.weights
-    del ens  # frees its (n, 3) |s> states before the maps are built: lower peak memory
+    det, w, n_spins = detunings_hz, weights, detunings_hz.size
     jittered = any(p.jitter_sd > 0 for p in seq.pulses)
     maps = None if jittered else _sequence_maps(seq, det)
     rng = spawn_generator(seed, DOMAIN_RANDOM_PHASE)

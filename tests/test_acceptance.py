@@ -141,8 +141,7 @@ def test_criterion_6_echo_timing():
         step = (1.7 - 0.3) * comb.config.afc_delay_s / 800
         ok &= abs(t_peak - comb.config.afc_delay_s) <= step
         details.append(f"F={finesse:g}:{t_peak * 1e6:.3f}us")
-    comb10 = build_comb(CombConfig(finesse=10.0))
-    factor = comb_dephasing_factor(comb10)
+    factor = comb_dephasing_factor(CombConfig(finesse=10.0))
     expected = math.exp(-7.0 / 100.0)
     # independent quadrature oracle over one Gaussian tooth
     sigma = (1.0 / 10.0) / (2.0 * math.sqrt(2.0 * math.log(2.0)))

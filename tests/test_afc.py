@@ -108,15 +108,13 @@ class TestEcho:
         assert abs(t_peak - comb.config.afc_delay_s) < 2e-3 * comb.config.afc_delay_s
 
     def test_finesse_10_dephasing_factor(self):
-        comb = build_comb(CombConfig(finesse=10.0))
-        factor = comb_dephasing_factor(comb)
+        factor = comb_dephasing_factor(CombConfig(finesse=10.0))
         assert abs(factor - math.exp(-7.0 / 100.0)) / factor < 0.05
         assert factor == pytest.approx(tooth_dephasing_oracle(10.0), rel=1e-3)
 
     @pytest.mark.parametrize("finesse", [5.0, 10.0, 20.0])
     def test_dephasing_matches_quadrature_oracle(self, finesse):
-        comb = build_comb(CombConfig(finesse=finesse))
-        assert comb_dephasing_factor(comb) == pytest.approx(
+        assert comb_dephasing_factor(CombConfig(finesse=finesse)) == pytest.approx(
             tooth_dephasing_oracle(finesse), rel=5e-3)
 
     def test_negative_time_rejected(self):
@@ -162,6 +160,23 @@ class TestEchoTraceClosedForm:
         assert np.abs(trace - oracle).max() <= closed_form_tolerance(comb, 2.0 * delay)
         # N(0) = (S - b m) + b m = S: exact up to a few roundings, unlike the oracle
         assert trace[0] == pytest.approx(1.0, abs=4 * EPS)
+
+    @pytest.mark.parametrize("background", [0.0, 0.3])
+    @pytest.mark.parametrize("width", [2e6, 1.55e6, 1.9e6])
+    @pytest.mark.parametrize("finesse", [1.2, 2.0, 4.0, 7.03, 10.0, 40.0])
+    def test_dephasing_factor_matches_sampled_dft(self, finesse, width, background):
+        # the factor is the trace's closed form at 1/delta on a comb it never
+        # samples, so the trace's budget holds, plus the depth total it computes
+        # instead of summing: a sum of n_teeth Gaussians at the sampled maximum,
+        # a square root, products and divisions (n_teeth + 16 ulp), which moves
+        # the amplitude by at most twice that.  Width 1.9 MHz at finesse 7.03
+        # puts the maximum off the centre tooth (an even grid size).
+        cfg = CombConfig(finesse=finesse, width_hz=width, background_depth=background)
+        comb = build_comb(cfg)
+        oracle = abs(afc_echo_amplitude(comb, cfg.afc_delay_s))
+        tolerance = (closed_form_tolerance(comb, cfg.afc_delay_s)
+                     + 2.0 * EPS * (cfg.n_teeth + 16.0))
+        assert abs(math.sqrt(comb_dephasing_factor(cfg)) - oracle) <= tolerance
 
     def test_times_past_alias_half_period_rejected(self):
         comb = build_comb(DEFAULT_COMB)

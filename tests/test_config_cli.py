@@ -322,7 +322,8 @@ class TestCli:
          "sequences.thermalization_monte_carlo_uniform"),
         ("random_phase", "random_phase", "n_max", "n_max must be <= 262144",
          "sequences.random_phase_population_study"),
-    ], ids=["n_spins", "gate_bins", "thermalization_n_max", "random_phase_n_max"])
+        ("fig2c", "modes", "n_modes", "n_modes must be <= 16384", "detection.simulate_run"),
+    ], ids=["n_spins", "gate_bins", "thermalization_n_max", "random_phase_n_max", "n_modes"])
     def test_huge_count_exit_2_without_allocating(self, tmp_path, monkeypatch, capsys,
                                                   command, preset, section, name, needle,
                                                   allocator):

@@ -337,6 +337,22 @@ class TestRephasing:
         seq = build_sequence("xy4", 0.5e-3)
         assert rephasing_fidelity(ens, seq, t2=0.5e-3) == pytest.approx(math.exp(-1), abs=1e-9)
 
+    @pytest.mark.parametrize("n", [1, 7, 4096])
+    @pytest.mark.parametrize("t2,phase", [(None, 0.0), (0.7e-3, 1.1)])
+    @pytest.mark.parametrize("kind", ["xx", "xy4", "xy8", "kdd"])
+    @pytest.mark.parametrize("pulse", [
+        PulseSpec(),
+        PulseSpec(systematic_error=0.02, jitter_sd=0.03),
+        PulseSpec(systematic_error=-0.01, rabi_hz=80e3),
+    ])
+    def test_matches_ensemble_composition_bit_for_bit(self, n, t2, phase, kind, pulse):
+        # the composition rephasing_fidelity skips: prepare, propagate, reduce
+        seq = build_sequence(kind, 0.5e-3, pulse)
+        for ens in (grid_ensemble(GAUSS27, n), sample_detunings(GAUSS27, n, seed=n)):
+            final = apply_sequence(with_transverse_states(ens, phase), seq, seed=5, t2=t2)
+            assert (rephasing_fidelity(ens, seq, seed=5, t2=t2, phase=phase)
+                    == abs(collective_coherence(final)))
+
 
 def _stepped_random_phase(seq, n_spins, n_max, tilt, seed):
     """Oracle: step the study's initial state wait by wait and pulse by pulse; the
@@ -364,8 +380,9 @@ class TestRandomPhase:
     def test_jitter_keys_count_pulses_across_repetitions(self):
         seq = build_sequence("xy4", 0.5e-3, PulseSpec(systematic_error=0.01, jitter_sd=0.05))
         n_spins, n_max, tilt, seed = 64, 4, 0.1, 9
-        study = random_phase_population_study(seq, GAUSS27, n_spins, n_max, tilt=tilt,
-                                              seed=seed)
+        ens = sample_detunings(GAUSS27, n_spins, seed)
+        study = random_phase_population_study(seq, ens.detunings_hz, ens.weights, n_max,
+                                              tilt=tilt, seed=seed)
         np.testing.assert_allclose(study.rho_g,
                                    _stepped_random_phase(seq, n_spins, n_max, tilt, seed),
                                    rtol=0.0, atol=1e-12)
@@ -380,8 +397,9 @@ class TestRandomPhase:
         # without jitter the study composes each spin's map once and applies it n_max times
         seq = build_sequence(kind, 0.5e-3, pulse)
         n_spins, n_max, tilt, seed = 300, 20, 0.1, 4
-        study = random_phase_population_study(seq, GAUSS27, n_spins, n_max, tilt=tilt,
-                                              seed=seed)
+        ens = sample_detunings(GAUSS27, n_spins, seed)
+        study = random_phase_population_study(seq, ens.detunings_hz, ens.weights, n_max,
+                                              tilt=tilt, seed=seed)
         np.testing.assert_allclose(study.rho_g,
                                    _stepped_random_phase(seq, n_spins, n_max, tilt, seed),
                                    rtol=0.0, atol=1e-12)
