@@ -16,7 +16,7 @@ from .ensemble import (DetuningDistribution, SpinEnsemble, coherence_1e_time,
 from .errors import (AfcmemError, CapacityError, ConfigError, DomainError,
                      IntegrationAccuracyError, InvalidArgumentError)
 from .pulses import (AdiabaticPulseSpec, IntegratorConfig, InversionProfile, PulseSpec,
-                     adiabaticity, apply_rotation, integrate_bloch, integrate_bloch_many,
+                     adiabaticity, integrate_bloch, integrate_bloch_many,
                      inversion_error_profile, landau_zener_error, rotate_states)
 from .sequences import (DDSequence, PrecisionReport, RandomPhaseStudy, SequenceStep,
                         ThermalizationCurve, apply_sequence, build_sequence,

@@ -239,17 +239,18 @@ def echo_trace(comb: CombSpectrum, times: np.ndarray) -> np.ndarray:
     return _echo_magnitude(comb.config, times, m, df, comb.depth.sum())
 
 
-def find_echo_peak(comb: CombSpectrum, n_grid: int = 801) -> tuple[float, float]:
+def find_echo_peak(comb: CombSpectrum) -> tuple[float, float]:
     """Locate the echo maximum between 0.3 and 1.7 times the nominal delay.
 
     Returns (t_peak, amplitude); the window, in units of 1/periodicity,
     excludes the trivial response at t = 0.  Timing is resolved to the
-    grid step (1.4 delays / (n_grid - 1)); at very low finesse the true
-    peak sits up to ~0.2% of the delay away from 1/periodicity because the
-    baseline lobe of an overlapping comb interferes with the echo sideband.
+    step of an 801-point grid (1.4 delays / 800); at very low finesse the
+    true peak sits up to ~0.2% of the delay away from 1/periodicity because
+    the baseline lobe of an overlapping comb interferes with the echo
+    sideband.
     """
     delay = comb.config.afc_delay_s
-    times = np.linspace(0.3 * delay, 1.7 * delay, n_grid)
+    times = np.linspace(0.3 * delay, 1.7 * delay, 801)
     amps = echo_trace(comb, times)
     k = int(np.argmax(amps))
     return float(times[k]), float(amps[k])

@@ -42,7 +42,8 @@ OUTPUT_DIR_ENV = "AFCMEM_OUT"
 
 # Largest counts that size arrays.  Each keeps the peak memory its count adds
 # to a run under 160 MiB, at the cost per unit measured with tracemalloc:
-# about 150 bytes per spin (random_phase; 10 on thermalization), 290 per
+# 153 bytes per spin at 2^20 spins (random_phase, a 152.7 MiB peak; 164 at
+# 2^16, where fixed costs weigh more; 10 on thermalization), 290 per
 # thermalization sequence (fig1d), 530 per random-phase repetition (four
 # kinds) and 9.3 KB per mode (fig2c, 40 bins), mostly arrays and CSV rows.
 # Each mode is also one counting Monte Carlo: about 0.4 ms at fig2c's
@@ -51,6 +52,11 @@ MAX_SPINS = 2 ** 20
 MAX_THERMALIZATION_SEQUENCES = 2 ** 19
 MAX_RANDOM_PHASE_REPETITIONS = 2 ** 18
 MAX_MODES = 2 ** 14
+
+# Longest storage time: far above any physical one (ms to hours), and low
+# enough that the precession phase 2 pi detuning t and the envelope exponent
+# (pi fwhm t)^2 stay finite for every line up to ensemble.MAX_FWHM_HZ.
+MAX_STORAGE_TIME_S = 1e12
 
 
 @dataclass(frozen=True)
@@ -124,8 +130,9 @@ class SequenceSection:
         if self.kind is not None and self.kind not in SEQUENCE_KINDS:
             raise InvalidArgumentError(
                 f"kind must be null or one of {SEQUENCE_KINDS}, got {self.kind!r}")
-        if not self.t_s_s > 0:
-            raise InvalidArgumentError(f"t_s_s must be > 0, got {self.t_s_s}")
+        if not 0 < self.t_s_s <= MAX_STORAGE_TIME_S:
+            raise InvalidArgumentError(
+                f"t_s_s must be in (0, {MAX_STORAGE_TIME_S:g}], got {self.t_s_s}")
 
 
 @dataclass(frozen=True)
@@ -240,8 +247,9 @@ class SweepSection:
         object.__setattr__(self, "t_s_values_s", tuple(float(v) for v in self.t_s_values_s))
         if not self.t_s_values_s:
             raise InvalidArgumentError("t_s_values_s must not be empty")
-        if any(v <= 0 for v in self.t_s_values_s):
-            raise InvalidArgumentError("t_s_values_s must all be > 0")
+        if not all(0 < v <= MAX_STORAGE_TIME_S for v in self.t_s_values_s):
+            raise InvalidArgumentError(
+                f"t_s_values_s must all be in (0, {MAX_STORAGE_TIME_S:g}]")
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,13 @@ GAUSSIAN_FWHM_TO_SIGMA = 1.0 / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 # Lorentzian tails are truncated here to keep the sampling variance finite.
 LORENTZIAN_CUTOFF_FWHM = 50.0
 
+# Widest line: far above any physical spin line (kHz to MHz), and low enough
+# that what derives from it stays finite: the grid's +-4.5 sigma, the
+# Lorentzian cut-off squared in pdf, and, up to the longest storage time
+# (config.MAX_STORAGE_TIME_S), the precession phase 2 pi detuning t and the
+# envelope exponent (pi fwhm t)^2.
+MAX_FWHM_HZ = 1e15
+
 _SHAPES = ("gaussian", "lorentzian")
 
 
@@ -46,8 +53,9 @@ class DetuningDistribution:
     def __post_init__(self):
         if self.shape not in _SHAPES:
             raise InvalidArgumentError(f"shape must be one of {_SHAPES}, got {self.shape!r}")
-        if not self.fwhm_hz > 0:
-            raise InvalidArgumentError(f"fwhm_hz must be > 0, got {self.fwhm_hz}")
+        if not 0 < self.fwhm_hz <= MAX_FWHM_HZ:
+            raise InvalidArgumentError(
+                f"fwhm_hz must be in (0, {MAX_FWHM_HZ:g}], got {self.fwhm_hz}")
 
     @property
     def sigma_hz(self) -> float:
@@ -179,8 +187,8 @@ def precession_turn(detunings_hz: np.ndarray, dt: float) -> tuple[np.ndarray, np
 
 
 def precess_in_place(x: np.ndarray, y: np.ndarray, c: np.ndarray, s: np.ndarray,
-                     damp: float | None, scratch: np.ndarray) -> None:
-    """The z rotation x <- c x - s y, y <- s x + c y, then x, y *= damp.
+                     scratch: np.ndarray) -> None:
+    """The z rotation x <- c x - s y, y <- s x + c y.
 
     x and y are written in place; scratch holds two rows shaped like x.
     Kept in place so that only (n,)-sized temporaries, and so little peak
@@ -194,41 +202,26 @@ def precess_in_place(x: np.ndarray, y: np.ndarray, c: np.ndarray, s: np.ndarray,
     y *= c
     y += sy
     x[...] = cx
-    if damp is not None:
-        x *= damp
-        y *= damp
 
 
-def precess_states(states: np.ndarray, detunings_hz: np.ndarray, dt: float,
-                   t2: float | None = None) -> np.ndarray:
-    """Free evolution of raw (n, 3) Bloch vectors for dt seconds (see free_evolve)."""
-    if dt < 0:
-        raise InvalidArgumentError(f"dt must be >= 0, got {dt}")
-    if t2 is not None and not t2 > 0:
-        raise InvalidArgumentError(f"t2 must be > 0 when given, got {t2}")
-    out = np.array(states, dtype=float)
-    c, s = precession_turn(detunings_hz, dt)
-    damp = None if t2 is None else math.exp(-dt / t2)
-    precess_in_place(out[:, 0], out[:, 1], c, s, damp, np.empty((2, len(out))))
-    return out
-
-
-def free_evolve(ens: SpinEnsemble, dt: float, t2: float | None = None) -> SpinEnsemble:
+def free_evolve(ens: SpinEnsemble, dt: float) -> SpinEnsemble:
     """Evolve every spin freely for dt seconds.
 
-    Each spin precesses about z by 2*pi*detuning*dt (right-handed), and if
-    a homogeneous coherence time t2 is given the transverse components are
-    damped by exp(-dt/t2).  z is unchanged.
+    Each spin precesses about z by 2*pi*detuning*dt (right-handed); z is
+    unchanged.
 
     Parameters
     ----------
     ens : SpinEnsemble
     dt : float
         Duration in seconds, >= 0.
-    t2 : float, optional
-        Homogeneous spin coherence time in seconds; omitted = no damping.
     """
-    return replace(ens, states=precess_states(ens.states, ens.detunings_hz, dt, t2))
+    if dt < 0:
+        raise InvalidArgumentError(f"dt must be >= 0, got {dt}")
+    states = np.array(ens.states, dtype=float)
+    c, s = precession_turn(ens.detunings_hz, dt)
+    precess_in_place(states[:, 0], states[:, 1], c, s, np.empty((2, ens.n)))
+    return replace(ens, states=states)
 
 
 def collective_coherence(ens: SpinEnsemble) -> complex:

@@ -32,6 +32,12 @@ DEFAULT_STEP_DIVISOR = 5000
 # Coarsest allowed resolution.
 MIN_STEP_DIVISOR = 1000
 
+# Largest finite Rabi frequency: far above any physical drive (kHz to MHz),
+# and low enough that the tilted-axis angle theta * g / rabi, with the
+# generalized Rabi frequency g = hypot(rabi, detuning), stays finite for
+# every detuning an ensemble.MAX_FWHM_HZ line can hold.
+MAX_RABI_HZ = 1e15
+
 # Sech envelope is truncated where it falls to 1% of peak.
 _SECH_TRUNC = math.acosh(100.0)
 
@@ -76,8 +82,9 @@ class PulseSpec:
                 f"systematic_error must be in [-1, 1], got {self.systematic_error}")
         if not 0.0 <= self.jitter_sd <= 1.0:
             raise InvalidArgumentError(f"jitter_sd must be in [0, 1], got {self.jitter_sd}")
-        if self.rabi_hz is not None and not self.rabi_hz > 0:
-            raise InvalidArgumentError(f"rabi_hz must be > 0 when given, got {self.rabi_hz}")
+        if self.rabi_hz is not None and not 0 < self.rabi_hz <= MAX_RABI_HZ:
+            raise InvalidArgumentError(
+                f"rabi_hz must be in (0, {MAX_RABI_HZ:g}] when given, got {self.rabi_hz}")
 
 
 @dataclass(frozen=True)
@@ -179,24 +186,9 @@ def rotate_states(states: np.ndarray, pulse: PulseSpec, detunings_hz: np.ndarray
             + axis * (ndotv * (1.0 - c))[:, None])
 
 
-def apply_rotation(state: np.ndarray, pulse: PulseSpec, detuning_hz: float = 0.0,
-                   seed: int | None = None, pulse_index: int = 0) -> np.ndarray:
-    """Rotate a single Bloch vector by the pulse.
-
-    Without rabi_hz the rotation is the ideal instantaneous one about the
-    equatorial axis at axis_phase; detuning is ignored.  With rabi_hz the
-    tilted-axis finite-Rabi model is used.  The jitter draw is deterministic
-    in (seed, pulse_index).
-    """
-    jit = jitter_angle(pulse, seed, pulse_index)
-    return rotate_states(np.asarray(state, float)[None, :], pulse,
-                         np.array([detuning_hz]), jitter=jit)[0]
-
-
-def rotation_matrix(pulse: PulseSpec, detuning_hz: float = 0.0, jitter: float = 0.0) -> np.ndarray:
-    """Exact 3x3 rotation matrix of one pulse (no randomness)."""
-    basis = np.eye(3)
-    return rotate_states(basis, pulse, np.full(3, detuning_hz), jitter=jitter).T
+def rotation_matrix(pulse: PulseSpec, jitter: float = 0.0) -> np.ndarray:
+    """Exact 3x3 rotation matrix of one pulse on a resonant spin (no randomness)."""
+    return rotate_states(np.eye(3), pulse, np.zeros(3), jitter=jitter).T
 
 
 def _bloch_derivative(states: np.ndarray, det: np.ndarray, rabi_hz: float, chirp_hz: float) -> np.ndarray:
@@ -261,20 +253,17 @@ def integrate_bloch(state: np.ndarray, pulse: AdiabaticPulseSpec, detuning_hz: f
                                 np.array([detuning_hz]), cfg)[0]
 
 
-def chirp_rate_hz_per_s(pulse: AdiabaticPulseSpec) -> float:
-    """Sweep rate at the resonance crossing, in Hz/s (linear envelope only)."""
-    if pulse.envelope != "linear":
-        raise InvalidArgumentError("chirp rate is defined for the linear envelope only")
-    return pulse.chirp_span_hz / pulse.duration_s
-
-
 def adiabaticity(pulse: AdiabaticPulseSpec) -> float:
-    """Dimensionless adiabaticity pi^2 * rabi^2 / rate (linear envelope).
+    """Dimensionless adiabaticity pi^2 * rabi^2 / rate (linear envelope only),
+    with rate = chirp_span / duration the sweep rate in Hz/s.
 
     Equals pi*Omega^2/(2k) with Omega the angular Rabi frequency and k the
     angular sweep rate; inversion is adiabatic for values well above 1.
     """
-    return math.pi ** 2 * pulse.peak_rabi_hz ** 2 / chirp_rate_hz_per_s(pulse)
+    if pulse.envelope != "linear":
+        raise InvalidArgumentError("adiabaticity is defined for the linear envelope only")
+    rate = pulse.chirp_span_hz / pulse.duration_s
+    return math.pi ** 2 * pulse.peak_rabi_hz ** 2 / rate
 
 
 def landau_zener_error(pulse: AdiabaticPulseSpec) -> float:
@@ -293,9 +282,6 @@ class InversionProfile:
     detunings_hz: np.ndarray
     errors: np.ndarray
     mean_error: float
-
-    def as_rows(self):
-        return list(zip(self.detunings_hz.tolist(), self.errors.tolist()))
 
 
 def inversion_error_profile(pulse: PulseSpec | AdiabaticPulseSpec, dist: DetuningDistribution,

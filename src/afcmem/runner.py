@@ -207,32 +207,27 @@ def _run_thermalization(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) ->
 def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) -> _PipelineOutput:
     mu = cfg.detection.mu
     fixture_rows = {row["t_s_s"]: row for row in fixtures.get("rows", [])}
-    header = ["t_s_s", "eta_model", "p_n_model", "snr_model", "mu1_model",
-              "quantum_window_empty",
-              "eta", "eta_err", "p_n", "p_n_err", "snr", "snr_err", "mu1", "mu1_err",
-              "snr_check", "mu1_check"]
     chains = [_chain_results(cfg, t_s) for t_s in cfg.sweep.t_s_values_s]
-    rows = []
-    for chain in chains:
-        row = [chain[k] for k in ("t_s_s", "eta_model", "p_n_model", "snr_analytic", "mu1",
-                                  "quantum_window_empty")]
-        fx = fixture_rows.get(chain["t_s_s"])
-        if fx:
-            snr_check = detection.snr_analytic(fixtures.get("mu", mu), fx["eta"], fx["p_n"])
-            mu1_check = detection.mu1(fx["p_n"], fx["eta"])
-            row += [fx["eta"], fx["eta_err"], fx["p_n"], fx["p_n_err"],
-                    fx["snr"], fx["snr_err"], fx["mu1"], fx["mu1_err"],
-                    snr_check, mu1_check]
-        else:
-            row += [math.nan] * 10
-        rows.append(row)
+    measured = [fixture_rows.get(c["t_s_s"]) for c in chains]
+    columns = {name: [c[key] for c in chains]
+               for name, key in (("t_s_s", "t_s_s"), ("eta_model", "eta_model"),
+                                 ("p_n_model", "p_n_model"), ("snr_model", "snr_analytic"),
+                                 ("mu1_model", "mu1"),
+                                 ("quantum_window_empty", "quantum_window_empty"))}
+    for key in ("eta", "eta_err", "p_n", "p_n_err", "snr", "snr_err", "mu1", "mu1_err"):
+        columns[key] = [fx[key] if fx else math.nan for fx in measured]
+    columns["snr_check"] = [
+        detection.snr_analytic(fixtures.get("mu", mu), fx["eta"], fx["p_n"]) if fx else math.nan
+        for fx in measured]
+    columns["mu1_check"] = [detection.mu1(fx["p_n"], fx["eta"]) if fx else math.nan
+                            for fx in measured]
     results = {"mu": mu, "p_n_model": chains[0]["p_n_model"],
                "rows": [{"t_s_s": c["t_s_s"], "eta_model": c["eta_model"],
                          "snr_model": c["snr_analytic"], "mu1_model": c["mu1"]}
                         for c in chains],
                "spin_decay_fitted": cfg.memory.decay() is not None,
                "envelope_no_dd_1e_s": coherence_1e_time(cfg.ensemble)}
-    return [_write_csv(out_dir / "table.csv", dict(zip(header, zip(*rows))))], results
+    return [_write_csv(out_dir / "table.csv", columns)], results
 
 
 def _run_random_phase(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) -> _PipelineOutput:

@@ -137,21 +137,19 @@ def _pulse_matrix(pulse: PulseSpec, detunings_hz: np.ndarray, jitter: float):
 
 
 def _propagate(states: np.ndarray, detunings_hz: np.ndarray, seq: DDSequence,
-               seed: int | None, t2: float | None = None, first_pulse: int = 0) -> np.ndarray:
+               seed: int | None, first_pulse: int = 0) -> np.ndarray:
     """Step component-major Bloch vectors through the sequence; the one
     sequence propagator.
 
     states is (3, n), one vector per spin, or (3, 3, n), the three basis
     columns of a map per spin.  A copy is stepped in place, step by step
     and column by column, with one (4, n) scratch buffer, and returned; the
-    caller's array is never written.  Waits precess (and optionally damp)
-    every column, with cos/sin computed once per distinct wait length;
-    pulses act as 3x3 matrices, each computed once per distinct pulse and
-    jitter.  The k-th pulse of the sequence draws its jitter keyed by
+    caller's array is never written.  Waits precess every column, with
+    cos/sin computed once per distinct wait length; pulses act as 3x3
+    matrices, each computed once per distinct pulse and jitter.  The k-th
+    pulse of the sequence draws its jitter keyed by
     (seed, first_pulse + k), and a seed of None means no jitter.
     """
-    if t2 is not None and not t2 > 0:
-        raise InvalidArgumentError(f"t2 must be > 0 when given, got {t2}")
     out = np.array(states, dtype=float, order="C")
     columns = [out] if out.ndim == 2 else [out[:, j] for j in range(3)]
     scratch = np.empty((4, detunings_hz.size))
@@ -163,9 +161,8 @@ def _propagate(states: np.ndarray, detunings_hz: np.ndarray, seq: DDSequence,
             if step.wait_s not in turns:
                 turns[step.wait_s] = precession_turn(detunings_hz, step.wait_s)
             c, s = turns[step.wait_s]
-            damp = None if t2 is None else math.exp(-step.wait_s / t2)
             for v in columns:
-                precess_in_place(v[0], v[1], c, s, damp, scratch)
+                precess_in_place(v[0], v[1], c, s, scratch)
         if step.pulse is not None:
             key = (step.pulse, jitter_angle(step.pulse, seed, pulse_index))
             m = matrices.get(key)
@@ -179,15 +176,14 @@ def _propagate(states: np.ndarray, detunings_hz: np.ndarray, seq: DDSequence,
     return out
 
 
-def apply_sequence(ens: SpinEnsemble, seq: DDSequence, seed: int = 0,
-                   t2: float | None = None) -> SpinEnsemble:
+def apply_sequence(ens: SpinEnsemble, seq: DDSequence, seed: int = 0) -> SpinEnsemble:
     """Run the ensemble through the sequence (free evolution + pulses).
 
     Jitter, when enabled on the pulses, is drawn once per pulse application
     keyed by (seed, pulse index), so runs are reproducible and independent
     of per-spin parallelism.
     """
-    states = _propagate(ens.states.T, ens.detunings_hz, seq, seed, t2)
+    states = _propagate(ens.states.T, ens.detunings_hz, seq, seed)
     return replace(ens, states=states.T)
 
 
@@ -226,11 +222,11 @@ def sequence_population_error(seq: DDSequence,
     return float(err[0]) if det.ndim == 0 else err
 
 
-def calibrate_systematic_error(target_error: float, kind: str = "xx", t_s: float = 0.5e-3,
-                               detuning_hz: float = 0.0) -> float:
+def calibrate_systematic_error(target_error: float, kind: str = "xx",
+                               t_s: float = 0.5e-3) -> float:
     """Fit the per-pulse fractional angle error so the sequence reproduces
-    a measured per-sequence population error (bisection on the exact
-    composition; the xx sequence at line center is the intended use)."""
+    a measured per-sequence population error at line centre (bisection on
+    the exact composition; the xx sequence is the intended use)."""
     if not 0.0 <= target_error <= 0.5:
         raise InvalidArgumentError(f"target_error must be in [0, 0.5], got {target_error}")
     if target_error == 0.0:
@@ -238,7 +234,7 @@ def calibrate_systematic_error(target_error: float, kind: str = "xx", t_s: float
 
     def err(eps: float) -> float:
         seq = build_sequence(kind, t_s, PulseSpec(systematic_error=eps))
-        return sequence_population_error(seq, detuning_hz)
+        return sequence_population_error(seq)
 
     lo, hi = 0.0, 0.3
     if err(hi) < target_error:
@@ -334,19 +330,18 @@ def thermalization_monte_carlo_uniform(eps_seq: float, n_spins: int, n_max: int,
     return _flip_monte_carlo(eps_seq, n_spins, n_max, rng)
 
 
-def rephasing_fidelity(ens: SpinEnsemble, seq: DDSequence, seed: int = 0,
-                       t2: float | None = None, phase: float = 0.0) -> float:
+def rephasing_fidelity(ens: SpinEnsemble, seq: DDSequence, seed: int = 0) -> float:
     """|collective coherence| at the end of the sequence for a stored coherence.
 
-    The ensemble is prepared fully transverse at the given phase (the unit
-    spin-wave amplitude), run through the sequence, and the surviving
-    collective amplitude magnitude is returned.  Its square is the
-    intensity factor that feeds the memory efficiency chain.
+    The ensemble is prepared fully transverse along x (the unit spin-wave
+    amplitude), run through the sequence, and the surviving collective
+    amplitude magnitude is returned.  Its square is the intensity factor
+    that feeds the memory efficiency chain.
     """
-    transverse = np.broadcast_to([[math.cos(phase)], [math.sin(phase)], [0.0]], (3, ens.n))
+    transverse = np.broadcast_to([[1.0], [0.0], [0.0]], (3, ens.n))
     # reduced over spin-major (n, 3) rows, as collective_coherence of the
     # final ensemble would: contiguous rows sum in another BLAS order
-    final = np.ascontiguousarray(_propagate(transverse, ens.detunings_hz, seq, seed, t2).T)
+    final = np.ascontiguousarray(_propagate(transverse, ens.detunings_hz, seq, seed).T)
     w = ens.weights
     return abs(complex(np.dot(w, final[:, 0]), -np.dot(w, final[:, 1])))
 
@@ -355,9 +350,9 @@ def rephasing_fidelity(ens: SpinEnsemble, seq: DDSequence, seed: int = 0,
 class RandomPhaseStudy:
     """Population pumped out of the pole by repeated sequences acting on a
     slightly tilted initial state with a spin-random phase (unvalidated
-    exploration; no reference measurement exists)."""
+    exploration; no reference measurement exists).  rho_g[k] is the |g>
+    population after k sequences."""
 
-    n_sequences: np.ndarray
     rho_g: np.ndarray
 
 
@@ -390,6 +385,7 @@ def random_phase_population_study(seq: DDSequence, detunings_hz: np.ndarray,
     states[0] = tilt * np.cos(phi)
     states[1] = tilt * np.sin(phi)
     states[2] = math.sqrt(1.0 - tilt * tilt)
+    del phi  # 8 bytes a spin that would stay alive through the repetitions
     scratch = np.empty((4, n_spins))
     rho = np.empty(n_max + 1)
     rho[0] = float(np.dot(w, 0.5 * (1.0 - states[2])))
@@ -399,7 +395,7 @@ def random_phase_population_study(seq: DDSequence, detunings_hz: np.ndarray,
         else:
             _rotate_in_place(maps, states, scratch)
         rho[k] = float(np.dot(w, 0.5 * (1.0 - states[2])))
-    return RandomPhaseStudy(np.arange(n_max + 1), rho)
+    return RandomPhaseStudy(rho)
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 from afcmem import (AdiabaticPulseSpec, DetuningDistribution, IntegrationAccuracyError,
                     IntegratorConfig, InvalidArgumentError, PulseSpec, adiabaticity,
-                    apply_rotation, integrate_bloch, inversion_error_profile,
-                    landau_zener_error, rotate_states)
+                    integrate_bloch, inversion_error_profile, landau_zener_error,
+                    rotate_states)
+from afcmem.pulses import jitter_angle
 
 UP = np.array([0.0, 0.0, 1.0])
+ON_RESONANCE = np.zeros(1)
 GAUSS27 = DetuningDistribution("gaussian", 27e3)
 
 # The two linear-chirp benchmark pulses: adiabaticity 5.55 and 2.47.
@@ -30,38 +32,38 @@ def generalized_rabi_error(rabi_hz, detuning_hz, area):
 
 class TestInstantaneousRotations:
     def test_perfect_inversion(self):
-        out = apply_rotation(UP, PulseSpec())
+        out = rotate_states(UP[None], PulseSpec(), ON_RESONANCE)[0]
         np.testing.assert_allclose(out, [0.0, 0.0, -1.0], atol=1e-12)
 
     def test_ten_percent_angle_error(self):
-        out = apply_rotation(UP, PulseSpec(systematic_error=0.1))
+        out = rotate_states(UP[None], PulseSpec(systematic_error=0.1), ON_RESONANCE)[0]
         assert out[2] == pytest.approx(-math.cos(0.1 * math.pi), abs=1e-12)
         leakage = (1.0 + out[2]) / 2.0
         assert leakage == pytest.approx(math.sin(0.05 * math.pi) ** 2, abs=1e-12)
 
     def test_finite_rabi_at_detuning_equal_rabi(self):
-        out = apply_rotation(UP, PulseSpec(rabi_hz=50e3), detuning_hz=50e3)
+        out = rotate_states(UP[None], PulseSpec(rabi_hz=50e3), np.array([50e3]))[0]
         p_inv = (1.0 - out[2]) / 2.0
         assert p_inv == pytest.approx(0.5 * math.sin(math.pi * math.sqrt(2) / 2) ** 2, abs=1e-12)
         assert p_inv == pytest.approx(0.316, abs=1e-3)
 
     @pytest.mark.parametrize("detuning", [0.0, 10e3, 37e3, 80e3])
     def test_finite_rabi_matches_generalized_rabi_oracle(self, detuning):
-        out = apply_rotation(UP, PulseSpec(rabi_hz=50e3), detuning_hz=detuning)
+        out = rotate_states(UP[None], PulseSpec(rabi_hz=50e3), np.array([detuning]))[0]
         err = (1.0 + out[2]) / 2.0
         assert err == pytest.approx(generalized_rabi_error(50e3, detuning, math.pi), abs=1e-12)
 
     def test_double_pi_is_identity(self):
         state = np.array([0.3, -0.4, math.sqrt(1 - 0.25)])
         pulse = PulseSpec(axis_phase=0.7)
-        out = apply_rotation(apply_rotation(state, pulse), pulse)
-        np.testing.assert_allclose(out, state, atol=1e-9)
+        out = rotate_states(rotate_states(state[None], pulse, ON_RESONANCE), pulse, ON_RESONANCE)
+        np.testing.assert_allclose(out[0], state, atol=1e-9)
 
     def test_jitter_deterministic_per_index(self):
         pulse = PulseSpec(jitter_sd=0.05)
-        a = apply_rotation(UP, pulse, seed=3, pulse_index=0)
-        b = apply_rotation(UP, pulse, seed=3, pulse_index=0)
-        c = apply_rotation(UP, pulse, seed=3, pulse_index=1)
+        a, b, c = (rotate_states(UP[None], pulse, ON_RESONANCE,
+                                 jitter=jitter_angle(pulse, 3, pulse_index))
+                   for pulse_index in (0, 0, 1))
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -99,7 +101,7 @@ class TestInstantaneousRotations:
         z = math.sqrt(max(0.0, 1.0 - min(1.0, x * x + y * y)))
         state = np.array([x, y, z]) / max(1.0, np.linalg.norm([x, y, z]))
         pulse = PulseSpec(axis_phase=phase, systematic_error=eps, rabi_hz=rabi)
-        out = apply_rotation(state, pulse, detuning_hz=detuning)
+        out = rotate_states(state[None], pulse, np.array([detuning]))[0]
         assert abs(np.linalg.norm(out) - np.linalg.norm(state)) < 1e-12
 
     def test_invalid_specs(self):
@@ -119,7 +121,7 @@ class TestInstantaneousRotations:
         with pytest.raises(InvalidArgumentError):
             PulseSpec(**kwargs)
         edge = {k: math.copysign(1.0, v) for k, v in kwargs.items()}
-        assert np.isfinite(apply_rotation(UP, PulseSpec(**edge))).all()
+        assert np.isfinite(rotate_states(UP[None], PulseSpec(**edge), ON_RESONANCE)).all()
 
 
 class TestBlochIntegration:
@@ -197,7 +199,7 @@ class TestInversionProfile:
         prof = inversion_error_profile(PulseSpec(), GAUSS27, n_samples=5)
         assert prof.detunings_hz[0] == -2 * GAUSS27.fwhm_hz
         assert prof.detunings_hz[-1] == 2 * GAUSS27.fwhm_hz
-        assert len(prof.as_rows()) == 5
+        assert prof.detunings_hz.size == prof.errors.size == 5
 
     def test_too_few_samples(self):
         with pytest.raises(InvalidArgumentError):

@@ -130,11 +130,11 @@ class TestApplySequence:
         assert not np.array_equal(a.states, c.states)
 
 
-def _stepped_states(seq, states, det, t2=None):
+def _stepped_states(seq, states, det):
     """Oracle: free_evolve each wait and rotate_states each pulse, one step at a time."""
     ens = SpinEnsemble(det, states, np.full(det.size, 1.0 / det.size))
     for step in seq.steps:
-        ens = free_evolve(ens, step.wait_s, t2)
+        ens = free_evolve(ens, step.wait_s)
         if step.pulse is not None:
             ens = replace(ens, states=rotate_states(ens.states, step.pulse, det))
     return ens.states
@@ -153,25 +153,15 @@ class TestKernel:
     def test_custom_sequence_matches_stepping(self):
         ens = with_transverse_states(sample_detunings(GAUSS27, 257, seed=13), 0.4)
         det = ens.detunings_hz
-        for t2 in (None, 90e-6):
-            out = apply_sequence(ens, _CUSTOM, t2=t2)
-            np.testing.assert_allclose(out.states, _stepped_states(_CUSTOM, ens.states, det, t2),
-                                       rtol=0.0, atol=1e-12)
+        out = apply_sequence(ens, _CUSTOM)
+        np.testing.assert_allclose(out.states, _stepped_states(_CUSTOM, ens.states, det),
+                                   rtol=0.0, atol=1e-12)
         maps = sequence_rotation_matrix(_CUSTOM, det)
         for j in range(3):
             basis = np.zeros((det.size, 3))
             basis[:, j] = 1.0
             np.testing.assert_allclose(maps[:, :, j], _stepped_states(_CUSTOM, basis, det),
                                        rtol=0.0, atol=1e-12)
-
-    @pytest.mark.parametrize("t2", [0.0, -1e-3])
-    def test_non_positive_t2_rejected(self, t2):
-        ens = grid_ensemble(GAUSS27, 16)
-        seq = build_sequence("xy4", 0.5e-3)
-        with pytest.raises(InvalidArgumentError):
-            apply_sequence(ens, seq, t2=t2)
-        with pytest.raises(InvalidArgumentError):
-            rephasing_fidelity(ens, seq, t2=t2)
 
     def test_inputs_are_never_written(self):
         det = np.random.default_rng(5).normal(0.0, 27e3, 64)
@@ -182,7 +172,7 @@ class TestKernel:
         np.testing.assert_array_equal(det, det_before)
         ens = with_transverse_states(SpinEnsemble(det, np.zeros((64, 3)), np.full(64, 1 / 64)))
         states_before = ens.states.copy()
-        apply_sequence(ens, seq, t2=1e-3)
+        apply_sequence(ens, seq)
         np.testing.assert_array_equal(ens.states, states_before)
         # the random-phase study's jittered path hands its own writable array to the kernel
         jittered = build_sequence("xy4", 0.5e-3, PulseSpec(jitter_sd=0.05))
@@ -249,15 +239,14 @@ class TestPopulationError:
             stack, np.stack([_oracle_sequence_matrix(seq, d) for d in dets]),
             rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("detuning_hz", [0.0, 5e3])
     @pytest.mark.parametrize("kind,target", [
         ("xx", 1e-6), ("xx", 1e-3), ("xx", 0.036), ("xx", 0.3),
         ("xy4", 1e-6), ("xy4", 1e-4), ("xy4", 0.002), ("xy4", 0.008),
     ])
-    def test_calibration_stops_early_on_the_same_float(self, kind, target, detuning_hz):
+    def test_calibration_stops_early_on_the_same_float(self, kind, target):
         def err(eps):
             seq = build_sequence(kind, 0.5e-3, PulseSpec(systematic_error=eps))
-            return sequence_population_error(seq, detuning_hz)
+            return sequence_population_error(seq)
 
         lo, hi = 0.0, 0.3  # oracle: all 80 bisection steps
         for _ in range(80):
@@ -266,7 +255,7 @@ class TestPopulationError:
                 lo = mid
             else:
                 hi = mid
-        assert calibrate_systematic_error(target, kind, 0.5e-3, detuning_hz) == 0.5 * (lo + hi)
+        assert calibrate_systematic_error(target, kind, 0.5e-3) == 0.5 * (lo + hi)
 
     def test_error_model_override(self):
         seq = build_sequence("xx", 0.5e-3, PulseSpec(systematic_error=0.02))
@@ -328,30 +317,23 @@ class TestRephasing:
     def test_phase_robustness(self):
         ens = grid_ensemble(GAUSS27, 2048)
         seq = build_sequence("xy4", 0.5e-3, PulseSpec(systematic_error=0.01))
-        vals = [rephasing_fidelity(ens, seq, phase=p)
+        vals = [abs(collective_coherence(apply_sequence(with_transverse_states(ens, p), seq)))
                 for p in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)]
         assert (max(vals) - min(vals)) / np.mean(vals) < 0.02
 
-    def test_t2_damping_applies(self):
-        ens = grid_ensemble(GAUSS27, 512)
-        seq = build_sequence("xy4", 0.5e-3)
-        assert rephasing_fidelity(ens, seq, t2=0.5e-3) == pytest.approx(math.exp(-1), abs=1e-9)
-
     @pytest.mark.parametrize("n", [1, 7, 4096])
-    @pytest.mark.parametrize("t2,phase", [(None, 0.0), (0.7e-3, 1.1)])
     @pytest.mark.parametrize("kind", ["xx", "xy4", "xy8", "kdd"])
     @pytest.mark.parametrize("pulse", [
         PulseSpec(),
         PulseSpec(systematic_error=0.02, jitter_sd=0.03),
         PulseSpec(systematic_error=-0.01, rabi_hz=80e3),
     ])
-    def test_matches_ensemble_composition_bit_for_bit(self, n, t2, phase, kind, pulse):
+    def test_matches_ensemble_composition_bit_for_bit(self, n, kind, pulse):
         # the composition rephasing_fidelity skips: prepare, propagate, reduce
         seq = build_sequence(kind, 0.5e-3, pulse)
         for ens in (grid_ensemble(GAUSS27, n), sample_detunings(GAUSS27, n, seed=n)):
-            final = apply_sequence(with_transverse_states(ens, phase), seq, seed=5, t2=t2)
-            assert (rephasing_fidelity(ens, seq, seed=5, t2=t2, phase=phase)
-                    == abs(collective_coherence(final)))
+            final = apply_sequence(with_transverse_states(ens), seq, seed=5)
+            assert rephasing_fidelity(ens, seq, seed=5) == abs(collective_coherence(final))
 
 
 def _stepped_random_phase(seq, n_spins, n_max, tilt, seed):
