@@ -130,13 +130,17 @@ class TestApplySequence:
         assert not np.array_equal(a.states, c.states)
 
 
-def _stepped_states(seq, states, det):
-    """Oracle: free_evolve each wait and rotate_states each pulse, one step at a time."""
+def _stepped_states(seq, states, det, seed=None):
+    """Oracle: free_evolve each wait and rotate_states each pulse, one step at a
+    time; the k-th pulse draws its jitter keyed by (seed, k)."""
     ens = SpinEnsemble(det, states, np.full(det.size, 1.0 / det.size))
+    pulses = 0
     for step in seq.steps:
         ens = free_evolve(ens, step.wait_s)
         if step.pulse is not None:
-            ens = replace(ens, states=rotate_states(ens.states, step.pulse, det))
+            jitter = jitter_angle(step.pulse, seed, pulses)
+            ens = replace(ens, states=rotate_states(ens.states, step.pulse, det, jitter=jitter))
+            pulses += 1
     return ens.states
 
 
@@ -334,6 +338,23 @@ class TestRephasing:
         for ens in (grid_ensemble(GAUSS27, n), sample_detunings(GAUSS27, n, seed=n)):
             final = apply_sequence(with_transverse_states(ens), seq, seed=5)
             assert rephasing_fidelity(ens, seq, seed=5) == abs(collective_coherence(final))
+
+    @pytest.mark.parametrize("n", [1, 7, 4096])
+    @pytest.mark.parametrize("kind", ["xx", "xy4", "xy8", "kdd"])
+    @pytest.mark.parametrize("pulse", [
+        PulseSpec(),
+        PulseSpec(systematic_error=0.02, jitter_sd=0.03),
+        PulseSpec(systematic_error=-0.01, rabi_hz=80e3),
+    ])
+    def test_off_axis_phase_matches_stepping(self, n, kind, pulse):
+        # a coherence stored off the x axis goes through with_transverse_states
+        # and apply_sequence; the kernel must agree with one step at a time
+        seq = build_sequence(kind, 0.5e-3, pulse)
+        for ens in (grid_ensemble(GAUSS27, n), sample_detunings(GAUSS27, n, seed=n)):
+            prepared = with_transverse_states(ens, 1.1)
+            final = apply_sequence(prepared, seq, seed=5)
+            expected = _stepped_states(seq, prepared.states, ens.detunings_hz, seed=5)
+            np.testing.assert_allclose(final.states, expected, rtol=0.0, atol=1e-12)
 
 
 def _stepped_random_phase(seq, n_spins, n_max, tilt, seed):
