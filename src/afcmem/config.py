@@ -11,9 +11,10 @@ is afc.CombConfig itself, the ensemble and noise sections extend
 DetuningDistribution and NoiseModel, and the pulse, adiabatic, memory and
 detection sections build PulseSpec, AdiabaticPulseSpec, MemoryModel and
 GateConfig.  validate_config adds the top-level pipeline, format and seed,
-and all violations are reported, not only the first.  Presets are data
-files under afcmem/presets; a config may name one and override any subset
-of its fields.
+and the random-phase work bound, which spans two sections.  All violations
+are reported, not only the first.  Presets are data files under
+afcmem/presets; a config may name one and override any subset of its
+fields.
 """
 
 from __future__ import annotations
@@ -52,6 +53,16 @@ MAX_SPINS = 2 ** 20
 MAX_THERMALIZATION_SEQUENCES = 2 ** 19
 MAX_RANDOM_PHASE_REPETITIONS = 2 ** 18
 MAX_MODES = 2 ** 14
+
+# Most spins x repetitions a random_phase run may ask for: the counts above
+# cap its memory, this its time.  Each repetition applies every kind's
+# composed (3, 3, n) maps once, one einsum per kind; on a 2-vCPU host a whole
+# four-kind run took 37 ns per spin and repetition at 2^13 x 2^13, 61 at
+# 2^16 x 2^10 and 163-176 at 2^20 x 2^6 (maps that outgrow the cache, plus
+# about 3.5 s to sample the spins and compose the maps), so 10.9-11.8 s at
+# the bound.  A jittered pulse steps the sequence in every repetition
+# instead, at about 1.2 us per spin and repetition (14 with rabi_hz).
+MAX_RANDOM_PHASE_WORK = 2 ** 26
 
 # Longest storage time: far above any physical one (ms to hours), and low
 # enough that the precession phase 2 pi detuning t and the envelope exponent
@@ -347,7 +358,8 @@ def parse_config(data: dict) -> tuple[ExperimentConfig, list[Diagnostic]]:
 
 
 def validate_config(cfg: ExperimentConfig) -> list[Diagnostic]:
-    """Violations of the top-level fields (sections check themselves)."""
+    """Violations of the top-level fields and of the random-phase work, which
+    spans two sections (each section checks itself)."""
     diags: list[Diagnostic] = []
     if cfg.pipeline not in PIPELINES:
         diags.append(Diagnostic("pipeline", f"must be one of {PIPELINES}, got {cfg.pipeline!r}"))
@@ -357,6 +369,11 @@ def validate_config(cfg: ExperimentConfig) -> list[Diagnostic]:
         _check_count("seed", cfg.seed, minimum=0)
     except InvalidArgumentError as exc:
         diags.append(Diagnostic("seed", str(exc)))
+    n_spins, n_max = cfg.ensemble.n_spins, cfg.random_phase.n_max
+    if cfg.pipeline == "random_phase" and n_spins * n_max > MAX_RANDOM_PHASE_WORK:
+        diags.append(Diagnostic("random_phase", (
+            f"{n_spins} spins x {n_max} repetitions is more than the "
+            f"{MAX_RANDOM_PHASE_WORK} allowed; lower ensemble.n_spins or n_max")))
     return diags
 
 

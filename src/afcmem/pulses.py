@@ -38,6 +38,12 @@ MIN_STEP_DIVISOR = 1000
 # every detuning an ensemble.MAX_FWHM_HZ line can hold.
 MAX_RABI_HZ = 1e15
 
+# Smallest finite Rabi frequency: far below any physical drive, and high
+# enough that theta * g / rabi stays finite for every detuning an
+# ensemble.MAX_FWHM_HZ line can hold (at most 50 FWHM, the Lorentzian
+# cut-off: the angle stays below about 2e21 rad).
+MIN_RABI_HZ = 1e-3
+
 # Sech envelope is truncated where it falls to 1% of peak.
 _SECH_TRUNC = math.acosh(100.0)
 
@@ -82,9 +88,9 @@ class PulseSpec:
                 f"systematic_error must be in [-1, 1], got {self.systematic_error}")
         if not 0.0 <= self.jitter_sd <= 1.0:
             raise InvalidArgumentError(f"jitter_sd must be in [0, 1], got {self.jitter_sd}")
-        if self.rabi_hz is not None and not 0 < self.rabi_hz <= MAX_RABI_HZ:
-            raise InvalidArgumentError(
-                f"rabi_hz must be in (0, {MAX_RABI_HZ:g}] when given, got {self.rabi_hz}")
+        if self.rabi_hz is not None and not MIN_RABI_HZ <= self.rabi_hz <= MAX_RABI_HZ:
+            raise InvalidArgumentError(f"rabi_hz must be in [{MIN_RABI_HZ:g}, {MAX_RABI_HZ:g}] "
+                                       f"when given, got {self.rabi_hz}")
 
 
 @dataclass(frozen=True)

@@ -106,28 +106,25 @@ _POLE = np.array([0.0, 0.0, 1.0])[:, None]
 _IDENTITY = np.eye(3)[:, :, None]
 
 
-def _rotate_in_place(m, v: np.ndarray, scratch: np.ndarray) -> None:
+def _rotate_in_place(m: np.ndarray, v: np.ndarray, scratch: np.ndarray) -> None:
     """v <- m v for component-major vectors v (rows x, y, z), in place.
 
-    m is a 3x3 matrix (nested sequence or array) or a (3, 3, n) stack of
-    per-spin matrices; each spin takes nine multiply-adds.  scratch holds
-    four rows shaped like v[0].
+    m is a 3x3 matrix or a (3, 3, n) stack of per-spin matrices; scratch is
+    shaped like v.  One einsum contraction, without optimize=: numpy's own
+    loop sums ((0 + m_i0 v0) + m_i1 v1) + m_i2 v2 with a separate multiply
+    and add per term, so each element has the bits of that explicit chain
+    (an exact -0 comes out +0).  The optimize route goes through BLAS,
+    which reorders the sum and fuses multiply-adds.
     """
-    prod = scratch[3]
-    for i in range(3):
-        row, acc = m[i], scratch[i]
-        np.multiply(row[0], v[0], out=acc)
-        for k in (1, 2):
-            np.multiply(row[k], v[k], out=prod)
-            acc += prod
-    v[...] = scratch[:3]
+    np.einsum("ij...,j...->i...", m, v, out=scratch)
+    v[...] = scratch
 
 
-def _pulse_matrix(pulse: PulseSpec, detunings_hz: np.ndarray, jitter: float):
+def _pulse_matrix(pulse: PulseSpec, detunings_hz: np.ndarray, jitter: float) -> np.ndarray:
     """The pulse as a 3x3 matrix, or as a (3, 3, n) per-spin stack when the
     finite-Rabi axis tilt makes it depend on the detuning."""
     if pulse.rabi_hz is None:
-        return rotation_matrix(pulse, jitter=jitter).tolist()
+        return rotation_matrix(pulse, jitter=jitter)
     n = detunings_hz.size
     stack = np.empty((3, 3, n))
     for j, unit in enumerate(np.eye(3)):
@@ -143,7 +140,7 @@ def _propagate(states: np.ndarray, detunings_hz: np.ndarray, seq: DDSequence,
 
     states is (3, n), one vector per spin, or (3, 3, n), the three basis
     columns of a map per spin.  A copy is stepped in place, step by step
-    and column by column, with one (4, n) scratch buffer, and returned; the
+    and column by column, with one (3, n) scratch buffer, and returned; the
     caller's array is never written.  Waits precess every column, with
     cos/sin computed once per distinct wait length; pulses act as 3x3
     matrices, each computed once per distinct pulse and jitter.  The k-th
@@ -152,9 +149,9 @@ def _propagate(states: np.ndarray, detunings_hz: np.ndarray, seq: DDSequence,
     """
     out = np.array(states, dtype=float, order="C")
     columns = [out] if out.ndim == 2 else [out[:, j] for j in range(3)]
-    scratch = np.empty((4, detunings_hz.size))
+    scratch = np.empty((3, detunings_hz.size))
     turns: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-    matrices: dict[tuple[PulseSpec, float], list] = {}
+    matrices: dict[tuple[PulseSpec, float], np.ndarray] = {}
     pulse_index = first_pulse
     for step in seq.steps:
         if step.wait_s > 0:
@@ -386,7 +383,7 @@ def random_phase_population_study(seq: DDSequence, detunings_hz: np.ndarray,
     states[1] = tilt * np.sin(phi)
     states[2] = math.sqrt(1.0 - tilt * tilt)
     del phi  # 8 bytes a spin that would stay alive through the repetitions
-    scratch = np.empty((4, n_spins))
+    scratch = np.empty((3, n_spins))
     rho = np.empty(n_max + 1)
     rho[0] = float(np.dot(w, 0.5 * (1.0 - states[2])))
     for k in range(1, n_max + 1):

@@ -222,12 +222,13 @@ class TestCli:
         ("fig2a", {"detection": {"mu": 1e308}}, 3, "photons"),
         ("table1", {"memory": {"spin_decay_exponent": 1e308}}, 3, "eta = 0"),
         ("fig2c", {"pulse": {"rabi_hz": 1e308}}, 2, "pulse: rabi_hz"),
+        ("fig2b", {"pulse": {"rabi_hz": 1e-305}}, 2, "pulse: rabi_hz"),
         ("fig2a", {"ensemble": {"fwhm_hz": 1e308}}, 2, "ensemble: fwhm_hz"),
         ("table1", {"sequence": {"t_s_s": 1e308}}, 2, "sequence: t_s_s"),
         ("table1", {"sweep": {"t_s_values_s": [1e-3, 1e308]}}, 2, "sweep: t_s_values_s"),
     ], ids=["finesse", "pulse_error", "pulse_error_negative", "jitter", "background_table1",
-            "background_fig2c", "mu", "decay_exponent", "rabi_hz", "fwhm_hz", "t_s_s",
-            "t_s_values_s"])
+            "background_fig2c", "mu", "decay_exponent", "rabi_hz", "rabi_hz_tiny", "fwhm_hz",
+            "t_s_s", "t_s_values_s"])
     def test_huge_finite_value_exit_2_or_3(self, tmp_path, capsys, preset, override, code,
                                            needle):
         path = tmp_path / "cfg.json"
@@ -318,6 +319,38 @@ class TestCli:
         err = capsys.readouterr().err
         assert "comb" in err and "40001 teeth over 1010201 grid points" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_random_phase_work_exit_2_without_running(self, tmp_path, monkeypatch, capsys,
+                                                      command):
+        import afcmem.sequences
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("random_phase_population_study was called")
+
+        monkeypatch.setattr(afcmem.sequences, "random_phase_population_study", refuse)
+        path = tmp_path / "cfg.json"
+        # each count within its own bound; their product is 2^38 spin-repetitions
+        path.write_text(json.dumps({"preset": "random_phase",
+                                    "ensemble": {"n_spins": 2 ** 20},
+                                    "random_phase": {"n_max": 2 ** 18}}))
+        extra = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, str(path)] + extra) == 2
+        err = capsys.readouterr().err
+        assert "random_phase: 1048576 spins x 262144 repetitions" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_random_phase_work_at_the_bound_is_valid(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        for n_max, code in ((64, 0), (65, 2)):  # 2^20 spins x 64 is the bound, 2^26
+            path.write_text(json.dumps({"preset": "random_phase",
+                                        "ensemble": {"n_spins": 2 ** 20},
+                                        "random_phase": {"n_max": n_max}}))
+            assert main(["validate", str(path)]) == code
+        # the bound weighs only the pipeline that does the work
+        path.write_text(json.dumps({"preset": "fig1d", "ensemble": {"n_spins": 2 ** 20},
+                                    "random_phase": {"n_max": 2 ** 18}}))
+        assert main(["validate", str(path)]) == 0
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("preset,section,name,needle,allocator", [

@@ -16,7 +16,7 @@ from afcmem import (DDSequence, DetuningDistribution, InvalidArgumentError, Puls
                     thermalization_monte_carlo, with_transverse_states)
 from afcmem.pulses import jitter_angle
 from afcmem.rng import DOMAIN_RANDOM_PHASE, spawn_generator
-from afcmem.sequences import _propagate, sequence_rotation_matrix
+from afcmem.sequences import _propagate, _rotate_in_place, sequence_rotation_matrix
 
 GAUSS27 = DetuningDistribution("gaussian", 27e3)
 NARROW = DetuningDistribution("gaussian", 1.0)  # effectively a single line
@@ -153,7 +153,36 @@ _CUSTOM = DDSequence((SequenceStep(0.0, PulseSpec(systematic_error=0.02)),
                       SequenceStep(31e-6)), "custom", 110e-6)
 
 
+# Inputs whose rounding the kernel must reproduce: signed zeros, subnormals,
+# magnitudes whose products overflow, infinities and nan.  assert_array_equal
+# counts -0 equal to +0, the one result einsum's loop gives differently.
+_EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300,
+                         np.inf, -np.inf, np.nan])
+
+
 class TestKernel:
+    @pytest.mark.parametrize("per_spin", [False, True], ids=["matrix", "stack"])
+    @pytest.mark.parametrize("n", [1, 4099])
+    def test_rotation_is_the_explicit_chain_bit_for_bit(self, per_spin, n):
+        # each element is (m_i0 v0 + m_i1 v1) + m_i2 v2, rounded after every
+        # multiply and add; a fused or reordered sum would move report bytes
+        rng = np.random.default_rng(11)
+        m = rng.normal(size=(3, 3, n) if per_spin else (3, 3))
+        v = rng.normal(size=(3, n)) * np.exp(rng.uniform(-30.0, 30.0, (3, n)))
+        for i in range(3):  # edge values in every row of v and, per spin, of m
+            v[i, rng.integers(0, n, 3)] = rng.choice(_EDGE_VALUES, 3)
+            if per_spin:
+                m[i, :, rng.integers(0, n, 3)] = rng.choice(_EDGE_VALUES, (3, 3))
+        if n > _EDGE_VALUES.size ** 2:  # every pair of edge values meets in one product
+            v[:, :_EDGE_VALUES.size ** 2] = np.repeat(_EDGE_VALUES, _EDGE_VALUES.size)
+            if per_spin:
+                m[:, :, :_EDGE_VALUES.size ** 2] = np.tile(_EDGE_VALUES, _EDGE_VALUES.size)
+        with np.errstate(all="ignore"):
+            expected = np.array([(m[i, 0] * v[0] + m[i, 1] * v[1]) + m[i, 2] * v[2]
+                                 for i in range(3)])
+            _rotate_in_place(m, v, np.empty((3, n)))
+        np.testing.assert_array_equal(v, expected)
+
     def test_custom_sequence_matches_stepping(self):
         ens = with_transverse_states(sample_detunings(GAUSS27, 257, seed=13), 0.4)
         det = ens.detunings_hz
@@ -204,11 +233,13 @@ class TestPopulationError:
         eps = calibrate_systematic_error(0.036, kind="xx")
         xy4 = build_sequence("xy4", 0.5e-3, PulseSpec(systematic_error=eps))
         sequence_population_error(xy4)  # warm-up before timing
-        t0 = time.perf_counter()
-        err = sequence_population_error(xy4)
-        elapsed = time.perf_counter() - t0
+        timings = []
+        for _ in range(5):  # the fastest of five: a busy host delays single calls
+            t0 = time.perf_counter()
+            err = sequence_population_error(xy4)
+            timings.append(time.perf_counter() - t0)
         assert err <= 0.0036
-        assert elapsed < 1e-3
+        assert min(timings) < 1e-3
 
     @pytest.mark.parametrize("eps", np.linspace(0.002, 0.05, 9).tolist())
     def test_robustness_ordering(self, eps):
