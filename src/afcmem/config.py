@@ -61,7 +61,9 @@ MAX_MODES = 2 ** 14
 # 2^16 x 2^10 and 163-176 at 2^20 x 2^6 (maps that outgrow the cache, plus
 # about 3.5 s to sample the spins and compose the maps), so 10.9-11.8 s at
 # the bound.  A jittered pulse steps the sequence in every repetition
-# instead, at about 1.2 us per spin and repetition (14 with rabi_hz).
+# instead, reusing each wait's cos/sin across them, at about 0.8-1.2 us per
+# spin and repetition on 10k spins (19-20 us on 2k spins with rabi_hz, which
+# rebuilds every pulse's per-spin stack).
 MAX_RANDOM_PHASE_WORK = 2 ** 26
 
 # Longest storage time: far above any physical one (ms to hours), and low

@@ -142,13 +142,18 @@ def sample_detunings(dist: DetuningDistribution, n: int, seed: int) -> SpinEnsem
     seed : int
         Root seed; detunings come from the ensemble stream of the seed.
     """
-    if n < 1:
-        raise InvalidArgumentError(f"n must be >= 1, got {n}")
-    rng = spawn_generator(seed, DOMAIN_ENSEMBLE)
-    det = dist.sample(n, rng)
+    det = draw_detunings(dist, n, seed)
     states = np.zeros((n, 3))
     states[:, 2] = 1.0
     return SpinEnsemble(det, states, np.full(n, 1.0 / n))
+
+
+def draw_detunings(dist: DetuningDistribution, n: int, seed: int) -> np.ndarray:
+    """The n detunings (Hz) of sample_detunings(dist, n, seed), bit for bit,
+    without the ensemble: for a caller that needs no states."""
+    if n < 1:
+        raise InvalidArgumentError(f"n must be >= 1, got {n}")
+    return dist.sample(n, spawn_generator(seed, DOMAIN_ENSEMBLE))
 
 
 def grid_ensemble(dist: DetuningDistribution, n: int) -> SpinEnsemble:

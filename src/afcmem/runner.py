@@ -18,7 +18,7 @@ import numpy as np
 
 from . import afc, detection, sequences
 from .config import SCHEMA_VERSION, ExperimentConfig
-from .ensemble import coherence_1e_time, sample_detunings
+from .ensemble import coherence_1e_time, draw_detunings
 from .pulses import PulseSpec
 
 _FLOAT_FMT = "%.12g"  # '%.12g' % v == format(float(v), '.12g'), nan/inf/-0.0 included
@@ -233,20 +233,16 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) -> _Pipelin
 def _run_random_phase(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) -> _PipelineOutput:
     rp = cfg.random_phase
     pulse = _calibrated_pulse(cfg)
-    # one draw serves every kind; only its detunings and weights are kept,
-    # so its (n, 3) |s> states are freed before the studies run
-    ens = sample_detunings(cfg.ensemble, cfg.ensemble.n_spins, cfg.seed)
-    det, w = ens.detunings_hz, ens.weights
-    del ens
+    det = draw_detunings(cfg.ensemble, cfg.ensemble.n_spins, cfg.seed)
+    seqs = [sequences.build_sequence(kind, cfg.sequence.t_s_s, pulse) for kind in rp.kinds]
+    study = sequences.random_phase_population_study(seqs, det, np.full(det.size, 1.0 / det.size),
+                                                    rp.n_max, tilt=rp.tilt, seed=cfg.seed)
     columns = {"N": range(rp.n_max + 1)}
     results = {"tilt": rp.tilt, "n_max": rp.n_max,
                "calibrated_pulse_error": pulse.systematic_error, "final_rho_g": {}}
-    for kind in rp.kinds:
-        seq = sequences.build_sequence(kind, cfg.sequence.t_s_s, pulse)
-        study = sequences.random_phase_population_study(seq, det, w, rp.n_max, tilt=rp.tilt,
-                                                        seed=cfg.seed)
-        columns[f"rho_g_{kind}"] = study.rho_g
-        results["final_rho_g"][kind] = float(study.rho_g[-1])
+    for kind, rho_g in zip(rp.kinds, study.rho_g):
+        columns[f"rho_g_{kind}"] = rho_g
+        results["final_rho_g"][kind] = float(rho_g[-1])
     return [_write_csv(out_dir / "random_phase.csv", columns)], results
 
 

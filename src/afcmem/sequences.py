@@ -11,7 +11,9 @@ applied to a spin prepared in |s> (z = +1).
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -106,17 +108,22 @@ _POLE = np.array([0.0, 0.0, 1.0])[:, None]
 _IDENTITY = np.eye(3)[:, :, None]
 
 
-def _rotate_in_place(m: np.ndarray, v: np.ndarray, scratch: np.ndarray) -> None:
-    """v <- m v for component-major vectors v (rows x, y, z), in place.
+def _rotate(m: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
+    """out <- m v for component-major vectors v (rows x, y, z).
 
-    m is a 3x3 matrix or a (3, 3, n) stack of per-spin matrices; scratch is
-    shaped like v.  One einsum contraction, without optimize=: numpy's own
-    loop sums ((0 + m_i0 v0) + m_i1 v1) + m_i2 v2 with a separate multiply
-    and add per term, so each element has the bits of that explicit chain
-    (an exact -0 comes out +0).  The optimize route goes through BLAS,
-    which reorders the sum and fuses multiply-adds.
+    m is a 3x3 matrix or a (3, 3, n) stack of per-spin matrices; out is
+    shaped like v and must not overlap it.  One einsum contraction, without
+    optimize=: numpy's own loop sums ((0 + m_i0 v0) + m_i1 v1) + m_i2 v2
+    with a separate multiply and add per term, so each element has the bits
+    of that explicit chain (an exact -0 comes out +0).  The optimize route
+    goes through BLAS, which reorders the sum and fuses multiply-adds.
     """
-    np.einsum("ij...,j...->i...", m, v, out=scratch)
+    np.einsum("ij...,j...->i...", m, v, out=out)
+
+
+def _rotate_in_place(m: np.ndarray, v: np.ndarray, scratch: np.ndarray) -> None:
+    """v <- m v in place, through scratch (shaped like v); see _rotate."""
+    _rotate(m, v, scratch)
     v[...] = scratch
 
 
@@ -134,7 +141,8 @@ def _pulse_matrix(pulse: PulseSpec, detunings_hz: np.ndarray, jitter: float) -> 
 
 
 def _propagate(states: np.ndarray, detunings_hz: np.ndarray, seq: DDSequence,
-               seed: int | None, first_pulse: int = 0) -> np.ndarray:
+               seed: int | None, first_pulse: int = 0,
+               turns: dict[float, tuple[np.ndarray, np.ndarray]] | None = None) -> np.ndarray:
     """Step component-major Bloch vectors through the sequence; the one
     sequence propagator.
 
@@ -142,15 +150,16 @@ def _propagate(states: np.ndarray, detunings_hz: np.ndarray, seq: DDSequence,
     columns of a map per spin.  A copy is stepped in place, step by step
     and column by column, with one (3, n) scratch buffer, and returned; the
     caller's array is never written.  Waits precess every column, with
-    cos/sin computed once per distinct wait length; pulses act as 3x3
-    matrices, each computed once per distinct pulse and jitter.  The k-th
-    pulse of the sequence draws its jitter keyed by
+    cos/sin computed once per distinct wait length and kept in turns (a
+    caller that steps the same detunings again passes the same dict);
+    pulses act as 3x3 matrices, each computed once per distinct pulse and
+    jitter.  The k-th pulse of the sequence draws its jitter keyed by
     (seed, first_pulse + k), and a seed of None means no jitter.
     """
     out = np.array(states, dtype=float, order="C")
     columns = [out] if out.ndim == 2 else [out[:, j] for j in range(3)]
     scratch = np.empty((3, detunings_hz.size))
-    turns: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+    turns = {} if turns is None else turns
     matrices: dict[tuple[PulseSpec, float], np.ndarray] = {}
     pulse_index = first_pulse
     for step in seq.steps:
@@ -228,7 +237,17 @@ def calibrate_systematic_error(target_error: float, kind: str = "xx",
         raise InvalidArgumentError(f"target_error must be in [0, 0.5], got {target_error}")
     if target_error == 0.0:
         return 0.0
+    if kind not in SEQUENCE_KINDS:  # before the memo, which would hash it
+        raise InvalidArgumentError(f"kind must be one of {SEQUENCE_KINDS}, got {kind!r}")
+    return _bisect_systematic_error(target_error, kind, t_s)
 
+
+# The bisection is a pure function of its arguments, and a process that runs
+# many experiments asks for the same few calibrations again and again.  The
+# memo sits on this private helper, so the public name stays a plain function;
+# a call that raises (an unreachable target) is not stored.
+@lru_cache(maxsize=64)
+def _bisect_systematic_error(target_error: float, kind: str, t_s: float) -> float:
     def err(eps: float) -> float:
         seq = build_sequence(kind, t_s, PulseSpec(systematic_error=eps))
         return sequence_population_error(seq)
@@ -347,51 +366,61 @@ def rephasing_fidelity(ens: SpinEnsemble, seq: DDSequence, seed: int = 0) -> flo
 class RandomPhaseStudy:
     """Population pumped out of the pole by repeated sequences acting on a
     slightly tilted initial state with a spin-random phase (unvalidated
-    exploration; no reference measurement exists).  rho_g[k] is the |g>
-    population after k sequences."""
+    exploration; no reference measurement exists).  rho_g[i, k] is the |g>
+    population after k applications of the i-th sequence."""
 
     rho_g: np.ndarray
 
 
-def random_phase_population_study(seq: DDSequence, detunings_hz: np.ndarray,
+def random_phase_population_study(seqs: Sequence[DDSequence], detunings_hz: np.ndarray,
                                   weights: np.ndarray, n_max: int, tilt: float = 0.1,
                                   seed: int = 0) -> RandomPhaseStudy:
-    """Track |g> population while a sequence acts on near-pole random-phase spins.
+    """Track |g> population while each sequence acts on near-pole random-phase spins.
 
-    The spins are given by their detunings and weights (those of a
-    SpinEnsemble, whose states are not needed, so one sample_detunings draw
-    serves every sequence kind).  Each starts tilted off |s> by the given
-    transverse amplitude at an independent uniform phase (the state
-    produced by storing a weak random optical field), and the sequence is
-    applied coherently n_max times with no readout in between.
+    The spins are given by their detunings and weights.  Each starts tilted
+    off |s> by the given transverse amplitude at an independent uniform
+    phase (the state produced by storing a weak random optical field); that
+    start state is drawn once and every sequence gets its own copy, which
+    it applies coherently n_max times with no readout in between.
     Without jitter every repetition is the same map, so each spin's 3x3
-    sequence map is composed once and applied n_max times.  With jitter the
-    sequence is stepped pulse by pulse, and pulses are counted across
-    repetitions: the k-th pulse of repetition r (both from 0) draws its
-    jitter keyed by (seed, r * seq.n_pulses + k), so no two applications
-    share a draw.
+    sequence map is composed once and applied n_max times, each time from
+    one buffer into the other.  With jitter the sequence is stepped pulse by
+    pulse, with one cos/sin cache per sequence across its repetitions, and
+    pulses are counted across repetitions: the k-th pulse of repetition r
+    (both from 0) draws its jitter keyed by (seed, r * seq.n_pulses + k), so
+    no two applications of one sequence share a draw.
     """
     if not 0.0 < tilt < 1.0:
         raise InvalidArgumentError(f"tilt must be in (0, 1), got {tilt}")
     det, w, n_spins = detunings_hz, weights, detunings_hz.size
-    jittered = any(p.jitter_sd > 0 for p in seq.pulses)
-    maps = None if jittered else _sequence_maps(seq, det)
-    rng = spawn_generator(seed, DOMAIN_RANDOM_PHASE)
-    phi = rng.uniform(0.0, 2.0 * math.pi, n_spins)
-    states = np.empty((3, n_spins))
-    states[0] = tilt * np.cos(phi)
-    states[1] = tilt * np.sin(phi)
-    states[2] = math.sqrt(1.0 - tilt * tilt)
+    phi = spawn_generator(seed, DOMAIN_RANDOM_PHASE).uniform(0.0, 2.0 * math.pi, n_spins)
+    start = np.empty((3, n_spins))
+    start[0] = tilt * np.cos(phi)
+    start[1] = tilt * np.sin(phi)
+    start[2] = math.sqrt(1.0 - tilt * tilt)
     del phi  # 8 bytes a spin that would stay alive through the repetitions
-    scratch = np.empty((3, n_spins))
-    rho = np.empty(n_max + 1)
-    rho[0] = float(np.dot(w, 0.5 * (1.0 - states[2])))
-    for k in range(1, n_max + 1):
-        if jittered:
-            states = _propagate(states, det, seq, seed, first_pulse=(k - 1) * seq.n_pulses)
-        else:
-            _rotate_in_place(maps, states, scratch)
-        rho[k] = float(np.dot(w, 0.5 * (1.0 - states[2])))
+    loss = np.empty(n_spins)
+
+    def population_in_g(z: np.ndarray) -> float:
+        np.subtract(1.0, z, out=loss)  # 0.5 * (1 - z), with no temporaries
+        np.multiply(0.5, loss, out=loss)
+        return np.dot(w, loss)
+
+    rho = np.empty((len(seqs), n_max + 1))
+    for i, seq in enumerate(seqs):
+        jittered = any(p.jitter_sd > 0 for p in seq.pulses)
+        maps = None if jittered else _sequence_maps(seq, det)
+        states, spare = start.copy(), np.empty_like(start)
+        turns: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        rho[i, 0] = population_in_g(states[2])
+        for k in range(1, n_max + 1):
+            if jittered:
+                states = _propagate(states, det, seq, seed, (k - 1) * seq.n_pulses, turns)
+            else:
+                _rotate(maps, states, spare)
+                states, spare = spare, states
+            rho[i, k] = population_in_g(states[2])
+        del maps, states, spare, turns  # freed before the next sequence composes its maps
     return RandomPhaseStudy(rho)
 
 

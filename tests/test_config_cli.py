@@ -13,6 +13,7 @@ from afcmem.cli import main
 from afcmem.config import (ExperimentConfig, load_config, load_preset, parse_config,
                            preset_names, validate_config)
 from afcmem.errors import ConfigError
+from afcmem.sequences import _bisect_systematic_error
 
 ALL_PRESETS = ["fig1d", "fig2a", "fig2b", "fig2c", "random_phase", "table1"]
 
@@ -444,11 +445,21 @@ class TestCli:
         assert report["results"]["eta_model"] == pytest.approx(0.051, abs=1e-9)
 
     def test_byte_identical_reruns(self, tmp_path):
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        for out in (out1, out2):
-            assert main(["run", "fig1d", "--out", str(out), "--spins", "2000"]) == 0
-        for name in ("thermalization_xx.csv", "thermalization_xy4.csv", "report.csv"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        # every preset in both formats, run twice in one process: the first
+        # run calibrates on a cold memo, the second reads the warm one
+        _bisect_systematic_error.cache_clear()
+        for preset in ALL_PRESETS:
+            for fmt in ("csv", "json"):
+                runs = [tmp_path / preset / fmt / "a", tmp_path / preset / fmt / "b"]
+                for out in runs:
+                    assert main(["run", preset, "--out", str(out), "--format", fmt,
+                                 "--spins", "2000", "--trials", "5000"]) == 0
+                names = sorted(p.name for p in runs[0].iterdir())
+                assert f"report.{fmt}" in names
+                assert sorted(p.name for p in runs[1].iterdir()) == names
+                for name in names:
+                    assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+        assert _bisect_systematic_error.cache_info().hits > 0
 
     def test_seed_changes_monte_carlo_output(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -1,5 +1,7 @@
+import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +11,9 @@ from hypothesis import strategies as st
 import afcmem.afc
 from afcmem import runner
 from afcmem.config import ExperimentConfig, load_config
+from afcmem.ensemble import sample_detunings
+from afcmem.sequences import (build_sequence, calibrate_systematic_error,
+                              random_phase_population_study)
 
 
 def _per_cell_csv(path, header, rows):
@@ -96,3 +101,28 @@ def test_comb_is_sampled_only_for_its_traces(tmp_path, monkeypatch, preset, buil
     cfg, fixtures = load_config(preset, {"detection": {"trials": 2000}})
     runner.run_experiment(cfg, fixtures, out_dir=tmp_path)
     assert len(calls) == builds
+
+
+@pytest.mark.parametrize("pulse", [{}, {"jitter_sd": 0.01}], ids=["composed", "jittered"])
+def test_random_phase_pipeline_equals_per_kind_studies(tmp_path, pulse):
+    # the pipeline draws its detunings without an ensemble and one start state
+    # for every kind; each kind studied alone, on a sample_detunings ensemble
+    # and with its own draw of the start state, must give the same bits
+    cfg, fixtures = load_config("random_phase", {
+        "format": "json", "pulse": pulse, "ensemble": {"n_spins": 700},
+        "random_phase": {"n_max": 6}})
+    runner.run_experiment(cfg, fixtures, out_dir=tmp_path)
+    final = json.loads((tmp_path / "report.json").read_text())["results"]["final_rho_g"]
+    with open(tmp_path / "random_phase.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    ens = sample_detunings(cfg.ensemble, cfg.ensemble.n_spins, cfg.seed)
+    eps = calibrate_systematic_error(cfg.thermalization.eps_xx, "xx", cfg.sequence.t_s_s)
+    template = replace(cfg.pulse.to_domain(), systematic_error=eps)
+    rp = cfg.random_phase
+    assert sorted(final) == sorted(rp.kinds)
+    for kind in rp.kinds:
+        seq = build_sequence(kind, cfg.sequence.t_s_s, template)
+        rho_g = random_phase_population_study([seq], ens.detunings_hz, ens.weights, rp.n_max,
+                                              tilt=rp.tilt, seed=cfg.seed).rho_g[0]
+        assert final[kind] == float(rho_g[-1])
+        assert [row[f"rho_g_{kind}"] for row in rows] == ["%.12g" % v for v in rho_g]

@@ -16,7 +16,8 @@ from afcmem import (DDSequence, DetuningDistribution, InvalidArgumentError, Puls
                     thermalization_monte_carlo, with_transverse_states)
 from afcmem.pulses import jitter_angle
 from afcmem.rng import DOMAIN_RANDOM_PHASE, spawn_generator
-from afcmem.sequences import _propagate, _rotate_in_place, sequence_rotation_matrix
+from afcmem.sequences import (_bisect_systematic_error, _propagate, _rotate_in_place,
+                              sequence_rotation_matrix)
 
 GAUSS27 = DetuningDistribution("gaussian", 27e3)
 NARROW = DetuningDistribution("gaussian", 1.0)  # effectively a single line
@@ -290,7 +291,27 @@ class TestPopulationError:
                 lo = mid
             else:
                 hi = mid
+        # cold, the call bisects (one memo miss); warm, it reads the memo (one hit)
+        _bisect_systematic_error.cache_clear()
         assert calibrate_systematic_error(target, kind, 0.5e-3) == 0.5 * (lo + hi)
+        assert _bisect_systematic_error.cache_info()[:2] == (0, 1)  # (hits, misses)
+        assert calibrate_systematic_error(target, kind, 0.5e-3) == 0.5 * (lo + hi)
+        assert _bisect_systematic_error.cache_info()[:2] == (1, 1)
+
+    @pytest.mark.parametrize("target,kind,t_s,match,bisections", [
+        (0.1, "xy4", 0.5e-3, "unreachable", 3),  # xy4 moves at most 5.6% at eps = 0.3
+        (0.036, "xx", 0.0, "t_s must be", 3),
+        (0.036, ["xx"], 0.5e-3, "kind must be", 0),
+        (0.6, "xx", 0.5e-3, "target_error must be", 0),
+    ], ids=["unreachable", "t_s", "unhashable_kind", "target_range"])
+    def test_unreachable_target_raises_on_every_call(self, target, kind, t_s, match,
+                                                      bisections):
+        _bisect_systematic_error.cache_clear()
+        for _ in range(3):
+            with pytest.raises(InvalidArgumentError, match=match):
+                calibrate_systematic_error(target, kind, t_s)
+        info = _bisect_systematic_error.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, bisections, 0)
 
     def test_error_model_override(self):
         seq = build_sequence("xx", 0.5e-3, PulseSpec(systematic_error=0.02))
@@ -415,9 +436,9 @@ class TestRandomPhase:
         seq = build_sequence("xy4", 0.5e-3, PulseSpec(systematic_error=0.01, jitter_sd=0.05))
         n_spins, n_max, tilt, seed = 64, 4, 0.1, 9
         ens = sample_detunings(GAUSS27, n_spins, seed)
-        study = random_phase_population_study(seq, ens.detunings_hz, ens.weights, n_max,
+        study = random_phase_population_study([seq], ens.detunings_hz, ens.weights, n_max,
                                               tilt=tilt, seed=seed)
-        np.testing.assert_allclose(study.rho_g,
+        np.testing.assert_allclose(study.rho_g[0],
                                    _stepped_random_phase(seq, n_spins, n_max, tilt, seed),
                                    rtol=0.0, atol=1e-12)
 
@@ -432,9 +453,9 @@ class TestRandomPhase:
         seq = build_sequence(kind, 0.5e-3, pulse)
         n_spins, n_max, tilt, seed = 300, 20, 0.1, 4
         ens = sample_detunings(GAUSS27, n_spins, seed)
-        study = random_phase_population_study(seq, ens.detunings_hz, ens.weights, n_max,
+        study = random_phase_population_study([seq], ens.detunings_hz, ens.weights, n_max,
                                               tilt=tilt, seed=seed)
-        np.testing.assert_allclose(study.rho_g,
+        np.testing.assert_allclose(study.rho_g[0],
                                    _stepped_random_phase(seq, n_spins, n_max, tilt, seed),
                                    rtol=0.0, atol=1e-12)
 
