@@ -148,8 +148,7 @@ def _write_comb_traces(out_dir: Path, cfg: ExperimentConfig) -> list[Path]:
 def _calibrated_pulse(cfg: ExperimentConfig) -> PulseSpec:
     """The configured pulse with the per-pulse error that makes the xx
     sequence reproduce the measured per-sequence error eps_xx."""
-    eps = sequences.calibrate_systematic_error(cfg.thermalization.eps_xx, kind="xx",
-                                               t_s=cfg.sequence.t_s_s)
+    eps = sequences.calibrate_systematic_error(cfg.thermalization.eps_xx)
     return replace(cfg.pulse.to_domain(), systematic_error=eps)
 
 

@@ -13,14 +13,13 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
-# free_evolve is unused here but stays bound: the span tracer in
-# benchmarks/tracing.py patches it under this module.
-from .ensemble import (DetuningDistribution, SpinEnsemble, free_evolve,  # noqa: F401
-                       precess_in_place, precession_turn, sample_detunings)
+# free_evolve and sample_detunings are unused here but stay bound: the span
+# tracer in benchmarks/tracing.py patches them under this module.
+from .ensemble import (DetuningDistribution, SpinEnsemble, draw_detunings,  # noqa: F401
+                       free_evolve, precess_in_place, precession_turn, sample_detunings)
 from .errors import InvalidArgumentError
 from .pulses import PulseSpec, jitter_angle, rotate_states, rotation_matrix
 from .rng import DOMAIN_RANDOM_PHASE, DOMAIN_THERMALIZATION, spawn_generator
@@ -230,40 +229,21 @@ def sequence_population_error(seq: DDSequence,
 
 def calibrate_systematic_error(target_error: float, kind: str = "xx",
                                t_s: float = 0.5e-3) -> float:
-    """Fit the per-pulse fractional angle error so the sequence reproduces
-    a measured per-sequence population error at line centre (bisection on
-    the exact composition; the xx sequence is the intended use)."""
+    """Fit the per-pulse fractional angle error eps so that the xx sequence
+    reproduces a measured per-sequence population error at line centre.
+
+    At line centre every wait is the identity, so two X pulses compose to
+    one rotation by 2 pi (1 + eps), whose error is sin^2(pi eps): the fit is
+    eps = asin(sqrt(target_error)) / pi.  kind must be "xx" and t_s must be
+    > 0; t_s does not enter the result.
+    """
     if not 0.0 <= target_error <= 0.5:
         raise InvalidArgumentError(f"target_error must be in [0, 0.5], got {target_error}")
-    if target_error == 0.0:
-        return 0.0
-    if kind not in SEQUENCE_KINDS:  # before the memo, which would hash it
-        raise InvalidArgumentError(f"kind must be one of {SEQUENCE_KINDS}, got {kind!r}")
-    return _bisect_systematic_error(target_error, kind, t_s)
-
-
-# The bisection is a pure function of its arguments, and a process that runs
-# many experiments asks for the same few calibrations again and again.  The
-# memo sits on this private helper, so the public name stays a plain function;
-# a call that raises (an unreachable target) is not stored.
-@lru_cache(maxsize=64)
-def _bisect_systematic_error(target_error: float, kind: str, t_s: float) -> float:
-    def err(eps: float) -> float:
-        seq = build_sequence(kind, t_s, PulseSpec(systematic_error=eps))
-        return sequence_population_error(seq)
-
-    lo, hi = 0.0, 0.3
-    if err(hi) < target_error:
-        raise InvalidArgumentError(f"target_error {target_error} unreachable below eps=0.3")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break  # no float lies between them, so further steps change nothing
-        if err(mid) < target_error:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    if kind != "xx":
+        raise InvalidArgumentError(f"kind must be 'xx', got {kind!r}")
+    if not t_s > 0:
+        raise InvalidArgumentError(f"t_s must be > 0, got {t_s}")
+    return math.asin(math.sqrt(target_error)) / math.pi + 0.0  # + 0.0: -0.0 gives +0.0
 
 
 @dataclass(frozen=True)
@@ -325,8 +305,8 @@ def thermalization_monte_carlo(seq: DDSequence, dist: DetuningDistribution, n_sp
     detuning.  The closed-form track for the ensemble-mean per-sequence
     error is returned alongside the sampled one.
     """
-    ens = sample_detunings(dist, n_spins, seed)
-    eps = np.clip(sequence_population_error(seq, ens.detunings_hz), 0.0, 1.0)
+    det = draw_detunings(dist, n_spins, seed)
+    eps = np.clip(sequence_population_error(seq, det), 0.0, 1.0)
     rng = spawn_generator(seed, DOMAIN_THERMALIZATION)
     return _flip_monte_carlo(eps, n_spins, n_max, rng)
 

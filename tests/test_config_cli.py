@@ -13,7 +13,6 @@ from afcmem.cli import main
 from afcmem.config import (ExperimentConfig, load_config, load_preset, parse_config,
                            preset_names, validate_config)
 from afcmem.errors import ConfigError
-from afcmem.sequences import _bisect_systematic_error
 
 ALL_PRESETS = ["fig1d", "fig2a", "fig2b", "fig2c", "random_phase", "table1"]
 
@@ -445,9 +444,7 @@ class TestCli:
         assert report["results"]["eta_model"] == pytest.approx(0.051, abs=1e-9)
 
     def test_byte_identical_reruns(self, tmp_path):
-        # every preset in both formats, run twice in one process: the first
-        # run calibrates on a cold memo, the second reads the warm one
-        _bisect_systematic_error.cache_clear()
+        # every preset in both formats, run twice in one process
         for preset in ALL_PRESETS:
             for fmt in ("csv", "json"):
                 runs = [tmp_path / preset / fmt / "a", tmp_path / preset / fmt / "b"]
@@ -459,7 +456,6 @@ class TestCli:
                 assert sorted(p.name for p in runs[1].iterdir()) == names
                 for name in names:
                     assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
-        assert _bisect_systematic_error.cache_info().hits > 0
 
     def test_seed_changes_monte_carlo_output(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

@@ -14,9 +14,10 @@ from afcmem import (DDSequence, DetuningDistribution, InvalidArgumentError, Puls
                     random_phase_population_study, rephasing_fidelity, rotate_states,
                     sample_detunings, sequence_population_error, thermalization_curve,
                     thermalization_monte_carlo, with_transverse_states)
+from afcmem import sequences
 from afcmem.pulses import jitter_angle
-from afcmem.rng import DOMAIN_RANDOM_PHASE, spawn_generator
-from afcmem.sequences import (_bisect_systematic_error, _propagate, _rotate_in_place,
+from afcmem.rng import DOMAIN_RANDOM_PHASE, DOMAIN_THERMALIZATION, spawn_generator
+from afcmem.sequences import (_flip_monte_carlo, _propagate, _rotate_in_place,
                               sequence_rotation_matrix)
 
 GAUSS27 = DetuningDistribution("gaussian", 27e3)
@@ -275,43 +276,38 @@ class TestPopulationError:
             stack, np.stack([_oracle_sequence_matrix(seq, d) for d in dets]),
             rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("kind,target", [
-        ("xx", 1e-6), ("xx", 1e-3), ("xx", 0.036), ("xx", 0.3),
-        ("xy4", 1e-6), ("xy4", 1e-4), ("xy4", 0.002), ("xy4", 0.008),
-    ])
-    def test_calibration_stops_early_on_the_same_float(self, kind, target):
-        def err(eps):
-            seq = build_sequence(kind, 0.5e-3, PulseSpec(systematic_error=eps))
-            return sequence_population_error(seq)
+    @pytest.mark.parametrize("kind", ["xx", "xy4", "xy8", "kdd"])
+    @pytest.mark.parametrize("pulse", [
+        PulseSpec(systematic_error=0.03),
+        PulseSpec(systematic_error=0.02, rabi_hz=50e3),
+    ], ids=["resonant", "rabi"])
+    def test_line_centre_error_is_independent_of_storage_time(self, kind, pulse):
+        # every wait is the identity at zero detuning: the premise of the
+        # closed-form calibration, which ignores t_s
+        errs = {sequence_population_error(build_sequence(kind, t_s, pulse))
+                for t_s in (1e-9, 3.7e-4, 5e-4, 1.0, 1e6)}
+        assert len(errs) == 1
 
-        lo, hi = 0.0, 0.3  # oracle: all 80 bisection steps
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if err(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-        # cold, the call bisects (one memo miss); warm, it reads the memo (one hit)
-        _bisect_systematic_error.cache_clear()
-        assert calibrate_systematic_error(target, kind, 0.5e-3) == 0.5 * (lo + hi)
-        assert _bisect_systematic_error.cache_info()[:2] == (0, 1)  # (hits, misses)
-        assert calibrate_systematic_error(target, kind, 0.5e-3) == 0.5 * (lo + hi)
-        assert _bisect_systematic_error.cache_info()[:2] == (1, 1)
+    @pytest.mark.parametrize("target", [0.0, 1e-12, 1e-6, 1e-3, 0.036, 0.3, 0.5])
+    def test_calibration_reproduces_target_through_xx_composition(self, target):
+        eps = calibrate_systematic_error(target)
+        seq = build_sequence("xx", 0.5e-3, PulseSpec(systematic_error=eps))
+        assert abs(sequence_population_error(seq) - target) <= 2.3e-16  # two ulps of 1
 
-    @pytest.mark.parametrize("target,kind,t_s,match,bisections", [
-        (0.1, "xy4", 0.5e-3, "unreachable", 3),  # xy4 moves at most 5.6% at eps = 0.3
-        (0.036, "xx", 0.0, "t_s must be", 3),
-        (0.036, ["xx"], 0.5e-3, "kind must be", 0),
-        (0.6, "xx", 0.5e-3, "target_error must be", 0),
+    def test_calibration_of_negative_zero_is_positive_zero(self):
+        eps = calibrate_systematic_error(-0.0)
+        assert eps == 0.0 and math.copysign(1.0, eps) == 1.0
+
+    @pytest.mark.parametrize("target,kind,t_s,match", [
+        (0.1, "xy4", 0.5e-3, "kind must be"),  # only the xx error is fitted
+        (0.036, "xx", 0.0, "t_s must be"),
+        (0.036, ["xx"], 0.5e-3, "kind must be"),
+        (0.6, "xx", 0.5e-3, "target_error must be"),
     ], ids=["unreachable", "t_s", "unhashable_kind", "target_range"])
-    def test_unreachable_target_raises_on_every_call(self, target, kind, t_s, match,
-                                                      bisections):
-        _bisect_systematic_error.cache_clear()
+    def test_unreachable_target_raises_on_every_call(self, target, kind, t_s, match):
         for _ in range(3):
             with pytest.raises(InvalidArgumentError, match=match):
                 calibrate_systematic_error(target, kind, t_s)
-        info = _bisect_systematic_error.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (0, bisections, 0)
 
     def test_error_model_override(self):
         seq = build_sequence("xx", 0.5e-3, PulseSpec(systematic_error=0.02))
@@ -342,6 +338,21 @@ class TestThermalization:
         closed = thermalization_curve(0.036, 50).rho_g
         for k in (10, 30, 50):
             assert abs(curve.rho_g_mc[k] - closed[k]) < 3.0 * curve.stderr[k]
+
+    def test_monte_carlo_draws_detunings_without_an_ensemble(self, monkeypatch):
+        seq = build_sequence("xx", 0.5e-3, PulseSpec(systematic_error=0.03))
+        det = sample_detunings(GAUSS27, 3000, seed=5).detunings_hz
+        eps = np.clip(sequence_population_error(seq, det), 0.0, 1.0)
+        ref = _flip_monte_carlo(eps, 3000, 20, spawn_generator(5, DOMAIN_THERMALIZATION))
+
+        def no_ensemble(*args, **kwargs):
+            raise AssertionError("sample_detunings called")
+
+        monkeypatch.setattr(sequences, "sample_detunings", no_ensemble)
+        curve = thermalization_monte_carlo(seq, GAUSS27, n_spins=3000, n_max=20, seed=5)
+        for got, want in ((curve.rho_g, ref.rho_g), (curve.rho_g_mc, ref.rho_g_mc),
+                          (curve.stderr, ref.stderr)):
+            np.testing.assert_array_equal(got, want)
 
     def test_monte_carlo_matches_per_spin_oracle_on_broad_line(self):
         # oracle: average the exact single-spin recursion over the sampled line
