@@ -11,10 +11,10 @@ is afc.CombConfig itself, the ensemble and noise sections extend
 DetuningDistribution and NoiseModel, and the pulse, adiabatic, memory and
 detection sections build PulseSpec, AdiabaticPulseSpec, MemoryModel and
 GateConfig.  validate_config adds the top-level pipeline, format and seed,
-and the random-phase work bound, which spans two sections.  All violations
-are reported, not only the first.  Presets are data files under
-afcmem/presets; a config may name one and override any subset of its
-fields.
+and the bounds that span two sections: the random-phase work and the
+multimode histogram bins.  All violations are reported, not only the
+first.  Presets are data files under afcmem/presets; a config may name one
+and override any subset of its fields.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from importlib import resources
 from pathlib import Path
 
 from .afc import CombConfig, MemoryModel, SpinDecayModel
-from .detection import GateConfig, NoiseModel, noise_probability
+from .detection import MAX_GATE_BINS, GateConfig, NoiseModel, noise_probability
 from .ensemble import DetuningDistribution
 from .errors import ConfigError, InvalidArgumentError
 from .pulses import AdiabaticPulseSpec, PulseSpec
@@ -61,9 +61,9 @@ MAX_MODES = 2 ** 14
 # 2^16 x 2^10 and 163-176 at 2^20 x 2^6 (maps that outgrow the cache, plus
 # about 3.5 s to sample the spins and compose the maps), so 10.9-11.8 s at
 # the bound.  A jittered pulse steps the sequence in every repetition
-# instead, reusing each wait's cos/sin across them, at about 0.8-1.2 us per
-# spin and repetition on 10k spins (19-20 us on 2k spins with rabi_hz, which
-# rebuilds every pulse's per-spin stack).
+# instead, reusing each wait's cos/sin across them, at about 0.6-0.8 us per
+# spin and repetition on 10k spins (5.4-5.8 us on 2k spins and 8.5 us on 10k
+# with rabi_hz, which rebuilds every pulse's per-spin stack).
 MAX_RANDOM_PHASE_WORK = 2 ** 26
 
 # Longest storage time: far above any physical one (ms to hours), and low
@@ -360,8 +360,9 @@ def parse_config(data: dict) -> tuple[ExperimentConfig, list[Diagnostic]]:
 
 
 def validate_config(cfg: ExperimentConfig) -> list[Diagnostic]:
-    """Violations of the top-level fields and of the random-phase work, which
-    spans two sections (each section checks itself)."""
+    """Violations of the top-level fields, of the random-phase work and of the
+    multimode histogram bins, which each span two sections (each section
+    checks itself)."""
     diags: list[Diagnostic] = []
     if cfg.pipeline not in PIPELINES:
         diags.append(Diagnostic("pipeline", f"must be one of {PIPELINES}, got {cfg.pipeline!r}"))
@@ -376,6 +377,12 @@ def validate_config(cfg: ExperimentConfig) -> list[Diagnostic]:
         diags.append(Diagnostic("random_phase", (
             f"{n_spins} spins x {n_max} repetitions is more than the "
             f"{MAX_RANDOM_PHASE_WORK} allowed; lower ensemble.n_spins or n_max")))
+    # each mode keeps its own histograms, so the bins' memory bound is on the product
+    n_modes, n_bins = cfg.modes.n_modes, cfg.detection.gate_bins
+    if cfg.pipeline == "multimode" and n_modes * n_bins > MAX_GATE_BINS:
+        diags.append(Diagnostic("modes", (
+            f"{n_modes} modes x {n_bins} gate bins is more than the {MAX_GATE_BINS} "
+            f"allowed; lower modes.n_modes or detection.gate_bins")))
     return diags
 
 

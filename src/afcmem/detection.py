@@ -27,6 +27,9 @@ MAX_RUN_PHOTONS = 2 ** 24
 # Most histogram bins a gate may have.  A run's peak memory grows by about
 # 300 bytes per bin on fig2a and 510 on fig2c (five modes), measured with
 # tracemalloc, mostly CSV rows; this keeps what the bins add under 160 MiB.
+# Each mode of a multimode run keeps its own histograms, so there the bound
+# is on n_modes x bins (config.validate_config): fig2c at 2^18 mode-bins
+# peaked at 47-48 MiB, about 190 bytes per mode-bin, in about 2 s.
 MAX_GATE_BINS = 2 ** 18
 
 

@@ -16,12 +16,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# free_evolve and sample_detunings are unused here but stay bound: the span
-# tracer in benchmarks/tracing.py patches them under this module.
+# free_evolve, sample_detunings and rotate_states are unused here but stay
+# bound: the span tracer in benchmarks/tracing.py patches them under this module.
 from .ensemble import (DetuningDistribution, SpinEnsemble, draw_detunings,  # noqa: F401
                        free_evolve, precess_in_place, precession_turn, sample_detunings)
 from .errors import InvalidArgumentError
-from .pulses import PulseSpec, jitter_angle, rotate_states, rotation_matrix
+from .pulses import PulseSpec, jitter_angle, rotate_states, rotation_matrix  # noqa: F401
 from .rng import DOMAIN_RANDOM_PHASE, DOMAIN_THERMALIZATION, spawn_generator
 
 _X, _Y = 0.0, math.pi / 2.0
@@ -126,19 +126,6 @@ def _rotate_in_place(m: np.ndarray, v: np.ndarray, scratch: np.ndarray) -> None:
     v[...] = scratch
 
 
-def _pulse_matrix(pulse: PulseSpec, detunings_hz: np.ndarray, jitter: float) -> np.ndarray:
-    """The pulse as a 3x3 matrix, or as a (3, 3, n) per-spin stack when the
-    finite-Rabi axis tilt makes it depend on the detuning."""
-    if pulse.rabi_hz is None:
-        return rotation_matrix(pulse, jitter=jitter)
-    n = detunings_hz.size
-    stack = np.empty((3, 3, n))
-    for j, unit in enumerate(np.eye(3)):
-        stack[:, j] = rotate_states(np.broadcast_to(unit, (n, 3)), pulse, detunings_hz,
-                                    jitter=jitter).T
-    return stack
-
-
 def _propagate(states: np.ndarray, detunings_hz: np.ndarray, seq: DDSequence,
                seed: int | None, first_pulse: int = 0,
                turns: dict[float, tuple[np.ndarray, np.ndarray]] | None = None) -> np.ndarray:
@@ -172,7 +159,7 @@ def _propagate(states: np.ndarray, detunings_hz: np.ndarray, seq: DDSequence,
             key = (step.pulse, jitter_angle(step.pulse, seed, pulse_index))
             m = matrices.get(key)
             if m is None:
-                m = _pulse_matrix(step.pulse, detunings_hz, key[1])
+                m = rotation_matrix(step.pulse, detunings_hz, key[1])
                 if step.pulse.rabi_hz is None:  # per-spin stacks are not kept: (3, 3, n) each
                     matrices[key] = m
             for v in columns:

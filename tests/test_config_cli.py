@@ -353,6 +353,39 @@ class TestCli:
         assert main(["validate", str(path)]) == 0
 
     @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_multimode_histogram_bins_exit_2_without_counting(self, tmp_path, monkeypatch,
+                                                              capsys, command):
+        import afcmem.detection
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate_run was called")
+
+        monkeypatch.setattr(afcmem.detection, "simulate_run", refuse)
+        path = tmp_path / "cfg.json"
+        # each count within its own bound; each mode keeps its own histograms,
+        # so 2^14 modes x 2^18 bins would hold 2^32 bins per histogram
+        path.write_text(json.dumps({"preset": "fig2c",
+                                    "modes": {"n_modes": 2 ** 14, "mode_duration_s": 1e-12},
+                                    "detection": {"gate_bins": 2 ** 18}}))
+        extra = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, str(path)] + extra) == 2
+        err = capsys.readouterr().err
+        assert "error: modes: 16384 modes x 262144 gate bins is more than the 262144" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_multimode_histogram_bins_at_the_bound_are_valid(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        for n_modes, code in ((64, 0), (65, 2)):  # 64 modes x 2^12 bins is the bound, 2^18
+            path.write_text(json.dumps({"preset": "fig2c",
+                                        "modes": {"n_modes": n_modes, "mode_duration_s": 1e-9},
+                                        "detection": {"gate_bins": 2 ** 12}}))
+            assert main(["validate", str(path)]) == code
+        # the bound weighs only the pipeline that keeps a histogram per mode
+        path.write_text(json.dumps({"preset": "fig2a", "modes": {"n_modes": 2 ** 14},
+                                    "detection": {"gate_bins": 2 ** 18}}))
+        assert main(["validate", str(path)]) == 0
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("preset,section,name,needle,allocator", [
         ("random_phase", "ensemble", "n_spins", "n_spins must be <= 1048576",
          "sequences.random_phase_population_study"),

@@ -9,7 +9,9 @@ from afcmem import (AdiabaticPulseSpec, DetuningDistribution, IntegrationAccurac
                     IntegratorConfig, InvalidArgumentError, PulseSpec, adiabaticity,
                     integrate_bloch, inversion_error_profile, landau_zener_error,
                     rotate_states)
-from afcmem.pulses import jitter_angle
+from afcmem.pulses import jitter_angle, rotation_matrix
+from afcmem.sequences import SEQUENCE_PHASES, calibrate_systematic_error
+from oracles import reference_rotate
 
 UP = np.array([0.0, 0.0, 1.0])
 ON_RESONANCE = np.zeros(1)
@@ -67,30 +69,43 @@ class TestInstantaneousRotations:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("jitter", [0.0, 0.01, -0.01])
+    @pytest.mark.parametrize("error", [0.01, calibrate_systematic_error(0.036)])
+    def test_resonant_matrix_matches_reference_bit_for_bit(self, error, jitter):
+        # the 3x3 route every preset takes: the closed form must round exactly
+        # as the vector formula does on the three basis vectors
+        rng = np.random.default_rng(5)
+        phases = sorted({p for kind in SEQUENCE_PHASES.values() for p in kind})
+        for phase in phases + list(rng.uniform(0.0, 2.0 * math.pi, 20)):
+            pulse = PulseSpec(axis_phase=phase, systematic_error=error)
+            expected = reference_rotate(np.eye(3), pulse, np.zeros(3), jitter).T
+            np.testing.assert_array_equal(rotation_matrix(pulse, jitter=jitter), expected)
+
+    @pytest.mark.parametrize("phase", [0.0, 0.9, math.pi / 2])
+    def test_finite_rabi_stack_matches_reference(self, phase):
+        # two ulps of 1: the closed form rounds (n_i n_j)(1 - c), the vector
+        # formula n_i (n_j (1 - c))
+        det = np.random.default_rng(5).normal(0.0, 27e3, 500)
+        pulse = PulseSpec(axis_phase=phase, systematic_error=0.03, rabi_hz=40e3)
+        stack = rotation_matrix(pulse, det, 0.01)
+        assert stack.shape == (3, 3, 500)
+        for j, unit in enumerate(np.eye(3)):
+            expected = reference_rotate(np.broadcast_to(unit, (500, 3)), pulse, det, 0.01)
+            np.testing.assert_allclose(stack[:, j].T, expected, rtol=0.0, atol=4.5e-16)
+        one = rotation_matrix(pulse, det[7], 0.01)
+        assert one.shape == (3, 3)
+        np.testing.assert_array_equal(one, stack[:, :, 7])
+
     @pytest.mark.parametrize("rabi", [None, 40e3])
-    def test_matches_reference_rodrigues_bit_for_bit(self, rabi):
-        # reference: the Rodrigues sum in one expression with np.cross; rotate_states
-        # sums the same terms in place and must round exactly alike
+    def test_rotate_states_matches_reference(self, rabi):
         rng = np.random.default_rng(5)
         det = rng.normal(0.0, 27e3, 500)
         pulse = PulseSpec(axis_phase=0.9, systematic_error=0.03, rabi_hz=rabi)
-        theta = pulse.nominal_angle * (1.0 + pulse.systematic_error) + 0.01
         for states in (rng.normal(size=(500, 3)), np.broadcast_to(UP, (500, 3))):
-            if rabi is None:
-                axis = np.array([math.cos(0.9), math.sin(0.9), 0.0])
-                c, s = math.cos(theta), math.sin(theta)
-                cross = np.cross(np.broadcast_to(axis, states.shape), states)
-                expected = states * c + cross * s + np.outer(states @ axis, axis) * (1.0 - c)
-            else:
-                g = np.hypot(rabi, det)
-                axis = np.stack([rabi * math.cos(0.9) / g, rabi * math.sin(0.9) / g, det / g],
-                                axis=1)
-                c, s = np.cos(theta * g / rabi), np.sin(theta * g / rabi)
-                ndotv = np.einsum("ij,ij->i", axis, states)
-                expected = (states * c[:, None] + np.cross(axis, states) * s[:, None]
-                            + axis * (ndotv * (1.0 - c))[:, None])
-            np.testing.assert_array_equal(rotate_states(states, pulse, det, jitter=0.01),
-                                          expected)
+            expected = reference_rotate(states, pulse, det, 0.01)
+            bound = 1e-15 * np.maximum(1.0, np.linalg.norm(states, axis=1))[:, None]
+            assert (np.abs(rotate_states(states, pulse, det, jitter=0.01) - expected)
+                    <= bound).all()
 
     @settings(max_examples=60, deadline=None)
     @given(phase=st.floats(0, 2 * math.pi), eps=st.floats(-0.2, 0.2),

@@ -11,7 +11,7 @@ from afcmem import (DDSequence, DetuningDistribution, InvalidArgumentError, Puls
                     SequenceStep, SpinEnsemble, apply_sequence, build_sequence,
                     calibrate_systematic_error, collective_coherence, dephasing_envelope,
                     free_evolve, grid_ensemble, precision_requirement,
-                    random_phase_population_study, rephasing_fidelity, rotate_states,
+                    random_phase_population_study, rephasing_fidelity,
                     sample_detunings, sequence_population_error, thermalization_curve,
                     thermalization_monte_carlo, with_transverse_states)
 from afcmem import sequences
@@ -19,6 +19,7 @@ from afcmem.pulses import jitter_angle
 from afcmem.rng import DOMAIN_RANDOM_PHASE, DOMAIN_THERMALIZATION, spawn_generator
 from afcmem.sequences import (_flip_monte_carlo, _propagate, _rotate_in_place,
                               sequence_rotation_matrix)
+from oracles import reference_rotate
 
 GAUSS27 = DetuningDistribution("gaussian", 27e3)
 NARROW = DetuningDistribution("gaussian", 1.0)  # effectively a single line
@@ -133,15 +134,15 @@ class TestApplySequence:
 
 
 def _stepped_states(seq, states, det, seed=None):
-    """Oracle: free_evolve each wait and rotate_states each pulse, one step at a
-    time; the k-th pulse draws its jitter keyed by (seed, k)."""
+    """Oracle: free_evolve each wait and reference_rotate each pulse, one step
+    at a time; the k-th pulse draws its jitter keyed by (seed, k)."""
     ens = SpinEnsemble(det, states, np.full(det.size, 1.0 / det.size))
     pulses = 0
     for step in seq.steps:
         ens = free_evolve(ens, step.wait_s)
         if step.pulse is not None:
             jitter = jitter_angle(step.pulse, seed, pulses)
-            ens = replace(ens, states=rotate_states(ens.states, step.pulse, det, jitter=jitter))
+            ens = replace(ens, states=reference_rotate(ens.states, step.pulse, det, jitter))
             pulses += 1
     return ens.states
 
@@ -435,8 +436,7 @@ def _stepped_random_phase(seq, n_spins, n_max, tilt, seed):
             ens = free_evolve(ens, step.wait_s)
             if step.pulse is not None:
                 jit = jitter_angle(step.pulse, seed, r * seq.n_pulses + k)
-                ens = replace(ens, states=rotate_states(ens.states, step.pulse, det,
-                                                        jitter=jit))
+                ens = replace(ens, states=reference_rotate(ens.states, step.pulse, det, jit))
                 k += 1
         expected.append(float(np.mean(0.5 * (1.0 - ens.states[:, 2]))))
     return expected
