@@ -18,9 +18,8 @@ from .errors import (AfcmemError, CapacityError, ConfigError, DomainError,
 from .pulses import (AdiabaticPulseSpec, IntegratorConfig, InversionProfile, PulseSpec,
                      adiabaticity, integrate_bloch, integrate_bloch_many,
                      inversion_error_profile, landau_zener_error, rotate_states)
-from .sequences import (DDSequence, PrecisionReport, RandomPhaseStudy, SequenceStep,
-                        ThermalizationCurve, apply_sequence, build_sequence,
-                        calibrate_systematic_error, precision_requirement,
+from .sequences import (DDSequence, SequenceStep, ThermalizationCurve, apply_sequence,
+                        build_sequence, calibrate_systematic_error,
                         random_phase_population_study, rephasing_fidelity,
                         sequence_population_error, thermalization_curve,
                         thermalization_monte_carlo, thermalization_monte_carlo_uniform)

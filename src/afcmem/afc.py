@@ -372,8 +372,8 @@ def memory_efficiency(model: MemoryModel, t_s: float, pulse: PulseSpec | None = 
         amp = dephasing_envelope(model.spin_line, t_s)
     else:
         seq = build_sequence(model.sequence_kind, t_s, pulse)
-        ens = grid_ensemble(model.spin_line, 4096)
-        amp = rephasing_fidelity(ens, seq, seed=seed)
+        det, w = grid_ensemble(model.spin_line, 4096)
+        amp = rephasing_fidelity(seq, det, w, seed=seed)
     eta *= amp ** 2
     if model.spin_decay is not None:
         eta *= model.spin_decay.factor(t_s)

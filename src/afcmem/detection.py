@@ -19,9 +19,11 @@ import numpy as np
 from .errors import CapacityError, DomainError, InvalidArgumentError
 from .rng import DOMAIN_DETECTION, spawn_generator
 
-# Most photons a run may expect: each one is drawn and binned on its own
-# (8 bytes apiece, so 128 MiB here), and numpy's Poisson sampler refuses
-# means far above this anyway.
+# Most photons a run may expect, over all its modes: each one is drawn and
+# binned on its own (8 bytes apiece, so 128 MiB here), and numpy's Poisson
+# sampler refuses means far above this anyway.  A multimode run draws its
+# modes one after another, so the bound is on their sum, which
+# runner._run_multimode checks before it draws the first mode.
 MAX_RUN_PHOTONS = 2 ** 24
 
 # Most histogram bins a gate may have.  A run's peak memory grows by about
@@ -131,9 +133,6 @@ class QuantumWindow:
     def empty(self) -> bool:
         return self.lower >= self.upper
 
-    def contains(self, p: float) -> bool:
-        return self.lower < p < self.upper
-
 
 def quantum_regime_window(mu1_value: float) -> QuantumWindow:
     """The window mu1 < p < 1; empty when mu1 >= 1."""
@@ -191,6 +190,16 @@ class RunStatistics:
         }
 
 
+def check_run_photons(mu: float, eta: float, p_n: float, trials: int, lower: str) -> None:
+    """Raise CapacityError if trials of simulate_run(mu, eta, p_n, ...), input
+    on and off together, expect more than MAX_RUN_PHOTONS photons; the
+    message says to lower the inputs that lower names."""
+    expected = trials * (mu * eta + 2.0 * p_n)
+    if not expected <= MAX_RUN_PHOTONS:
+        raise CapacityError(f"the run expects {expected:g} photons, more than the "
+                            f"{MAX_RUN_PHOTONS} it may draw; lower {lower}")
+
+
 def simulate_run(mu: float, eta: float, p_n: float, trials: int,
                  gate: GateConfig | None = None, seed: int = 0,
                  stream: int = 0) -> RunStatistics:
@@ -210,10 +219,7 @@ def simulate_run(mu: float, eta: float, p_n: float, trials: int,
         raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
     if mu < 0 or eta < 0 or p_n < 0:
         raise InvalidArgumentError("mu, eta and p_n must be >= 0")
-    expected = trials * (mu * eta + 2.0 * p_n)
-    if not expected <= MAX_RUN_PHOTONS:
-        raise CapacityError(f"the run expects {expected:g} photons, more than the "
-                            f"{MAX_RUN_PHOTONS} it may draw; lower trials or mu")
+    check_run_photons(mu, eta, p_n, trials, "trials or mu")
     if gate is None:
         gate = GateConfig()
     rng = spawn_generator(seed, DOMAIN_DETECTION, stream)

@@ -156,8 +156,9 @@ def draw_detunings(dist: DetuningDistribution, n: int, seed: int) -> np.ndarray:
     return dist.sample(n, spawn_generator(seed, DOMAIN_ENSEMBLE))
 
 
-def grid_ensemble(dist: DetuningDistribution, n: int) -> SpinEnsemble:
-    """Deterministic stratified ensemble: a detuning grid weighted by the line pdf.
+def grid_ensemble(dist: DetuningDistribution, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic stratified line: (detunings_hz, weights) of n grid
+    points, weighted by the line pdf and normalized to sum to 1.
 
     Replaces random sampling where low-noise averages are needed (envelope
     checks, efficiency chains).  The grid spans +-4.5 standard deviations
@@ -171,10 +172,7 @@ def grid_ensemble(dist: DetuningDistribution, n: int) -> SpinEnsemble:
         half = 3.0 * dist.fwhm_hz
     det = np.linspace(-half, half, n)
     w = dist.pdf(det)
-    w = w / w.sum()
-    states = np.zeros((n, 3))
-    states[:, 2] = 1.0
-    return SpinEnsemble(det, states, w)
+    return det, w / w.sum()
 
 
 def with_transverse_states(ens: SpinEnsemble, phase: float = 0.0) -> SpinEnsemble:

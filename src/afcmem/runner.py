@@ -165,6 +165,9 @@ def _run_multimode(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) -> _Pip
                                    cfg.modes.n_modes, cfg.modes.mode_duration_s,
                                    cfg.modes.dead_time_fraction)
     results = _chain_results(cfg, cfg.sequence.t_s_s)
+    detection.check_run_photons(results["mu"], results["eta_model"], results["p_n_model"],
+                                cfg.modes.n_modes * cfg.detection.trials,
+                                "detection.trials or modes.n_modes")
     runs = [_simulate_mode(cfg, results, stream=k) for k in range(cfg.modes.n_modes)]
     results["per_mode"] = [{"mode": k, "snr_simulated": run.snr.value,
                             "snr_stderr": run.snr.stderr}
@@ -234,12 +237,12 @@ def _run_random_phase(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) -> _
     pulse = _calibrated_pulse(cfg)
     det = draw_detunings(cfg.ensemble, cfg.ensemble.n_spins, cfg.seed)
     seqs = [sequences.build_sequence(kind, cfg.sequence.t_s_s, pulse) for kind in rp.kinds]
-    study = sequences.random_phase_population_study(seqs, det, np.full(det.size, 1.0 / det.size),
-                                                    rp.n_max, tilt=rp.tilt, seed=cfg.seed)
+    rho = sequences.random_phase_population_study(seqs, det, np.full(det.size, 1.0 / det.size),
+                                                  rp.n_max, tilt=rp.tilt, seed=cfg.seed)
     columns = {"N": range(rp.n_max + 1)}
     results = {"tilt": rp.tilt, "n_max": rp.n_max,
                "calibrated_pulse_error": pulse.systematic_error, "final_rho_g": {}}
-    for kind, rho_g in zip(rp.kinds, study.rho_g):
+    for kind, rho_g in zip(rp.kinds, rho):
         columns[f"rho_g_{kind}"] = rho_g
         results["final_rho_g"][kind] = float(rho_g[-1])
     return [_write_csv(out_dir / "random_phase.csv", columns)], results

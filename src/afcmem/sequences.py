@@ -313,36 +313,33 @@ def thermalization_monte_carlo_uniform(eps_seq: float, n_spins: int, n_max: int,
     return _flip_monte_carlo(eps_seq, n_spins, n_max, rng)
 
 
-def rephasing_fidelity(ens: SpinEnsemble, seq: DDSequence, seed: int = 0) -> float:
+def rephasing_fidelity(seq: DDSequence, detunings_hz: np.ndarray, weights: np.ndarray,
+                       seed: int = 0) -> float:
     """|collective coherence| at the end of the sequence for a stored coherence.
 
-    The ensemble is prepared fully transverse along x (the unit spin-wave
-    amplitude), run through the sequence, and the surviving collective
-    amplitude magnitude is returned.  Its square is the intensity factor
-    that feeds the memory efficiency chain.
+    The spins, given by their detunings and weights, are prepared fully
+    transverse along x (the unit spin-wave amplitude) and run through the
+    sequence, and the surviving collective amplitude magnitude is
+    returned.  Its square is the intensity factor that feeds the memory
+    efficiency chain.
     """
-    transverse = np.broadcast_to([[1.0], [0.0], [0.0]], (3, ens.n))
+    transverse = np.broadcast_to([[1.0], [0.0], [0.0]], (3, detunings_hz.size))
     # reduced over spin-major (n, 3) rows, as collective_coherence of the
     # final ensemble would: contiguous rows sum in another BLAS order
-    final = np.ascontiguousarray(_propagate(transverse, ens.detunings_hz, seq, seed).T)
-    w = ens.weights
-    return abs(complex(np.dot(w, final[:, 0]), -np.dot(w, final[:, 1])))
-
-
-@dataclass(frozen=True)
-class RandomPhaseStudy:
-    """Population pumped out of the pole by repeated sequences acting on a
-    slightly tilted initial state with a spin-random phase (unvalidated
-    exploration; no reference measurement exists).  rho_g[i, k] is the |g>
-    population after k applications of the i-th sequence."""
-
-    rho_g: np.ndarray
+    final = np.ascontiguousarray(_propagate(transverse, detunings_hz, seq, seed).T)
+    return abs(complex(np.dot(weights, final[:, 0]), -np.dot(weights, final[:, 1])))
 
 
 def random_phase_population_study(seqs: Sequence[DDSequence], detunings_hz: np.ndarray,
                                   weights: np.ndarray, n_max: int, tilt: float = 0.1,
-                                  seed: int = 0) -> RandomPhaseStudy:
+                                  seed: int = 0) -> np.ndarray:
     """Track |g> population while each sequence acts on near-pole random-phase spins.
+
+    Returns the (len(seqs), n_max + 1) array whose [i, k] entry is the |g>
+    population after k applications of the i-th sequence: population
+    pumped out of the pole by repeated sequences acting on a slightly
+    tilted initial state with a spin-random phase (unvalidated exploration;
+    no reference measurement exists).
 
     The spins are given by their detunings and weights.  Each starts tilted
     off |s> by the given transverse amplitude at an independent uniform
@@ -388,25 +385,4 @@ def random_phase_population_study(seqs: Sequence[DDSequence], detunings_hz: np.n
                 states, spare = spare, states
             rho[i, k] = population_in_g(states[2])
         del maps, states, spare, turns  # freed before the next sequence composes its maps
-    return RandomPhaseStudy(rho)
-
-
-@dataclass(frozen=True)
-class PrecisionReport:
-    """The naive per-pulse precision bound 1/N against what a model achieves."""
-
-    naive_bound: float
-    achieved: float
-    ratio: float
-
-
-def precision_requirement(n_spins: int, achieved_error: float) -> PrecisionReport:
-    """Compare an achieved pulse error to the naive 1/N precision bound.
-
-    Diagnostic only: collective emission filters pulse-error noise spatially,
-    so the naive bound vastly overstates what storage actually requires.
-    """
-    if n_spins < 1:
-        raise InvalidArgumentError(f"n_spins must be >= 1, got {n_spins}")
-    bound = 1.0 / n_spins
-    return PrecisionReport(bound, achieved_error, achieved_error / bound)
+    return rho

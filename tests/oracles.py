@@ -8,6 +8,18 @@ import math
 
 import numpy as np
 
+from afcmem.ensemble import SpinEnsemble, grid_ensemble
+
+
+def grid_spin_ensemble(dist, n):
+    """grid_ensemble's detunings and weights as a SpinEnsemble with every spin
+    at |s>, for the ensemble routes (apply_sequence, free_evolve) that the
+    grid's array routes are checked against."""
+    det, w = grid_ensemble(dist, n)
+    pole = np.zeros((n, 3))
+    pole[:, 2] = 1.0
+    return SpinEnsemble(det, pole, w)
+
 
 def reference_rotate(states, pulse, detunings_hz, jitter=0.0):
     """One pulse on (n, 3) Bloch vectors by the vector Rodrigues formula

@@ -385,6 +385,27 @@ class TestCli:
                                     "detection": {"gate_bins": 2 ** 18}}))
         assert main(["validate", str(path)]) == 0
 
+    def test_multimode_photons_exit_3_without_counting(self, tmp_path, monkeypatch, capsys):
+        import afcmem.detection
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate_run was called")
+
+        monkeypatch.setattr(afcmem.detection, "simulate_run", refuse)
+        path = tmp_path / "cfg.json"
+        # each mode expects about 3.2e5 photons, within MAX_RUN_PHOTONS; the
+        # 2^14 modes together expect about 5.2e9.  validate cannot see eta,
+        # so the bound is checked when the run has it
+        path.write_text(json.dumps({"preset": "fig2c",
+                                    "modes": {"n_modes": 2 ** 14, "mode_duration_s": 1e-12},
+                                    "detection": {"trials": 4_000_000, "gate_bins": 16}}))
+        assert main(["validate", str(path)]) == 0
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert "photons, more than the 16777216 it may draw" in err
+        assert "lower detection.trials or modes.n_modes" in err
+        assert not any((tmp_path / "out").iterdir())
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("preset,section,name,needle,allocator", [
         ("random_phase", "ensemble", "n_spins", "n_spins must be <= 1048576",

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from afcmem import (DetuningDistribution, InvalidArgumentError, SpinEnsemble,
                     coherence_1e_time, collective_coherence, dephasing_envelope, free_evolve,
-                    grid_ensemble, sample_detunings, with_transverse_states)
+                    sample_detunings, with_transverse_states)
+from oracles import grid_spin_ensemble
 
 GAUSS27 = DetuningDistribution("gaussian", 27e3)
 
@@ -110,7 +111,7 @@ class TestCoherence:
 
     def test_weighted_grid_matches_envelope(self):
         # stratified quadrature should track the closed form tightly
-        ens = with_transverse_states(grid_ensemble(GAUSS27, 4096))
+        ens = with_transverse_states(grid_spin_ensemble(GAUSS27, 4096))
         for t in (5e-6, 15e-6, 30e-6):
             amp = abs(collective_coherence(free_evolve(ens, t)))
             assert abs(amp - dephasing_envelope(GAUSS27, t)) < 5e-4

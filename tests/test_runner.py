@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 import afcmem.afc
 from afcmem import runner
-from afcmem.config import ExperimentConfig, load_config
-from afcmem.ensemble import sample_detunings
+from afcmem.config import ExperimentConfig, load_config, preset_names
+from afcmem.ensemble import SpinEnsemble, sample_detunings
 from afcmem.sequences import (build_sequence, calibrate_systematic_error,
                               random_phase_population_study)
 
@@ -103,6 +103,18 @@ def test_comb_is_sampled_only_for_its_traces(tmp_path, monkeypatch, preset, buil
     assert len(calls) == builds
 
 
+@pytest.mark.parametrize("preset", preset_names())
+def test_no_pipeline_builds_a_spin_ensemble(tmp_path, monkeypatch, preset):
+    # the pipelines carry the spin line as (detunings_hz, weights) arrays
+    def refuse(self):
+        raise AssertionError("a pipeline built a SpinEnsemble")
+
+    monkeypatch.setattr(SpinEnsemble, "__post_init__", refuse)
+    cfg, fixtures = load_config(preset, {"ensemble": {"n_spins": 2000},
+                                         "detection": {"trials": 5000}})
+    runner.run_experiment(cfg, fixtures, out_dir=tmp_path)
+
+
 @pytest.mark.parametrize("pulse", [{}, {"jitter_sd": 0.01}], ids=["composed", "jittered"])
 def test_random_phase_pipeline_equals_per_kind_studies(tmp_path, pulse):
     # the pipeline draws its detunings without an ensemble and one start state
@@ -123,6 +135,6 @@ def test_random_phase_pipeline_equals_per_kind_studies(tmp_path, pulse):
     for kind in rp.kinds:
         seq = build_sequence(kind, cfg.sequence.t_s_s, template)
         rho_g = random_phase_population_study([seq], ens.detunings_hz, ens.weights, rp.n_max,
-                                              tilt=rp.tilt, seed=cfg.seed).rho_g[0]
+                                              tilt=rp.tilt, seed=cfg.seed)[0]
         assert final[kind] == float(rho_g[-1])
         assert [row[f"rho_g_{kind}"] for row in rows] == ["%.12g" % v for v in rho_g]

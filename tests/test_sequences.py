@@ -10,16 +10,15 @@ from hypothesis import strategies as st
 from afcmem import (DDSequence, DetuningDistribution, InvalidArgumentError, PulseSpec,
                     SequenceStep, SpinEnsemble, apply_sequence, build_sequence,
                     calibrate_systematic_error, collective_coherence, dephasing_envelope,
-                    free_evolve, grid_ensemble, precision_requirement,
-                    random_phase_population_study, rephasing_fidelity,
-                    sample_detunings, sequence_population_error, thermalization_curve,
-                    thermalization_monte_carlo, with_transverse_states)
+                    free_evolve, grid_ensemble, random_phase_population_study,
+                    rephasing_fidelity, sample_detunings, sequence_population_error,
+                    thermalization_curve, thermalization_monte_carlo, with_transverse_states)
 from afcmem import sequences
 from afcmem.pulses import jitter_angle
 from afcmem.rng import DOMAIN_RANDOM_PHASE, DOMAIN_THERMALIZATION, spawn_generator
 from afcmem.sequences import (_flip_monte_carlo, _propagate, _rotate_in_place,
                               sequence_rotation_matrix)
-from oracles import reference_rotate
+from oracles import grid_spin_ensemble, reference_rotate
 
 GAUSS27 = DetuningDistribution("gaussian", 27e3)
 NARROW = DetuningDistribution("gaussian", 1.0)  # effectively a single line
@@ -112,7 +111,7 @@ class TestApplySequence:
     @pytest.mark.parametrize("kind", ["xx", "xy4", "xy8", "kdd"])
     def test_perfect_echo(self, kind):
         ens = sample_detunings(GAUSS27, 2000, seed=3)
-        fid = rephasing_fidelity(ens, build_sequence(kind, 0.5e-3))
+        fid = rephasing_fidelity(build_sequence(kind, 0.5e-3), ens.detunings_hz, ens.weights)
         assert abs(fid - 1.0) < 1e-9
 
     def test_free_decay_matches_envelope(self):
@@ -374,16 +373,16 @@ class TestRephasing:
         t = coherence_1e_time(GAUSS27)
         seq = DDSequence((SequenceStep(t),), "custom", t)
         ens = sample_detunings(GAUSS27, 20_000, seed=8)
-        fid = rephasing_fidelity(ens, seq)
+        fid = rephasing_fidelity(seq, ens.detunings_hz, ens.weights)
         assert fid == pytest.approx(math.exp(-1), abs=0.04)
 
     def test_one_percent_error_keeps_fidelity(self):
-        ens = grid_ensemble(GAUSS27, 4096)
+        det, w = grid_ensemble(GAUSS27, 4096)
         seq = build_sequence("xy4", 0.5e-3, PulseSpec(systematic_error=0.01))
-        assert rephasing_fidelity(ens, seq) >= 0.95
+        assert rephasing_fidelity(seq, det, w) >= 0.95
 
     def test_phase_robustness(self):
-        ens = grid_ensemble(GAUSS27, 2048)
+        ens = grid_spin_ensemble(GAUSS27, 2048)
         seq = build_sequence("xy4", 0.5e-3, PulseSpec(systematic_error=0.01))
         vals = [abs(collective_coherence(apply_sequence(with_transverse_states(ens, p), seq)))
                 for p in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)]
@@ -399,9 +398,10 @@ class TestRephasing:
     def test_matches_ensemble_composition_bit_for_bit(self, n, kind, pulse):
         # the composition rephasing_fidelity skips: prepare, propagate, reduce
         seq = build_sequence(kind, 0.5e-3, pulse)
-        for ens in (grid_ensemble(GAUSS27, n), sample_detunings(GAUSS27, n, seed=n)):
+        for ens in (grid_spin_ensemble(GAUSS27, n), sample_detunings(GAUSS27, n, seed=n)):
             final = apply_sequence(with_transverse_states(ens), seq, seed=5)
-            assert rephasing_fidelity(ens, seq, seed=5) == abs(collective_coherence(final))
+            assert (rephasing_fidelity(seq, ens.detunings_hz, ens.weights, seed=5)
+                    == abs(collective_coherence(final)))
 
     @pytest.mark.parametrize("n", [1, 7, 4096])
     @pytest.mark.parametrize("kind", ["xx", "xy4", "xy8", "kdd"])
@@ -414,7 +414,7 @@ class TestRephasing:
         # a coherence stored off the x axis goes through with_transverse_states
         # and apply_sequence; the kernel must agree with one step at a time
         seq = build_sequence(kind, 0.5e-3, pulse)
-        for ens in (grid_ensemble(GAUSS27, n), sample_detunings(GAUSS27, n, seed=n)):
+        for ens in (grid_spin_ensemble(GAUSS27, n), sample_detunings(GAUSS27, n, seed=n)):
             prepared = with_transverse_states(ens, 1.1)
             final = apply_sequence(prepared, seq, seed=5)
             expected = _stepped_states(seq, prepared.states, ens.detunings_hz, seed=5)
@@ -447,9 +447,9 @@ class TestRandomPhase:
         seq = build_sequence("xy4", 0.5e-3, PulseSpec(systematic_error=0.01, jitter_sd=0.05))
         n_spins, n_max, tilt, seed = 64, 4, 0.1, 9
         ens = sample_detunings(GAUSS27, n_spins, seed)
-        study = random_phase_population_study([seq], ens.detunings_hz, ens.weights, n_max,
+        rho_g = random_phase_population_study([seq], ens.detunings_hz, ens.weights, n_max,
                                               tilt=tilt, seed=seed)
-        np.testing.assert_allclose(study.rho_g[0],
+        np.testing.assert_allclose(rho_g[0],
                                    _stepped_random_phase(seq, n_spins, n_max, tilt, seed),
                                    rtol=0.0, atol=1e-12)
 
@@ -464,23 +464,9 @@ class TestRandomPhase:
         seq = build_sequence(kind, 0.5e-3, pulse)
         n_spins, n_max, tilt, seed = 300, 20, 0.1, 4
         ens = sample_detunings(GAUSS27, n_spins, seed)
-        study = random_phase_population_study([seq], ens.detunings_hz, ens.weights, n_max,
+        rho_g = random_phase_population_study([seq], ens.detunings_hz, ens.weights, n_max,
                                               tilt=tilt, seed=seed)
-        np.testing.assert_allclose(study.rho_g[0],
+        np.testing.assert_allclose(rho_g[0],
                                    _stepped_random_phase(seq, n_spins, n_max, tilt, seed),
                                    rtol=0.0, atol=1e-12)
 
-
-class TestPrecisionRequirement:
-    def test_single_spin(self):
-        rep = precision_requirement(1, 0.5)
-        assert rep.naive_bound == 1.0
-
-    def test_macroscopic_ensemble(self):
-        rep = precision_requirement(10 ** 12, 0.002)
-        assert rep.naive_bound == 1e-12
-        assert rep.ratio == pytest.approx(2e9)
-
-    def test_invalid(self):
-        with pytest.raises(InvalidArgumentError):
-            precision_requirement(0, 0.1)
