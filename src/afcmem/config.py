@@ -42,11 +42,11 @@ FORMATS = ("csv", "json")
 OUTPUT_DIR_ENV = "AFCMEM_OUT"
 
 # Largest counts that size arrays.  Each keeps the peak memory its count adds
-# to a run under 160 MiB, at the cost per unit measured with tracemalloc:
-# 153 bytes per spin at 2^20 spins (random_phase, a 152.7 MiB peak; 164 at
-# 2^16, where fixed costs weigh more; 10 on thermalization), 290 per
-# thermalization sequence (fig1d), 530 per random-phase repetition (four
-# kinds) and 9.3 KB per mode (fig2c, 40 bins), mostly arrays and CSV rows.
+# to a run under 170 MiB, at the cost per unit measured with tracemalloc:
+# 168 bytes per spin at 2^20 spins and at 2^16 (random_phase, a 168.0 MiB
+# peak while one kind's (3, 3, n) maps are composed; 10 on thermalization),
+# 290 per thermalization sequence (fig1d), 428 per random-phase repetition
+# (four kinds, mostly CSV rows) and 9.3 KB per mode (fig2c, 40 bins).
 # Each mode is also one counting Monte Carlo: about 0.4 ms at fig2c's
 # 100,000 trials on a 2-vCPU host, so the most modes take about 7 s.
 MAX_SPINS = 2 ** 20
@@ -55,15 +55,17 @@ MAX_RANDOM_PHASE_REPETITIONS = 2 ** 18
 MAX_MODES = 2 ** 14
 
 # Most spins x repetitions a random_phase run may ask for: the counts above
-# cap its memory, this its time.  Each repetition applies every kind's
-# composed (3, 3, n) maps once, one einsum per kind; on a 2-vCPU host a whole
-# four-kind run took 37 ns per spin and repetition at 2^13 x 2^13, 61 at
-# 2^16 x 2^10 and 163-176 at 2^20 x 2^6 (maps that outgrow the cache, plus
-# about 3.5 s to sample the spins and compose the maps), so 10.9-11.8 s at
-# the bound.  A jittered pulse steps the sequence in every repetition
-# instead, reusing each wait's cos/sin across them, at about 0.6-0.8 us per
-# spin and repetition on 10k spins (5.4-5.8 us on 2k spins and 8.5 us on 10k
-# with rabi_hz, which rebuilds every pulse's per-spin stack).
+# cap its memory, this its time.  Each kind's (3, 3, n) maps are composed
+# once and their powers taken in closed form, one complex multiply and one
+# complex dot on (n,) arrays per kind and repetition; on a 2-vCPU host, one
+# CPU, a whole four-kind run took 7 ns per spin and repetition at
+# 2^13 x 2^13, 14-15 at 2^16 x 2^10 and 113-114 at 2^20 x 2^6 (nearly all
+# of it sampling the spins and composing maps that outgrow the cache), so
+# 0.5-7.7 s at the bound.  A jittered pulse steps the sequence in every
+# repetition instead, reusing each wait's cos/sin across them, at about
+# 0.6-0.8 us per spin and repetition on 10k spins (5.4-5.8 us on 2k spins
+# and 8.5 us on 10k with rabi_hz, which rebuilds every pulse's per-spin
+# stack).
 MAX_RANDOM_PHASE_WORK = 2 ** 26
 
 # Longest storage time: far above any physical one (ms to hours), and low

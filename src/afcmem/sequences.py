@@ -107,22 +107,18 @@ _POLE = np.array([0.0, 0.0, 1.0])[:, None]
 _IDENTITY = np.eye(3)[:, :, None]
 
 
-def _rotate(m: np.ndarray, v: np.ndarray, out: np.ndarray) -> None:
-    """out <- m v for component-major vectors v (rows x, y, z).
-
-    m is a 3x3 matrix or a (3, 3, n) stack of per-spin matrices; out is
-    shaped like v and must not overlap it.  One einsum contraction, without
-    optimize=: numpy's own loop sums ((0 + m_i0 v0) + m_i1 v1) + m_i2 v2
-    with a separate multiply and add per term, so each element has the bits
-    of that explicit chain (an exact -0 comes out +0).  The optimize route
-    goes through BLAS, which reorders the sum and fuses multiply-adds.
-    """
-    np.einsum("ij...,j...->i...", m, v, out=out)
-
-
 def _rotate_in_place(m: np.ndarray, v: np.ndarray, scratch: np.ndarray) -> None:
-    """v <- m v in place, through scratch (shaped like v); see _rotate."""
-    _rotate(m, v, scratch)
+    """v <- m v in place for component-major vectors v (rows x, y, z).
+
+    m is a 3x3 matrix or a (3, 3, n) stack of per-spin matrices; scratch is
+    shaped like v and must not overlap it.  One einsum contraction into
+    scratch, without optimize=: numpy's own loop sums ((0 + m_i0 v0) + m_i1
+    v1) + m_i2 v2 with a separate multiply and add per term, so each element
+    has the bits of that explicit chain (an exact -0 comes out +0).  The
+    optimize route goes through BLAS, which reorders the sum and fuses
+    multiply-adds.
+    """
+    np.einsum("ij...,j...->i...", m, v, out=scratch)
     v[...] = scratch
 
 
@@ -330,6 +326,75 @@ def rephasing_fidelity(seq: DDSequence, detunings_hz: np.ndarray, weights: np.nd
     return abs(complex(np.dot(weights, final[:, 0]), -np.dot(weights, final[:, 1])))
 
 
+def _repeated_rotation(r: np.ndarray, v: np.ndarray, w: np.ndarray, rho0: float,
+                       n_max: int) -> np.ndarray:
+    """|g> population after 1..n_max applications of per-spin rotations to v,
+    in closed form.
+
+    r is the (3, 3, n) stack of rotations R, v the (3, n) start vectors, w
+    the weights and rho0 the population of v.  R^k = cos(k theta) I
+    + sin(k theta) [u]x + (1 - cos(k theta)) u u^T, so after k applications
+    z = v_z + alpha sin(k theta) + beta (1 - cos(k theta)), with alpha =
+    (u x v)_z and beta = u_z (u . v) - v_z.  The antisymmetric part of R is
+    omega = u sin(theta), and cos(theta) = (tr R - 1)/2.  Near theta = pi,
+    omega is too small to give u, so where cos(theta) <= 0 beta is read from
+    the symmetric part instead: ((R + R^T)/2 v - v)_z = (1 - cos(theta)) beta.
+    Where omega is 0, alpha = 0, and so is beta if cos(theta) > 0.
+
+    Each repetition then turns one unit phasor e^{ik theta} per spin by a
+    complex multiply, and rho_k = rho0 - sum(w beta)/2 + Re(sum(phasor w
+    (beta + i alpha)))/2 is one complex dot.  (A recurrence in cos(theta)
+    alone loses digits near theta = 0 and pi, and the symmetric-part beta
+    near theta = 0.)  Only (n,) arrays are computed while the maps are
+    alive, and they are freed before the rest: the caller passes them
+    without keeping a reference.
+    """
+    cos = r[0, 0] + r[1, 1]
+    cos += r[2, 2]
+    cos -= 1.0
+    cos *= 0.5
+    ux = r[2, 1] - r[1, 2]  # 2 omega, scaled to u below
+    uy = r[0, 2] - r[2, 0]
+    uz = r[1, 0] - r[0, 1]
+    sym = r[2, 0] + r[0, 2]  # 2 ((R + R^T)/2 v - v)_z, term by term
+    sym *= v[0]
+    term = r[2, 1] + r[1, 2]
+    term *= v[1]
+    sym += term
+    np.subtract(r[2, 2], 1.0, out=term)
+    term *= v[2]
+    term *= 2.0
+    sym += term
+    del r, term
+    sin = np.sqrt(ux * ux + uy * uy + uz * uz)
+    has_axis = sin > 0.0
+    inv = np.divide(1.0, sin, out=np.zeros_like(sin), where=has_axis)
+    sin *= 0.5
+    for part in (ux, uy, uz):
+        part *= inv
+    del inv
+    alpha = ux * v[1] - uy * v[0]
+    beta = uz * (ux * v[0] + uy * v[1] + uz * v[2]) - v[2] * has_axis
+    np.divide(sym, 2.0 * (1.0 - cos), out=beta, where=cos <= 0.0)
+    del ux, uy, uz, sym, has_axis
+    norm = np.sqrt(cos * cos + sin * sin)
+    step = np.empty(cos.size, dtype=complex)
+    np.divide(cos, norm, out=step.real)
+    np.divide(sin, norm, out=step.imag)
+    del cos, sin, norm
+    gamma = np.empty_like(step)
+    np.multiply(w, beta, out=gamma.real)
+    np.multiply(w, alpha, out=gamma.imag)
+    offset = rho0 - 0.5 * np.dot(w, beta)
+    del alpha, beta
+    phasor = np.ones_like(step)
+    track = np.empty(n_max, dtype=complex)
+    for k in range(n_max):
+        phasor *= step
+        track[k] = np.dot(phasor, gamma)
+    return offset + 0.5 * track.real
+
+
 def random_phase_population_study(seqs: Sequence[DDSequence], detunings_hz: np.ndarray,
                                   weights: np.ndarray, n_max: int, tilt: float = 0.1,
                                   seed: int = 0) -> np.ndarray:
@@ -344,15 +409,17 @@ def random_phase_population_study(seqs: Sequence[DDSequence], detunings_hz: np.n
     The spins are given by their detunings and weights.  Each starts tilted
     off |s> by the given transverse amplitude at an independent uniform
     phase (the state produced by storing a weak random optical field); that
-    start state is drawn once and every sequence gets its own copy, which
-    it applies coherently n_max times with no readout in between.
-    Without jitter every repetition is the same map, so each spin's 3x3
-    sequence map is composed once and applied n_max times, each time from
-    one buffer into the other.  With jitter the sequence is stepped pulse by
-    pulse, with one cos/sin cache per sequence across its repetitions, and
-    pulses are counted across repetitions: the k-th pulse of repetition r
-    (both from 0) draws its jitter keyed by (seed, r * seq.n_pulses + k), so
-    no two applications of one sequence share a draw.
+    start state is drawn once, and every sequence is applied to it
+    coherently n_max times with no readout in between.  Without jitter every
+    repetition is the same rotation, so each spin's 3x3 sequence map is
+    composed once and its n_max powers are taken in closed form
+    (_repeated_rotation): one complex multiply and one complex dot per
+    repetition, not a map application.  With jitter the sequence is stepped
+    pulse by pulse, with one cos/sin cache per sequence across its
+    repetitions, and pulses are counted across repetitions: the k-th pulse
+    of repetition r (both from 0) draws its jitter keyed by (seed,
+    r * seq.n_pulses + k), so no two applications of one sequence share a
+    draw.
     """
     if not 0.0 < tilt < 1.0:
         raise InvalidArgumentError(f"tilt must be in (0, 1), got {tilt}")
@@ -363,26 +430,20 @@ def random_phase_population_study(seqs: Sequence[DDSequence], detunings_hz: np.n
     start[1] = tilt * np.sin(phi)
     start[2] = math.sqrt(1.0 - tilt * tilt)
     del phi  # 8 bytes a spin that would stay alive through the repetitions
-    loss = np.empty(n_spins)
 
     def population_in_g(z: np.ndarray) -> float:
-        np.subtract(1.0, z, out=loss)  # 0.5 * (1 - z), with no temporaries
-        np.multiply(0.5, loss, out=loss)
-        return np.dot(w, loss)
+        return np.dot(w, 0.5 * (1.0 - z))
 
     rho = np.empty((len(seqs), n_max + 1))
+    rho[:, 0] = population_in_g(start[2])
     for i, seq in enumerate(seqs):
-        jittered = any(p.jitter_sd > 0 for p in seq.pulses)
-        maps = None if jittered else _sequence_maps(seq, det)
-        states, spare = start.copy(), np.empty_like(start)
+        if not any(p.jitter_sd > 0 for p in seq.pulses):
+            rho[i, 1:] = _repeated_rotation(_sequence_maps(seq, det), start, w, rho[i, 0], n_max)
+            continue
+        states = start
         turns: dict[float, tuple[np.ndarray, np.ndarray]] = {}
-        rho[i, 0] = population_in_g(states[2])
         for k in range(1, n_max + 1):
-            if jittered:
-                states = _propagate(states, det, seq, seed, (k - 1) * seq.n_pulses, turns)
-            else:
-                _rotate(maps, states, spare)
-                states, spare = spare, states
+            states = _propagate(states, det, seq, seed, (k - 1) * seq.n_pulses, turns)
             rho[i, k] = population_in_g(states[2])
-        del maps, states, spare, turns  # freed before the next sequence composes its maps
+        del states, turns  # freed before the next sequence composes its maps
     return rho

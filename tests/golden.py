@@ -8,7 +8,9 @@ change that means to move report bytes rewrites the manifest with
 
     PYTHONPATH=src python tests/golden.py
 
-and commits it; the manifest's diff then lists the moved files.
+and commits it.  The script prints the files that differ from, are missing
+from or are extra to the manifest it replaces, and the manifest's diff lists
+the same files.
 """
 
 from __future__ import annotations
@@ -64,11 +66,25 @@ def write_runs(root: Path) -> dict[str, str]:
     return hashes
 
 
+def compare(expected: dict[str, str], actual: dict[str, str]) -> dict[str, list[str]]:
+    """The paths whose hashes differ, that only expected has (missing) and
+    that only actual has (extra), each sorted."""
+    return {"differ": sorted(k for k in expected.keys() & actual.keys()
+                             if expected[k] != actual[k]),
+            "missing": sorted(expected.keys() - actual.keys()),
+            "extra": sorted(actual.keys() - expected.keys())}
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         files = write_runs(Path(tmp))
+    old = json.loads(MANIFEST.read_text())["files"] if MANIFEST.exists() else {}
+    for kind, paths in compare(old, files).items():
+        print(f"{kind}: {len(paths)}")
+        for path in paths:
+            print(f"  {path}")
     MANIFEST.parent.mkdir(exist_ok=True)
     manifest = dict(versions(), files=dict(sorted(files.items())))
     MANIFEST.write_text(json.dumps(manifest, indent=1) + "\n")

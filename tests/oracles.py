@@ -45,3 +45,55 @@ def reference_rotate(states, pulse, detunings_hz, jitter=0.0):
     ndotv = np.einsum("ij,ij->i", axis, states)
     return (states * c[:, None] + np.cross(axis, states) * s[:, None]
             + axis * (ndotv * (1.0 - c))[:, None])
+
+
+def longdouble_pole_track(maps, start, n_max):
+    """z of each spin after 0..n_max applications of its map, in np.longdouble.
+
+    maps is a component-major (3, 3, n) stack and start (3, n); each
+    application is an explicit product and sum over the map's columns, so
+    this shares no kernel with the package.  Returns (n_max + 1, n).
+    """
+    m = np.asarray(maps).astype(np.longdouble)
+    v = np.asarray(start).astype(np.longdouble)
+    track = [v[2]]
+    for _ in range(n_max):
+        v = (m * v[None, :, :]).sum(axis=1)
+        track.append(v[2])
+    return np.array(track)
+
+
+def longdouble_sequence_maps(seq, detunings_hz):
+    """Each spin's (3, 3, n) map of one resonant, unjittered sequence, composed
+    in np.longdouble from the same float64 inputs the package composes its
+    maps from: the detunings, the wait lengths and each pulse's angle, error
+    and phase.  A wait turns x and y by 2 pi t detuning; a pulse is the
+    Rodrigues matrix about (cos phase, sin phase, 0)."""
+    ld = np.longdouble
+    det = np.asarray(detunings_hz).astype(ld)
+    maps = np.broadcast_to(np.eye(3, dtype=ld)[:, :, None], (3, 3, det.size)).copy()
+    for step in seq.steps:
+        if step.wait_s > 0:
+            angle = ld(2) * ld(math.pi) * ld(step.wait_s) * det
+            c, s = np.cos(angle), np.sin(angle)
+            x, y = maps[0], maps[1]
+            maps[0], maps[1] = c * x - s * y, s * x + c * y  # both formed before either is set
+        if step.pulse is not None:
+            pulse = step.pulse
+            assert pulse.rabi_hz is None and pulse.jitter_sd == 0
+            theta = ld(pulse.nominal_angle) * (ld(1) + ld(pulse.systematic_error))
+            c, s = np.cos(theta), np.sin(theta)
+            n = np.array([np.cos(ld(pulse.axis_phase)), np.sin(ld(pulse.axis_phase)), ld(0)])
+            cross = np.array([[0, -n[2], n[1]], [n[2], 0, -n[0]], [-n[1], n[0], 0]], dtype=ld)
+            rotation = c * np.eye(3, dtype=ld) + s * cross + (1 - c) * np.outer(n, n)
+            maps = (rotation[:, :, None, None] * maps[None, :, :, :]).sum(axis=1)
+    return maps
+
+
+def longdouble_random_phase(seq, detunings_hz, weights, start, n_max):
+    """|g> population sum(w (1 - z))/2 after 0..n_max applications of the
+    sequence to the (3, n) start vectors, with no rounding to float64 before
+    the end: the maps of longdouble_sequence_maps applied n_max times."""
+    z = longdouble_pole_track(longdouble_sequence_maps(seq, detunings_hz), start, n_max)
+    w = np.asarray(weights).astype(np.longdouble)
+    return (0.5 * ((1 - z) * w).sum(axis=1)).astype(float)

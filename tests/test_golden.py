@@ -2,7 +2,7 @@
 
 import json
 
-from golden import MANIFEST, versions, write_runs
+from golden import MANIFEST, compare, versions, write_runs
 
 
 def test_report_bytes_match_manifest(tmp_path):
@@ -11,9 +11,5 @@ def test_report_bytes_match_manifest(tmp_path):
     assert pinned == versions(), (
         f"the manifest pins {pinned} but this run has {versions()}: "
         "its hashes hold only under the versions that wrote them")
-    expected, actual = manifest["files"], write_runs(tmp_path)
-    differ = sorted(k for k in expected.keys() & actual.keys() if expected[k] != actual[k])
-    missing = sorted(expected.keys() - actual.keys())
-    extra = sorted(actual.keys() - expected.keys())
-    assert not (differ or missing or extra), (
-        f"differ: {differ}; missing: {missing}; extra: {extra}")
+    moved = compare(manifest["files"], write_runs(tmp_path))
+    assert not any(moved.values()), "; ".join(f"{k}: {v}" for k, v in moved.items())

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -14,11 +15,15 @@ from afcmem import (DDSequence, DetuningDistribution, InvalidArgumentError, Puls
                     rephasing_fidelity, sample_detunings, sequence_population_error,
                     thermalization_curve, thermalization_monte_carlo, with_transverse_states)
 from afcmem import sequences
+from afcmem.config import load_config
+from afcmem.ensemble import draw_detunings
 from afcmem.pulses import jitter_angle
 from afcmem.rng import DOMAIN_RANDOM_PHASE, DOMAIN_THERMALIZATION, spawn_generator
-from afcmem.sequences import (_flip_monte_carlo, _propagate, _rotate_in_place,
+from afcmem.runner import _calibrated_pulse, run_experiment
+from afcmem.sequences import (SEQUENCE_KINDS, _flip_monte_carlo, _propagate, _rotate_in_place,
                               sequence_rotation_matrix)
-from oracles import grid_spin_ensemble, reference_rotate
+from oracles import (grid_spin_ensemble, longdouble_pole_track, longdouble_random_phase,
+                     reference_rotate)
 
 GAUSS27 = DetuningDistribution("gaussian", 27e3)
 NARROW = DetuningDistribution("gaussian", 1.0)  # effectively a single line
@@ -421,13 +426,18 @@ class TestRephasing:
             np.testing.assert_allclose(final.states, expected, rtol=0.0, atol=1e-12)
 
 
+def _random_phase_start(n_spins, tilt, seed):
+    """The study's (n, 3) start state, drawn as it draws it."""
+    phi = spawn_generator(seed, DOMAIN_RANDOM_PHASE).uniform(0.0, 2.0 * math.pi, n_spins)
+    return np.stack([tilt * np.cos(phi), tilt * np.sin(phi),
+                     np.full(n_spins, math.sqrt(1.0 - tilt * tilt))], axis=1)
+
+
 def _stepped_random_phase(seq, n_spins, n_max, tilt, seed):
     """Oracle: step the study's initial state wait by wait and pulse by pulse; the
     k-th pulse of repetition r draws jitter_angle(pulse, seed, r * n_pulses + k)."""
     det = sample_detunings(GAUSS27, n_spins, seed).detunings_hz
-    phi = spawn_generator(seed, DOMAIN_RANDOM_PHASE).uniform(0.0, 2.0 * math.pi, n_spins)
-    states = np.stack([tilt * np.cos(phi), tilt * np.sin(phi),
-                       np.full(n_spins, math.sqrt(1.0 - tilt * tilt))], axis=1)
+    states = _random_phase_start(n_spins, tilt, seed)
     ens = SpinEnsemble(det, states, np.full(n_spins, 1.0 / n_spins))
     expected = [float(np.mean(0.5 * (1.0 - ens.states[:, 2])))]
     for r in range(n_max):
@@ -440,6 +450,28 @@ def _stepped_random_phase(seq, n_spins, n_max, tilt, seed):
                 k += 1
         expected.append(float(np.mean(0.5 * (1.0 - ens.states[:, 2]))))
     return expected
+
+
+# Rotation angles that reach both ends of [0, pi], where a closed form for the
+# powers of a rotation loses digits if it reads theta or the axis the wrong way.
+_THETAS = (0.0, 1e-12, 1e-7, 1e-3, 1.0, math.pi / 2, 3.0, math.pi - 1e-7, math.pi)
+
+
+def _synthetic_rotations(rng, axes_per_angle):
+    """A (3, 3, n) stack of Rodrigues rotations, axes_per_angle random axes for
+    each angle in _THETAS, and one random unit vector per rotation.  The angle
+    pi is built with sin = 0 exactly, so its matrix is symmetric and its
+    antisymmetric part is exactly 0, as at theta = 0."""
+    mats, vecs = [], []
+    for theta in _THETAS:
+        c, s = (-1.0, 0.0) if theta == math.pi else (math.cos(theta), math.sin(theta))
+        for _ in range(axes_per_angle):
+            u, v = rng.normal(size=(2, 3))
+            u /= np.linalg.norm(u)
+            cross = np.array([[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]])
+            mats.append(c * np.eye(3) + s * cross + (1.0 - c) * np.outer(u, u))
+            vecs.append(v / np.linalg.norm(v))
+    return np.stack(mats, axis=2), np.stack(vecs, axis=1)
 
 
 class TestRandomPhase:
@@ -460,7 +492,8 @@ class TestRandomPhase:
         PulseSpec(systematic_error=-0.01, rabi_hz=80e3),
     ])
     def test_composed_map_matches_stepping(self, kind, pulse):
-        # without jitter the study composes each spin's map once and applies it n_max times
+        # without jitter the study composes each spin's map once and takes its
+        # n_max powers in closed form
         seq = build_sequence(kind, 0.5e-3, pulse)
         n_spins, n_max, tilt, seed = 300, 20, 0.1, 4
         ens = sample_detunings(GAUSS27, n_spins, seed)
@@ -470,3 +503,48 @@ class TestRandomPhase:
                                    _stepped_random_phase(seq, n_spins, n_max, tilt, seed),
                                    rtol=0.0, atol=1e-12)
 
+    def test_closed_form_powers_of_synthetic_rotations(self):
+        # each spin alone, so that no error hides in a mean over spins
+        axes_per_angle = 4
+        maps, starts = _synthetic_rotations(np.random.default_rng(17), axes_per_angle)
+        n_max = 4096
+        expected = longdouble_pole_track(maps, starts, n_max)
+        for j in range(starts.shape[1]):
+            v = starts[:, j:j + 1]
+            rho0 = 0.5 * (1.0 - v[2, 0])
+            rho = sequences._repeated_rotation(maps[:, :, j:j + 1].copy(), v, np.ones(1),
+                                               rho0, n_max)
+            z = np.concatenate([[v[2, 0]], 1.0 - 2.0 * rho])
+            np.testing.assert_allclose(
+                z, expected[:, j].astype(float), rtol=0.0, atol=1e-12,
+                err_msg=f"theta = {_THETAS[j // axes_per_angle]!r}")
+
+    def test_repetitions_match_long_double_at_preset_scale(self):
+        cfg, _ = load_config("random_phase", {"ensemble": {"n_spins": 2000}})
+        n_spins, tilt, seed, n_max = 2000, cfg.random_phase.tilt, cfg.seed, 50
+        pulse = _calibrated_pulse(cfg)
+        det = draw_detunings(cfg.ensemble, n_spins, seed)
+        w = np.full(n_spins, 1.0 / n_spins)
+        seqs = [build_sequence(kind, cfg.sequence.t_s_s, pulse) for kind in SEQUENCE_KINDS]
+        rho = random_phase_population_study(seqs, det, w, n_max, tilt=tilt, seed=seed)
+        start = _random_phase_start(n_spins, tilt, seed).T
+        for seq, row in zip(seqs, rho):
+            expected = longdouble_random_phase(seq, det, w, start, n_max)
+            np.testing.assert_allclose(row, expected, rtol=0.0, atol=1e-14, err_msg=seq.kind)
+
+    def test_peak_memory_per_spin(self, tmp_path):
+        # one kind's maps are composed at a time, and freed before their
+        # closed-form powers use (n,) arrays, so the peak is one composition's:
+        # 168 bytes a spin at 2^16 spins, 186 if the maps stayed alive
+        n_spins = 2 ** 16
+        warm, fixtures = load_config("random_phase", {"ensemble": {"n_spins": 64}})
+        cfg, _ = load_config("random_phase", {"ensemble": {"n_spins": n_spins},
+                                              "random_phase": {"n_max": 8}})
+        run_experiment(warm, fixtures, tmp_path)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, fixtures, tmp_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / n_spins <= 170.0, f"{peak / n_spins:.1f} bytes a spin"
