@@ -5,7 +5,10 @@ response produces an echo one comb period later (t = 1/delta).  The overall
 memory efficiency factorizes into the comb echo efficiency, the squared
 optical-to-spin transfer, the squared surviving spin coherence over the
 storage window, an optional fitted spin-decay calibration factor, and a
-readout loss.
+readout loss.  MemoryModel, which is also the config's memory section,
+holds the chain's own factors (transfer, write stage, readout loss, fitted
+decay); memory_efficiency takes the comb, the spin line and the sequence
+kind as arguments of their own.
 
 The absorption part of the echo efficiency, d_eff^2 * exp(-d_eff) *
 exp(-d0) with d_eff = peak depth / finesse, is the standard forward-recall
@@ -28,7 +31,7 @@ import numpy as np
 from .ensemble import DetuningDistribution, dephasing_envelope, grid_ensemble
 from .errors import CapacityError, InvalidArgumentError
 from .pulses import PulseSpec
-from .sequences import SEQUENCE_KINDS, build_sequence, rephasing_fidelity
+from .sequences import build_sequence, rephasing_fidelity
 
 # Frequency-grid points per tooth FWHM when sampling a comb.
 _GRID_PER_TOOTH = 25.0
@@ -239,23 +242,6 @@ def echo_trace(comb: CombSpectrum, times: np.ndarray) -> np.ndarray:
     return _echo_magnitude(comb.config, times, m, df, comb.depth.sum())
 
 
-def find_echo_peak(comb: CombSpectrum) -> tuple[float, float]:
-    """Locate the echo maximum between 0.3 and 1.7 times the nominal delay.
-
-    Returns (t_peak, amplitude); the window, in units of 1/periodicity,
-    excludes the trivial response at t = 0.  Timing is resolved to the
-    step of an 801-point grid (1.4 delays / 800); at very low finesse the
-    true peak sits up to ~0.2% of the delay away from 1/periodicity because
-    the baseline lobe of an overlapping comb interferes with the echo
-    sideband.
-    """
-    delay = comb.config.afc_delay_s
-    times = np.linspace(0.3 * delay, 1.7 * delay, 801)
-    amps = echo_trace(comb, times)
-    k = int(np.argmax(amps))
-    return float(times[k]), float(amps[k])
-
-
 def _depth_total(cfg: CombConfig) -> float:
     """depth.sum() of build_comb's comb, from the config alone.
 
@@ -303,81 +289,76 @@ def afc_efficiency(cfg: CombConfig) -> float:
 
 
 @dataclass(frozen=True)
-class SpinDecayModel:
-    """Stretched-exponential intensity decay exp(-(t/tau)^exponent).
-
-    Calibration artifact: it soaks up the measured efficiency-vs-storage-time
-    decay that the ideal chain does not model (labeled as fitted in outputs).
-    """
-
-    tau_s: float
-    exponent: float
-
-    def __post_init__(self):
-        if not self.tau_s > 0:
-            raise InvalidArgumentError(f"tau_s must be > 0, got {self.tau_s}")
-        if not self.exponent > 0:
-            raise InvalidArgumentError(f"exponent must be > 0, got {self.exponent}")
-
-    def factor(self, t_s: float) -> float:
-        try:
-            return math.exp(-((t_s / self.tau_s) ** self.exponent))
-        except OverflowError:  # (t/tau)^exponent past the float range: nothing survives
-            return 0.0
-
-
-@dataclass(frozen=True)
 class MemoryModel:
-    """Everything needed to evaluate the memory efficiency chain.
+    """The efficiency chain's own factors; this is the config's memory section.
 
     conversion_efficiency is the optical/spin transfer per control pulse
     (applied twice); write_stage is the lumped probability that an input
     photon becomes a spin-wave excitation (absorption capture x transfer,
-    unsplit because only the product is measured).
+    unsplit because only the product is measured).  spin_decay_tau_s and
+    spin_decay_exponent, given together or not at all, set the fitted
+    stretched-exponential intensity decay exp(-(t/tau)^exponent): a
+    calibration artifact that soaks up the measured efficiency-vs-storage-
+    time decay the ideal chain does not model (labeled as fitted in outputs).
     """
 
-    comb: CombConfig = CombConfig()
     conversion_efficiency: float = 0.5
-    spin_line: DetuningDistribution = DetuningDistribution()
-    sequence_kind: str | None = "xy4"
-    readout_loss: float = 0.0
     write_stage: float = 0.5
-    spin_decay: SpinDecayModel | None = None
+    readout_loss: float = 0.0
+    spin_decay_tau_s: float | None = None
+    spin_decay_exponent: float | None = None
 
     def __post_init__(self):
-        for name in ("conversion_efficiency", "readout_loss", "write_stage"):
+        for name in ("conversion_efficiency", "write_stage", "readout_loss"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise InvalidArgumentError(f"{name} must be in [0, 1], got {v}")
-        if self.sequence_kind is not None and self.sequence_kind not in SEQUENCE_KINDS:
+        if (self.spin_decay_tau_s is None) != (self.spin_decay_exponent is None):
             raise InvalidArgumentError(
-                f"sequence_kind must be None or one of {SEQUENCE_KINDS}, got {self.sequence_kind!r}")
+                "spin_decay_tau_s and spin_decay_exponent must be given together")
+        for name in ("spin_decay_tau_s", "spin_decay_exponent"):
+            v = getattr(self, name)
+            if v is not None and not v > 0:
+                raise InvalidArgumentError(f"{name} must be > 0, got {v}")
+
+    @property
+    def spin_decay_fitted(self) -> bool:
+        return self.spin_decay_tau_s is not None
+
+    def decay_factor(self, t_s: float) -> float:
+        """The fitted decay at storage time t_s; 1 when none is fitted."""
+        if not self.spin_decay_fitted:
+            return 1.0
+        try:
+            return math.exp(-((t_s / self.spin_decay_tau_s) ** self.spin_decay_exponent))
+        except OverflowError:  # (t/tau)^exponent past the float range: nothing survives
+            return 0.0
 
 
-def memory_efficiency(model: MemoryModel, t_s: float, pulse: PulseSpec | None = None,
+def memory_efficiency(model: MemoryModel, comb: CombConfig, spin_line: DetuningDistribution,
+                      sequence_kind: str | None, t_s: float, pulse: PulseSpec | None = None,
                       seed: int = 0) -> float:
     """End-to-end probability of retrieving an input photon after storage.
 
-    eta = eta_afc * eta_c^2 * |spin amplitude(t_s)|^2
+    eta = eta_afc(comb) * eta_c^2 * |spin amplitude(t_s)|^2
           * fitted decay(t_s) * (1 - readout_loss)
 
-    Without a decoupling sequence the spin amplitude is the closed-form
-    inhomogeneous envelope at t_s; with one it is the simulated rephasing
-    fidelity over a stratified ensemble of 4096 spins (deterministic).
+    model holds the chain's own factors; the comb, the spin line and the
+    decoupling sequence kind come from their own config sections.  Without a
+    sequence (kind None) the spin amplitude is the closed-form inhomogeneous
+    envelope of spin_line at t_s; with one it is the simulated rephasing
+    fidelity over a stratified grid of 4096 spins (deterministic).
     """
     if t_s < 0:
         raise InvalidArgumentError(f"t_s must be >= 0, got {t_s}")
-    eta = afc_efficiency(model.comb) * model.conversion_efficiency ** 2
-    if model.sequence_kind is None:
-        amp = dephasing_envelope(model.spin_line, t_s)
+    eta = afc_efficiency(comb) * model.conversion_efficiency ** 2
+    if sequence_kind is None:
+        amp = dephasing_envelope(spin_line, t_s)
     else:
-        seq = build_sequence(model.sequence_kind, t_s, pulse)
-        det, w = grid_ensemble(model.spin_line, 4096)
+        seq = build_sequence(sequence_kind, t_s, pulse)
+        det, w = grid_ensemble(spin_line, 4096)
         amp = rephasing_fidelity(seq, det, w, seed=seed)
-    eta *= amp ** 2
-    if model.spin_decay is not None:
-        eta *= model.spin_decay.factor(t_s)
-    return eta * (1.0 - model.readout_loss)
+    return eta * amp ** 2 * model.decay_factor(t_s) * (1.0 - model.readout_loss)
 
 
 def spinwave_excitation(mu_in: float, model: MemoryModel) -> float:

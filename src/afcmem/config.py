@@ -6,15 +6,16 @@ or a list of one of these.  A boolean is none of them, and a number must be
 finite as a float (NaN, infinities, huge integers fail, in lists too).
 
 Each section checks itself once, when it is built, by building the domain
-object it stands for, so every bound lives in one place: the comb section
-is afc.CombConfig itself, the ensemble and noise sections extend
-DetuningDistribution and NoiseModel, and the pulse, adiabatic, memory and
-detection sections build PulseSpec, AdiabaticPulseSpec, MemoryModel and
-GateConfig.  validate_config adds the top-level pipeline, format and seed,
-and the bounds that span two sections: the random-phase work and the
-multimode histogram bins.  All violations are reported, not only the
-first.  Presets are data files under afcmem/presets; a config may name one
-and override any subset of its fields.
+object it stands for, so every bound lives in one place: the comb and
+memory sections are afc.CombConfig and afc.MemoryModel themselves, the
+ensemble and noise sections extend DetuningDistribution and NoiseModel,
+and the pulse, adiabatic and detection sections build PulseSpec,
+AdiabaticPulseSpec and GateConfig.  validate_config adds the top-level
+pipeline, format and seed, and the bounds that span two sections: the
+random-phase work and the multimode histogram bins.  All violations are
+reported, not only the first.  Presets are data files under
+afcmem/presets; a config may name one and override any subset of its
+fields.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .afc import CombConfig, MemoryModel, SpinDecayModel
+from .afc import CombConfig, MemoryModel
 from .detection import MAX_GATE_BINS, GateConfig, NoiseModel, noise_probability
 from .ensemble import DetuningDistribution
 from .errors import ConfigError, InvalidArgumentError
@@ -151,32 +152,6 @@ class SequenceSection:
 
 
 @dataclass(frozen=True)
-class MemorySection:
-    conversion_efficiency: float = 0.5
-    write_stage: float = 0.5
-    readout_loss: float = 0.0
-    spin_decay_tau_s: float | None = None
-    spin_decay_exponent: float | None = None
-
-    def __post_init__(self):
-        self.model()
-
-    def decay(self) -> SpinDecayModel | None:
-        if self.spin_decay_tau_s is None and self.spin_decay_exponent is None:
-            return None
-        if self.spin_decay_tau_s is None or self.spin_decay_exponent is None:
-            raise InvalidArgumentError(
-                "spin_decay_tau_s and spin_decay_exponent must be given together")
-        return SpinDecayModel(self.spin_decay_tau_s, self.spin_decay_exponent)
-
-    def model(self, **parts) -> MemoryModel:
-        """The efficiency chain with this section's factors; parts names the rest."""
-        return MemoryModel(conversion_efficiency=self.conversion_efficiency,
-                           readout_loss=self.readout_loss, write_stage=self.write_stage,
-                           spin_decay=self.decay(), **parts)
-
-
-@dataclass(frozen=True)
 class NoiseSection(NoiseModel):
     """The noise model plus the residual spin population it converts."""
 
@@ -280,17 +255,13 @@ class ExperimentConfig:
     adiabatic: AdiabaticSection = field(default_factory=AdiabaticSection)
     sequence: SequenceSection = field(default_factory=SequenceSection)
     comb: CombConfig = field(default_factory=CombConfig)
-    memory: MemorySection = field(default_factory=MemorySection)
+    memory: MemoryModel = field(default_factory=MemoryModel)
     noise: NoiseSection = field(default_factory=NoiseSection)
     detection: DetectionSection = field(default_factory=DetectionSection)
     thermalization: ThermalizationSection = field(default_factory=ThermalizationSection)
     modes: ModesSection = field(default_factory=ModesSection)
     sweep: SweepSection = field(default_factory=SweepSection)
     random_phase: RandomPhaseSection = field(default_factory=RandomPhaseSection)
-
-    def memory_model(self) -> MemoryModel:
-        return self.memory.model(comb=self.comb, spin_line=self.ensemble,
-                                 sequence_kind=self.sequence.kind)
 
 
 _SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(ExperimentConfig)

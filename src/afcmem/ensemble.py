@@ -175,14 +175,6 @@ def grid_ensemble(dist: DetuningDistribution, n: int) -> tuple[np.ndarray, np.nd
     return det, w / w.sum()
 
 
-def with_transverse_states(ens: SpinEnsemble, phase: float = 0.0) -> SpinEnsemble:
-    """Return a copy with every spin set fully transverse at the given phase."""
-    states = np.zeros((ens.n, 3))
-    states[:, 0] = math.cos(phase)
-    states[:, 1] = math.sin(phase)
-    return replace(ens, states=states)
-
-
 def precession_turn(detunings_hz: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """(cos, sin) of every spin's precession angle 2*pi*detuning*dt."""
     theta = 2.0 * math.pi * dt * detunings_hz
@@ -225,17 +217,6 @@ def free_evolve(ens: SpinEnsemble, dt: float) -> SpinEnsemble:
     c, s = precession_turn(ens.detunings_hz, dt)
     precess_in_place(states[:, 0], states[:, 1], c, s, np.empty((2, ens.n)))
     return replace(ens, states=states)
-
-
-def collective_coherence(ens: SpinEnsemble) -> complex:
-    """Weighted collective transverse amplitude sum(w * (x - i y)).
-
-    A uniformly phased fully transverse ensemble gives magnitude 1; spins
-    at the poles contribute 0.  The reduction order is fixed (array order),
-    so results do not depend on any parallel execution of per-spin maps.
-    """
-    x, y = ens.states[:, 0], ens.states[:, 1]
-    return complex(np.dot(ens.weights, x), -np.dot(ens.weights, y))
 
 
 def dephasing_envelope(dist: DetuningDistribution, t):

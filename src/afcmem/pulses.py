@@ -248,35 +248,6 @@ def integrate_bloch_many(states: np.ndarray, pulse: AdiabaticPulseSpec, detuning
     return B
 
 
-def integrate_bloch(state: np.ndarray, pulse: AdiabaticPulseSpec, detuning_hz: float = 0.0,
-                    cfg: IntegratorConfig | None = None) -> np.ndarray:
-    """Single-spin wrapper around integrate_bloch_many."""
-    return integrate_bloch_many(np.asarray(state, float)[None, :], pulse,
-                                np.array([detuning_hz]), cfg)[0]
-
-
-def adiabaticity(pulse: AdiabaticPulseSpec) -> float:
-    """Dimensionless adiabaticity pi^2 * rabi^2 / rate (linear envelope only),
-    with rate = chirp_span / duration the sweep rate in Hz/s.
-
-    Equals pi*Omega^2/(2k) with Omega the angular Rabi frequency and k the
-    angular sweep rate; inversion is adiabatic for values well above 1.
-    """
-    if pulse.envelope != "linear":
-        raise InvalidArgumentError("adiabaticity is defined for the linear envelope only")
-    rate = pulse.chirp_span_hz / pulse.duration_s
-    return math.pi ** 2 * pulse.peak_rabi_hz ** 2 / rate
-
-
-def landau_zener_error(pulse: AdiabaticPulseSpec) -> float:
-    """Landau-Zener estimate exp(-adiabaticity) of the inversion error.
-
-    Independent analytic benchmark for the ODE route; valid for the linear
-    chirp in the limit of a sweep much wider than the Rabi frequency.
-    """
-    return math.exp(-adiabaticity(pulse))
-
-
 @dataclass(frozen=True)
 class InversionProfile:
     """Inversion error vs detuning, plus the line-weighted mean error."""

@@ -99,8 +99,8 @@ def _write_report(out_dir: Path, cfg: ExperimentConfig, results: dict) -> Path:
 
 def _chain_results(cfg: ExperimentConfig, t_s: float) -> dict:
     """Analytic efficiency and noise chain at storage time t_s."""
-    model = cfg.memory_model()
-    eta = afc.memory_efficiency(model, t_s, pulse=cfg.pulse.to_domain(), seed=cfg.seed)
+    eta = afc.memory_efficiency(cfg.memory, cfg.comb, cfg.ensemble, cfg.sequence.kind, t_s,
+                                pulse=cfg.pulse.to_domain(), seed=cfg.seed)
     p_n = detection.noise_probability(cfg.noise, cfg.noise.residual_population)
     mu = cfg.detection.mu
     m1 = detection.mu1(p_n, eta)
@@ -109,7 +109,7 @@ def _chain_results(cfg: ExperimentConfig, t_s: float) -> dict:
         "t_s_s": t_s,
         "mu": mu,
         "eta_model": eta,
-        "mu_s": afc.spinwave_excitation(mu, model),
+        "mu_s": afc.spinwave_excitation(mu, cfg.memory),
         "p_n_model": p_n,
         "snr_analytic": detection.snr_analytic(mu, eta, p_n),
         "mu1": m1,
@@ -117,7 +117,7 @@ def _chain_results(cfg: ExperimentConfig, t_s: float) -> dict:
         "quantum_window_upper": window.upper,
         "quantum_window_empty": window.empty,
         "fidelity_bound_p1": detection.qubit_fidelity(m1, 1.0).fidelity,
-        "spin_decay_fitted": cfg.memory.decay() is not None,
+        "spin_decay_fitted": cfg.memory.spin_decay_fitted,
     }
 
 
@@ -227,7 +227,7 @@ def _run_sweep(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) -> _Pipelin
                "rows": [{"t_s_s": c["t_s_s"], "eta_model": c["eta_model"],
                          "snr_model": c["snr_analytic"], "mu1_model": c["mu1"]}
                         for c in chains],
-               "spin_decay_fitted": cfg.memory.decay() is not None,
+               "spin_decay_fitted": cfg.memory.spin_decay_fitted,
                "envelope_no_dd_1e_s": coherence_1e_time(cfg.ensemble)}
     return [_write_csv(out_dir / "table.csv", columns)], results
 

@@ -320,8 +320,9 @@ def rephasing_fidelity(seq: DDSequence, detunings_hz: np.ndarray, weights: np.nd
     efficiency chain.
     """
     transverse = np.broadcast_to([[1.0], [0.0], [0.0]], (3, detunings_hz.size))
-    # reduced over spin-major (n, 3) rows, as collective_coherence of the
-    # final ensemble would: contiguous rows sum in another BLAS order
+    # reduced as columns of a spin-major (n, 3) array, the layout of
+    # SpinEnsemble.states, so the bits match a reduction of an ensemble's
+    # final states; contiguous (3, n) rows sum in another BLAS order
     final = np.ascontiguousarray(_propagate(transverse, detunings_hz, seq, seed).T)
     return abs(complex(np.dot(weights, final[:, 0]), -np.dot(weights, final[:, 1])))
 

@@ -14,16 +14,16 @@ import time
 import numpy as np
 
 from afcmem import (AdiabaticPulseSpec, CapacityError, DetuningDistribution, PulseSpec,
-                    adiabaticity, build_comb, build_sequence, calibrate_systematic_error,
-                    coherence_1e_time, collective_coherence, comb_dephasing_factor,
-                    dephasing_envelope, find_echo_peak, free_evolve, integrate_bloch,
-                    inversion_error_profile, landau_zener_error, memory_timeline, mu1,
-                    qubit_fidelity, quantum_regime_window, sample_detunings,
-                    sequence_population_error, simulate_run, snr_analytic,
-                    thermalization_curve, thermalization_monte_carlo_uniform,
-                    with_transverse_states)
+                    build_comb, build_sequence, calibrate_systematic_error, coherence_1e_time,
+                    comb_dephasing_factor, dephasing_envelope, free_evolve,
+                    inversion_error_profile, memory_timeline, mu1, qubit_fidelity,
+                    quantum_regime_window, sample_detunings, sequence_population_error,
+                    simulate_run, snr_analytic, thermalization_curve,
+                    thermalization_monte_carlo_uniform)
 from afcmem.afc import CombConfig
 from afcmem.pulses import IntegratorConfig
+from oracles import (adiabaticity, collective_coherence, find_echo_peak, integrate_bloch,
+                     landau_zener_error, with_transverse_states)
 
 GAUSS27 = DetuningDistribution("gaussian", 27e3)
 

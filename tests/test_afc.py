@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from afcmem import (CapacityError, CombConfig, DetuningDistribution, InvalidArgumentError,
-                    MemoryModel, PulseSpec, SpinDecayModel, afc_echo_amplitude, afc_efficiency,
-                    build_comb, comb_dephasing_factor, dephasing_envelope, echo_trace,
-                    find_echo_peak, memory_efficiency, memory_timeline, spinwave_excitation)
+                    MemoryModel, PulseSpec, afc_echo_amplitude, afc_efficiency, build_comb,
+                    comb_dephasing_factor, dephasing_envelope, echo_trace, memory_efficiency,
+                    memory_timeline, spinwave_excitation)
 from afcmem.afc import MAX_COMB_BUILD_WORK, MAX_COMB_GRID_POINTS
+from oracles import find_echo_peak
 
 GAUSS27 = DetuningDistribution("gaussian", 27e3)
 
@@ -188,42 +189,47 @@ class TestEchoTraceClosedForm:
             echo_trace(comb, np.array([0.0, 0.51 / step]))
 
 
+def chain(model, t_s, kind="xy4", pulse=None):
+    """memory_efficiency on the default comb and the 27 kHz Gaussian line."""
+    return memory_efficiency(model, DEFAULT_COMB, GAUSS27, kind, t_s, pulse=pulse)
+
+
 class TestMemoryEfficiency:
     def test_zero_conversion_gives_zero(self):
         model = MemoryModel(conversion_efficiency=0.0)
-        assert memory_efficiency(model, 0.5e-3) == 0.0
+        assert chain(model, 0.5e-3) == 0.0
 
     def test_no_sequence_uses_envelope(self):
-        model = MemoryModel(conversion_efficiency=0.5, sequence_kind=None)
+        model = MemoryModel(conversion_efficiency=0.5)
         t_s = 11e-6
         expected = (afc_efficiency(DEFAULT_COMB) * 0.25
                     * dephasing_envelope(GAUSS27, t_s) ** 2)
-        assert memory_efficiency(model, t_s) == pytest.approx(expected, rel=1e-12)
+        assert chain(model, t_s, kind=None) == pytest.approx(expected, rel=1e-12)
 
     def test_scales_with_conversion_squared(self):
-        lo = memory_efficiency(MemoryModel(conversion_efficiency=0.25), 0.5e-3)
-        hi = memory_efficiency(MemoryModel(conversion_efficiency=0.5), 0.5e-3)
+        lo = chain(MemoryModel(conversion_efficiency=0.25), 0.5e-3)
+        hi = chain(MemoryModel(conversion_efficiency=0.5), 0.5e-3)
         assert hi == pytest.approx(4.0 * lo, rel=1e-12)
 
     def test_decay_factor_past_float_range_is_zero(self):
-        decay = SpinDecayModel(1e-3, 1e308)
-        assert decay.factor(2e-3) == 0.0  # (t/tau)^exponent overflows
-        assert decay.factor(0.5e-3) == 1.0
+        model = MemoryModel(spin_decay_tau_s=1e-3, spin_decay_exponent=1e308)
+        assert model.decay_factor(2e-3) == 0.0  # (t/tau)^exponent overflows
+        assert model.decay_factor(0.5e-3) == 1.0
 
     def test_monotone_in_storage_time_with_decay(self):
-        model = MemoryModel(spin_decay=SpinDecayModel(0.9e-3, 1.5))
-        etas = [memory_efficiency(model, t) for t in np.linspace(0.1e-3, 2e-3, 8)]
+        model = MemoryModel(spin_decay_tau_s=0.9e-3, spin_decay_exponent=1.5)
+        etas = [chain(model, t) for t in np.linspace(0.1e-3, 2e-3, 8)]
         assert all(a >= b for a, b in zip(etas, etas[1:]))
 
     def test_readout_loss_scales_linearly(self):
-        base = memory_efficiency(MemoryModel(), 0.5e-3)
-        lossy = memory_efficiency(MemoryModel(readout_loss=0.25), 0.5e-3)
+        base = chain(MemoryModel(), 0.5e-3)
+        lossy = chain(MemoryModel(readout_loss=0.25), 0.5e-3)
         assert lossy == pytest.approx(0.75 * base, rel=1e-12)
 
     def test_pulse_errors_reduce_efficiency(self):
         model = MemoryModel()
-        ideal = memory_efficiency(model, 0.5e-3)
-        erred = memory_efficiency(model, 0.5e-3, pulse=PulseSpec(systematic_error=0.05))
+        ideal = chain(model, 0.5e-3)
+        erred = chain(model, 0.5e-3, pulse=PulseSpec(systematic_error=0.05))
         assert erred < ideal
 
 

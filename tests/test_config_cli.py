@@ -109,8 +109,8 @@ class TestPresetCalibrations:
     def test_fig2a_reproduces_measured_efficiency(self):
         from afcmem import memory_efficiency, mu1, snr_analytic
         cfg, fixtures = load_config("fig2a")
-        eta = memory_efficiency(cfg.memory_model(), cfg.sequence.t_s_s,
-                                pulse=cfg.pulse.to_domain())
+        eta = memory_efficiency(cfg.memory, cfg.comb, cfg.ensemble, cfg.sequence.kind,
+                                cfg.sequence.t_s_s, pulse=cfg.pulse.to_domain())
         assert eta == pytest.approx(0.057, abs=1e-9)
         assert abs(snr_analytic(1.1, eta, 0.005) - fixtures["snr"]["value"]) <= fixtures["snr"]["err"]
         assert abs(mu1(0.005, eta) - fixtures["mu1"]["value"]) <= fixtures["mu1"]["err"]
@@ -118,17 +118,18 @@ class TestPresetCalibrations:
     def test_fig2b_chain(self):
         from afcmem import memory_efficiency, noise_probability, spinwave_excitation
         cfg, _ = load_config("fig2b")
-        model = cfg.memory_model()
-        eta = memory_efficiency(model, 0.5e-3, pulse=cfg.pulse.to_domain())
+        eta = memory_efficiency(cfg.memory, cfg.comb, cfg.ensemble, cfg.sequence.kind, 0.5e-3,
+                                pulse=cfg.pulse.to_domain())
         assert abs(eta - 0.051) <= 0.004
-        assert spinwave_excitation(2.0, model) == pytest.approx(1.0)
+        assert spinwave_excitation(2.0, cfg.memory) == pytest.approx(1.0)
         p_n = noise_probability(cfg.noise, cfg.noise.residual_population)
         assert abs(p_n - 0.010) <= 0.002
 
     def test_fig2c_per_mode_figures(self):
         from afcmem import memory_efficiency, noise_probability, snr_analytic
         cfg, fixtures = load_config("fig2c")
-        eta = memory_efficiency(cfg.memory_model(), 0.5e-3, pulse=cfg.pulse.to_domain())
+        eta = memory_efficiency(cfg.memory, cfg.comb, cfg.ensemble, cfg.sequence.kind, 0.5e-3,
+                                pulse=cfg.pulse.to_domain())
         assert abs(eta - fixtures["eta"]["value"]) <= fixtures["eta"]["err"]
         p_n = noise_probability(cfg.noise, cfg.noise.residual_population)
         snr = snr_analytic(2.0, eta, p_n)
@@ -137,10 +138,10 @@ class TestPresetCalibrations:
     def test_table1_decay_anchors(self):
         from afcmem import memory_efficiency
         cfg, _ = load_config("table1")
-        model = cfg.memory_model()
+        parts = (cfg.memory, cfg.comb, cfg.ensemble, cfg.sequence.kind)
         pulse = cfg.pulse.to_domain()
-        eta_05 = memory_efficiency(model, 0.5e-3, pulse=pulse)
-        eta_15 = memory_efficiency(model, 1.5e-3, pulse=pulse)
+        eta_05 = memory_efficiency(*parts, 0.5e-3, pulse=pulse)
+        eta_15 = memory_efficiency(*parts, 1.5e-3, pulse=pulse)
         assert 0.047 <= eta_05 <= 0.055
         assert 0.009 <= eta_15 <= 0.011
 
@@ -193,10 +194,15 @@ class TestCli:
         ("fig2a", {"comb": {"periodicity_hz": True}}, "comb.periodicity_hz"),
         ("table1", {"sweep": {"t_s_values_s": [1e-3, math.inf]}}, "sweep.t_s_values_s"),
         ("fig2a", {"detection": {"mu": 10 ** 400}}, "detection.mu"),
+        ("fig2a", {"memory": {"spin_decay_tau_s": 1e-3}}, "given together"),
+        ("table1", {"memory": {"spin_decay_tau_s": 0}}, "memory: spin_decay_tau_s must be > 0"),
+        ("table1", {"memory": {"spin_decay_exponent": -1}},
+         "memory: spin_decay_exponent must be > 0"),
     ], ids=["rp_n_max_float", "therm_n_max_float", "n_spins_float", "rp_n_max_bool",
             "kinds_string", "kinds_repeated", "kinds_empty", "n_modes_float",
             "trials_float", "mu_string", "decay_string", "pulse_null", "tilt_object",
-            "comb_bool", "sweep_inf_item", "mu_int_past_float_range"])
+            "comb_bool", "sweep_inf_item", "mu_int_past_float_range", "decay_tau_alone",
+            "decay_tau_zero", "decay_exponent_negative"])
     def test_malformed_count_or_kinds_exit_2(self, tmp_path, capsys, preset, override, needle):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dict(override, preset=preset)))

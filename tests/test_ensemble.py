@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afcmem import (DetuningDistribution, InvalidArgumentError, SpinEnsemble,
-                    coherence_1e_time, collective_coherence, dephasing_envelope, free_evolve,
-                    sample_detunings, with_transverse_states)
-from oracles import grid_spin_ensemble
+                    coherence_1e_time, dephasing_envelope, free_evolve, sample_detunings)
+from oracles import collective_coherence, grid_spin_ensemble, with_transverse_states
 
 GAUSS27 = DetuningDistribution("gaussian", 27e3)
 

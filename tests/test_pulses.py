@@ -6,12 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afcmem import (AdiabaticPulseSpec, DetuningDistribution, IntegrationAccuracyError,
-                    IntegratorConfig, InvalidArgumentError, PulseSpec, adiabaticity,
-                    integrate_bloch, inversion_error_profile, landau_zener_error,
+                    IntegratorConfig, InvalidArgumentError, PulseSpec, inversion_error_profile,
                     rotate_states)
 from afcmem.pulses import jitter_angle, rotation_matrix
 from afcmem.sequences import SEQUENCE_PHASES, calibrate_systematic_error
-from oracles import reference_rotate
+from oracles import adiabaticity, integrate_bloch, landau_zener_error, reference_rotate
 
 UP = np.array([0.0, 0.0, 1.0])
 ON_RESONANCE = np.zeros(1)

@@ -10,10 +10,9 @@ from hypothesis import strategies as st
 
 from afcmem import (DDSequence, DetuningDistribution, InvalidArgumentError, PulseSpec,
                     SequenceStep, SpinEnsemble, apply_sequence, build_sequence,
-                    calibrate_systematic_error, collective_coherence, dephasing_envelope,
-                    free_evolve, grid_ensemble, random_phase_population_study,
-                    rephasing_fidelity, sample_detunings, sequence_population_error,
-                    thermalization_curve, thermalization_monte_carlo, with_transverse_states)
+                    calibrate_systematic_error, dephasing_envelope, free_evolve, grid_ensemble,
+                    random_phase_population_study, rephasing_fidelity, sample_detunings,
+                    sequence_population_error, thermalization_curve, thermalization_monte_carlo)
 from afcmem import sequences
 from afcmem.config import load_config
 from afcmem.ensemble import draw_detunings
@@ -22,8 +21,8 @@ from afcmem.rng import DOMAIN_RANDOM_PHASE, DOMAIN_THERMALIZATION, spawn_generat
 from afcmem.runner import _calibrated_pulse, run_experiment
 from afcmem.sequences import (SEQUENCE_KINDS, _flip_monte_carlo, _propagate, _rotate_in_place,
                               sequence_rotation_matrix)
-from oracles import (grid_spin_ensemble, longdouble_pole_track, longdouble_random_phase,
-                     reference_rotate)
+from oracles import (collective_coherence, grid_spin_ensemble, longdouble_pole_track,
+                     longdouble_random_phase, reference_rotate, with_transverse_states)
 
 GAUSS27 = DetuningDistribution("gaussian", 27e3)
 NARROW = DetuningDistribution("gaussian", 1.0)  # effectively a single line
