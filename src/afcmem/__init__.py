@@ -3,11 +3,11 @@ dynamical-decoupling control: spin-line dephasing, pulse-error budgets,
 comb echo efficiency, photon-counting noise, and the derived figures of
 merit, with reproducible seeded experiment presets."""
 
-from .afc import (CombConfig, CombSpectrum, MemoryModel, MemoryTimeline, afc_echo_amplitude,
-                  afc_efficiency, build_comb, comb_dephasing_factor, echo_trace,
-                  memory_efficiency, memory_timeline, spinwave_excitation)
-from .detection import (FidelityResult, GateConfig, NoiseModel, QuantumWindow, RunStatistics,
-                        ValueWithError, mu1, noise_probability, qubit_fidelity,
+from .afc import (CombConfig, CombSpectrum, MemoryModel, MemoryTimeline, ModesConfig,
+                  afc_echo_amplitude, afc_efficiency, build_comb, comb_dephasing_factor,
+                  echo_trace, memory_efficiency, memory_timeline, spinwave_excitation)
+from .detection import (DetectionConfig, FidelityResult, NoiseModel, QuantumWindow,
+                        RunStatistics, ValueWithError, mu1, noise_probability, qubit_fidelity,
                         quantum_regime_window, simulate_run, snr_analytic)
 from .ensemble import (DetuningDistribution, SpinEnsemble, coherence_1e_time, dephasing_envelope,
                        free_evolve, grid_ensemble, sample_detunings)

@@ -8,7 +8,8 @@ storage window, an optional fitted spin-decay calibration factor, and a
 readout loss.  MemoryModel, which is also the config's memory section,
 holds the chain's own factors (transfer, write stage, readout loss, fitted
 decay); memory_efficiency takes the comb, the spin line and the sequence
-kind as arguments of their own.
+kind as arguments of their own.  ModesConfig, the config's modes section,
+is the multimode schedule that memory_timeline fits into one AFC delay.
 
 The absorption part of the echo efficiency, d_eff^2 * exp(-d_eff) *
 exp(-d0) with d_eff = peak depth / finesse, is the standard forward-recall
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import DetuningDistribution, dephasing_envelope, grid_ensemble
-from .errors import CapacityError, InvalidArgumentError
+from .errors import CapacityError, InvalidArgumentError, check_count
 from .pulses import PulseSpec
 from .sequences import build_sequence, rephasing_fidelity
 
@@ -49,8 +50,11 @@ MAX_COMB_BUILD_WORK = 2 ** 24
 # opaque sample, and depths past it overflow the sampled comb's sums.
 MAX_OPTICAL_DEPTH = 700.0
 
-# Fraction of the AFC delay unavailable to input modes (control-pulse dead time).
-DEFAULT_DEAD_TIME_FRACTION = 0.2
+# Most temporal modes a multimode run may have.  Each mode adds about 9.3 KB
+# to a run's peak memory (fig2c, 40 bins, measured with tracemalloc), and is
+# one counting Monte Carlo: about 0.4 ms at fig2c's 100,000 trials on a
+# 2-vCPU host, so the most modes take about 7 s.
+MAX_MODES = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -372,6 +376,27 @@ def spinwave_excitation(mu_in: float, model: MemoryModel) -> float:
 
 
 @dataclass(frozen=True)
+class ModesConfig:
+    """Temporal modes stored in one cycle; this is the config's modes section.
+
+    n_modes input modes of mode_duration_s each enter one after another;
+    dead_time_fraction of the AFC delay is lost to the control pulses.
+    """
+
+    n_modes: int = 5
+    mode_duration_s: float = 1.5e-6
+    dead_time_fraction: float = 0.2
+
+    def __post_init__(self):
+        check_count("n_modes", self.n_modes, maximum=MAX_MODES)
+        if not self.mode_duration_s > 0:
+            raise InvalidArgumentError(f"mode_duration_s must be > 0, got {self.mode_duration_s}")
+        if not 0.0 <= self.dead_time_fraction < 1.0:
+            raise InvalidArgumentError(
+                f"dead_time_fraction must be in [0, 1), got {self.dead_time_fraction}")
+
+
+@dataclass(frozen=True)
 class MemoryTimeline:
     """Input/output schedule; every mode is stored for exactly 1/delta + t_s."""
 
@@ -381,9 +406,8 @@ class MemoryTimeline:
     mode_slots: tuple[tuple[float, float], ...]
 
 
-def memory_timeline(delta_hz: float, t_s: float, n_modes: int, mode_duration_s: float,
-                    dead_time_fraction: float = DEFAULT_DEAD_TIME_FRACTION) -> MemoryTimeline:
-    """Schedule n_modes sequential input modes through one storage cycle.
+def memory_timeline(modes: ModesConfig, delta_hz: float, t_s: float) -> MemoryTimeline:
+    """Schedule the modes' sequential inputs through one storage cycle.
 
     Mode k enters at k * mode_duration and exits exactly one total storage
     time (1/delta + t_s) later.  The usable input window is the AFC delay
@@ -396,20 +420,14 @@ def memory_timeline(delta_hz: float, t_s: float, n_modes: int, mode_duration_s: 
     """
     if not delta_hz > 0:
         raise InvalidArgumentError(f"delta_hz must be > 0, got {delta_hz}")
-    if n_modes < 1:
-        raise InvalidArgumentError(f"n_modes must be >= 1, got {n_modes}")
-    if not mode_duration_s > 0:
-        raise InvalidArgumentError(f"mode_duration_s must be > 0, got {mode_duration_s}")
-    if not 0.0 <= dead_time_fraction < 1.0:
-        raise InvalidArgumentError(
-            f"dead_time_fraction must be in [0, 1), got {dead_time_fraction}")
     afc_delay = 1.0 / delta_hz
-    usable = afc_delay * (1.0 - dead_time_fraction)
-    needed = n_modes * mode_duration_s
+    usable = afc_delay * (1.0 - modes.dead_time_fraction)
+    needed = modes.n_modes * modes.mode_duration_s
     if needed > usable:
         raise CapacityError(
             f"usable input window exceeded: n_modes * mode_duration = {needed:g} s "
             f"> (1/delta) * (1 - dead_time_fraction) = {usable:g} s")
     total = afc_delay + t_s
-    slots = tuple((k * mode_duration_s, k * mode_duration_s + total) for k in range(n_modes))
+    slots = tuple((k * modes.mode_duration_s, k * modes.mode_duration_s + total)
+                  for k in range(modes.n_modes))
     return MemoryTimeline(afc_delay, t_s, total, slots)

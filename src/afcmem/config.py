@@ -6,16 +6,17 @@ or a list of one of these.  A boolean is none of them, and a number must be
 finite as a float (NaN, infinities, huge integers fail, in lists too).
 
 Each section checks itself once, when it is built, by building the domain
-object it stands for, so every bound lives in one place: the comb and
-memory sections are afc.CombConfig and afc.MemoryModel themselves, the
-ensemble and noise sections extend DetuningDistribution and NoiseModel,
-and the pulse, adiabatic and detection sections build PulseSpec,
-AdiabaticPulseSpec and GateConfig.  validate_config adds the top-level
-pipeline, format and seed, and the bounds that span two sections: the
-random-phase work and the multimode histogram bins.  All violations are
-reported, not only the first.  Presets are data files under
-afcmem/presets; a config may name one and override any subset of its
-fields.
+object it stands for, so every bound lives in one place: the comb, memory
+and modes sections are afc.CombConfig, afc.MemoryModel and afc.ModesConfig
+themselves, the noise and detection sections are detection.NoiseModel and
+detection.DetectionConfig, the ensemble section extends
+DetuningDistribution, and the pulse and adiabatic sections build PulseSpec
+and AdiabaticPulseSpec.  validate_config adds the top-level pipeline,
+format and seed, and the bounds that span two sections: the random-phase
+work, and for a multimode run its histogram bins and whether its modes fit
+the comb's input window.  All violations are reported, not only the first.
+Presets are data files under afcmem/presets; a config may name one and
+override any subset of its fields.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .afc import CombConfig, MemoryModel
-from .detection import MAX_GATE_BINS, GateConfig, NoiseModel, noise_probability
+from .afc import CombConfig, MemoryModel, ModesConfig, memory_timeline
+from .detection import MAX_GATE_BINS, DetectionConfig, NoiseModel
 from .ensemble import DetuningDistribution
-from .errors import ConfigError, InvalidArgumentError
+from .errors import CapacityError, ConfigError, InvalidArgumentError, check_count
 from .pulses import AdiabaticPulseSpec, PulseSpec
 from .sequences import SEQUENCE_KINDS
 
@@ -46,14 +47,12 @@ OUTPUT_DIR_ENV = "AFCMEM_OUT"
 # to a run under 170 MiB, at the cost per unit measured with tracemalloc:
 # 168 bytes per spin at 2^20 spins and at 2^16 (random_phase, a 168.0 MiB
 # peak while one kind's (3, 3, n) maps are composed; 10 on thermalization),
-# 290 per thermalization sequence (fig1d), 428 per random-phase repetition
-# (four kinds, mostly CSV rows) and 9.3 KB per mode (fig2c, 40 bins).
-# Each mode is also one counting Monte Carlo: about 0.4 ms at fig2c's
-# 100,000 trials on a 2-vCPU host, so the most modes take about 7 s.
+# 290 per thermalization sequence (fig1d) and 428 per random-phase
+# repetition (four kinds, mostly CSV rows).  The sections that are domain
+# classes bound their own counts: afc.MAX_MODES and detection.MAX_GATE_BINS.
 MAX_SPINS = 2 ** 20
 MAX_THERMALIZATION_SEQUENCES = 2 ** 19
 MAX_RANDOM_PHASE_REPETITIONS = 2 ** 18
-MAX_MODES = 2 ** 14
 
 # Most spins x repetitions a random_phase run may ask for: the counts above
 # cap its memory, this its time.  Each kind's (3, 3, n) maps are composed
@@ -86,14 +85,6 @@ class Diagnostic:
         return f"{self.path}: {self.message}"
 
 
-def _check_count(name: str, value, minimum: int = 1, maximum: int | None = None) -> None:
-    """Reject a count that is not an integer in [minimum, maximum] (booleans included)."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise InvalidArgumentError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    if maximum is not None and value > maximum:
-        raise InvalidArgumentError(f"{name} must be <= {maximum}, got {value}")
-
-
 @dataclass(frozen=True)
 class EnsembleSection(DetuningDistribution):
     """The spin line plus the Monte Carlo ensemble size."""
@@ -102,7 +93,7 @@ class EnsembleSection(DetuningDistribution):
 
     def __post_init__(self):
         super().__post_init__()
-        _check_count("n_spins", self.n_spins, maximum=MAX_SPINS)
+        check_count("n_spins", self.n_spins, maximum=MAX_SPINS)
 
     def to_domain(self) -> DetuningDistribution:
         return DetuningDistribution(self.shape, self.fwhm_hz)
@@ -152,60 +143,17 @@ class SequenceSection:
 
 
 @dataclass(frozen=True)
-class NoiseSection(NoiseModel):
-    """The noise model plus the residual spin population it converts."""
-
-    residual_population: float = 0.002
-
-    def __post_init__(self):
-        super().__post_init__()
-        noise_probability(self, self.residual_population)
-
-
-@dataclass(frozen=True)
-class DetectionSection:
-    mu: float = 2.0
-    trials: int = 100000
-    gate_duration_s: float = 2e-6
-    gate_bins: int = 40
-
-    def __post_init__(self):
-        if not self.mu >= 0:
-            raise InvalidArgumentError(f"mu must be >= 0, got {self.mu}")
-        _check_count("trials", self.trials)
-        self.gate()
-
-    def gate(self) -> GateConfig:
-        return GateConfig(self.gate_duration_s, self.gate_bins)
-
-
-@dataclass(frozen=True)
 class ThermalizationSection:
     n_max: int = 120
     eps_xx: float = 0.036
     eps_xy4: float = 0.002
 
     def __post_init__(self):
-        _check_count("n_max", self.n_max, maximum=MAX_THERMALIZATION_SEQUENCES)
+        check_count("n_max", self.n_max, maximum=MAX_THERMALIZATION_SEQUENCES)
         for name in ("eps_xx", "eps_xy4"):
             v = getattr(self, name)
             if not 0.0 <= v <= 0.5:
                 raise InvalidArgumentError(f"{name} must be in [0, 0.5], got {v}")
-
-
-@dataclass(frozen=True)
-class ModesSection:
-    n_modes: int = 5
-    mode_duration_s: float = 1.5e-6
-    dead_time_fraction: float = 0.2
-
-    def __post_init__(self):
-        _check_count("n_modes", self.n_modes, maximum=MAX_MODES)
-        if not self.mode_duration_s > 0:
-            raise InvalidArgumentError(f"mode_duration_s must be > 0, got {self.mode_duration_s}")
-        if not 0.0 <= self.dead_time_fraction < 1.0:
-            raise InvalidArgumentError(
-                f"dead_time_fraction must be in [0, 1), got {self.dead_time_fraction}")
 
 
 @dataclass(frozen=True)
@@ -216,7 +164,7 @@ class RandomPhaseSection:
 
     def __post_init__(self):
         object.__setattr__(self, "kinds", tuple(self.kinds))
-        _check_count("n_max", self.n_max, maximum=MAX_RANDOM_PHASE_REPETITIONS)
+        check_count("n_max", self.n_max, maximum=MAX_RANDOM_PHASE_REPETITIONS)
         if not 0.0 < self.tilt < 1.0:
             raise InvalidArgumentError(f"tilt must be in (0, 1), got {self.tilt}")
         if not self.kinds:
@@ -256,10 +204,10 @@ class ExperimentConfig:
     sequence: SequenceSection = field(default_factory=SequenceSection)
     comb: CombConfig = field(default_factory=CombConfig)
     memory: MemoryModel = field(default_factory=MemoryModel)
-    noise: NoiseSection = field(default_factory=NoiseSection)
-    detection: DetectionSection = field(default_factory=DetectionSection)
+    noise: NoiseModel = field(default_factory=NoiseModel)
+    detection: DetectionConfig = field(default_factory=DetectionConfig)
     thermalization: ThermalizationSection = field(default_factory=ThermalizationSection)
-    modes: ModesSection = field(default_factory=ModesSection)
+    modes: ModesConfig = field(default_factory=ModesConfig)
     sweep: SweepSection = field(default_factory=SweepSection)
     random_phase: RandomPhaseSection = field(default_factory=RandomPhaseSection)
 
@@ -333,16 +281,16 @@ def parse_config(data: dict) -> tuple[ExperimentConfig, list[Diagnostic]]:
 
 
 def validate_config(cfg: ExperimentConfig) -> list[Diagnostic]:
-    """Violations of the top-level fields, of the random-phase work and of the
-    multimode histogram bins, which each span two sections (each section
-    checks itself)."""
+    """Violations of the top-level fields, of the random-phase work, and of a
+    multimode run's histogram bins and input window, which each span two
+    sections or more (each section checks itself)."""
     diags: list[Diagnostic] = []
     if cfg.pipeline not in PIPELINES:
         diags.append(Diagnostic("pipeline", f"must be one of {PIPELINES}, got {cfg.pipeline!r}"))
     if cfg.format not in FORMATS:
         diags.append(Diagnostic("format", f"must be one of {FORMATS}, got {cfg.format!r}"))
     try:
-        _check_count("seed", cfg.seed, minimum=0)
+        check_count("seed", cfg.seed, minimum=0)
     except InvalidArgumentError as exc:
         diags.append(Diagnostic("seed", str(exc)))
     n_spins, n_max = cfg.ensemble.n_spins, cfg.random_phase.n_max
@@ -350,12 +298,17 @@ def validate_config(cfg: ExperimentConfig) -> list[Diagnostic]:
         diags.append(Diagnostic("random_phase", (
             f"{n_spins} spins x {n_max} repetitions is more than the "
             f"{MAX_RANDOM_PHASE_WORK} allowed; lower ensemble.n_spins or n_max")))
-    # each mode keeps its own histograms, so the bins' memory bound is on the product
-    n_modes, n_bins = cfg.modes.n_modes, cfg.detection.gate_bins
-    if cfg.pipeline == "multimode" and n_modes * n_bins > MAX_GATE_BINS:
-        diags.append(Diagnostic("modes", (
-            f"{n_modes} modes x {n_bins} gate bins is more than the {MAX_GATE_BINS} "
-            f"allowed; lower modes.n_modes or detection.gate_bins")))
+    if cfg.pipeline == "multimode":
+        # each mode keeps its own histograms, so the bins' memory bound is on the product
+        n_modes, n_bins = cfg.modes.n_modes, cfg.detection.gate_bins
+        if n_modes * n_bins > MAX_GATE_BINS:
+            diags.append(Diagnostic("modes", (
+                f"{n_modes} modes x {n_bins} gate bins is more than the {MAX_GATE_BINS} "
+                f"allowed; lower modes.n_modes or detection.gate_bins")))
+        try:
+            memory_timeline(cfg.modes, cfg.comb.periodicity_hz, cfg.sequence.t_s_s)
+        except CapacityError as exc:
+            diags.append(Diagnostic("modes", str(exc)))
     return diags
 
 

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, DomainError, InvalidArgumentError
+from .errors import CapacityError, DomainError, InvalidArgumentError, check_count
 from .rng import DOMAIN_DETECTION, spawn_generator
 
 # Most photons a run may expect, over all its modes: each one is drawn and
@@ -42,39 +42,44 @@ class ValueWithError(NamedTuple):
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Additive contributions to the unconditional noise probability.
+    """Additive contributions to the unconditional noise probability; this is
+    the config's noise section.
 
     optical_readout_noise: control-pulse-induced emission with no RF applied.
     residual_coupling: converts residual spin population into output-mode
     noise photons (calibrated so 0.2% population contributes 2e-3).
     excess: unattributed measured noise above the theoretical floor; the
     with-RF data exceed the floor and the gap is represented, not explained.
+    residual_population: the spin population left after the decoupling
+    sequence, in [0, 0.5].  The contributions together may not exceed 1.
     """
 
     optical_readout_noise: float = 5e-3
     residual_coupling: float = 1.0
     detector_dark: float = 0.0
     excess: float = 0.0
+    residual_population: float = 0.002
 
     def __post_init__(self):
         for name in ("optical_readout_noise", "residual_coupling", "detector_dark", "excess"):
             if getattr(self, name) < 0:
                 raise InvalidArgumentError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0.0 <= self.residual_population <= 0.5:
+            raise InvalidArgumentError(
+                f"residual_population must be in [0, 0.5], got {self.residual_population}")
+        p_n = noise_probability(self)
+        if p_n > 1.0:
+            raise InvalidArgumentError(f"noise contributions exceed 1 ({p_n:g})")
 
 
-def noise_probability(model: NoiseModel, rho_err: float = 0.0) -> float:
-    """Unconditional noise probability p_n for a residual spin population.
+def noise_probability(model: NoiseModel) -> float:
+    """Unconditional noise probability p_n of the model.
 
-    p_n = optical_readout_noise + residual_coupling * rho_err
+    p_n = optical_readout_noise + residual_coupling * residual_population
           + detector_dark + excess
     """
-    if not 0.0 <= rho_err <= 0.5:
-        raise InvalidArgumentError(f"rho_err must be in [0, 0.5], got {rho_err}")
-    p_n = (model.optical_readout_noise + model.residual_coupling * rho_err
-           + model.detector_dark + model.excess)
-    if p_n > 1.0:
-        raise InvalidArgumentError(f"noise contributions exceed 1 ({p_n:g})")
-    return p_n
+    return (model.optical_readout_noise + model.residual_coupling * model.residual_population
+            + model.detector_dark + model.excess)
 
 
 def snr_analytic(mu: float, eta: float, p_n: float) -> float:
@@ -142,22 +147,32 @@ def quantum_regime_window(mu1_value: float) -> QuantumWindow:
 
 
 @dataclass(frozen=True)
-class GateConfig:
-    """Detection gate: counts are histogrammed into n_bins over duration_s."""
+class DetectionConfig:
+    """Photon counting of one run; this is the config's detection section.
 
-    duration_s: float = 2e-6
-    n_bins: int = 40
+    Each of trials draws the output window with mu input photons on
+    average, and once more with the input blocked; the counts are
+    histogrammed into gate_bins over gate_duration_s.
+    """
+
+    mu: float = 2.0
+    trials: int = 100000
+    gate_duration_s: float = 2e-6
+    gate_bins: int = 40
 
     def __post_init__(self):
-        if not self.duration_s > 0:
-            raise InvalidArgumentError(f"duration_s must be > 0, got {self.duration_s}")
-        if not 1 <= self.n_bins <= MAX_GATE_BINS:
+        if not self.mu >= 0:
+            raise InvalidArgumentError(f"mu must be >= 0, got {self.mu}")
+        check_count("trials", self.trials)
+        if not self.gate_duration_s > 0:
+            raise InvalidArgumentError(f"gate_duration_s must be > 0, got {self.gate_duration_s}")
+        if not 1 <= self.gate_bins <= MAX_GATE_BINS:
             raise InvalidArgumentError(
-                f"n_bins must be in [1, {MAX_GATE_BINS}], got {self.n_bins}")
+                f"gate_bins must be in [1, {MAX_GATE_BINS}], got {self.gate_bins}")
 
     @property
     def bin_edges_s(self) -> np.ndarray:
-        return np.linspace(0.0, self.duration_s, self.n_bins + 1)
+        return np.linspace(0.0, self.gate_duration_s, self.gate_bins + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,7 +206,7 @@ class RunStatistics:
 
 
 def check_run_photons(mu: float, eta: float, p_n: float, trials: int, lower: str) -> None:
-    """Raise CapacityError if trials of simulate_run(mu, eta, p_n, ...), input
+    """Raise CapacityError if trials of simulate_run with mean input mu, input
     on and off together, expect more than MAX_RUN_PHOTONS photons; the
     message says to lower the inputs that lower names."""
     expected = trials * (mu * eta + 2.0 * p_n)
@@ -200,13 +215,13 @@ def check_run_photons(mu: float, eta: float, p_n: float, trials: int, lower: str
                             f"{MAX_RUN_PHOTONS} it may draw; lower {lower}")
 
 
-def simulate_run(mu: float, eta: float, p_n: float, trials: int,
-                 gate: GateConfig | None = None, seed: int = 0,
+def simulate_run(detection: DetectionConfig, eta: float, p_n: float, seed: int = 0,
                  stream: int = 0) -> RunStatistics:
     """Monte Carlo photon counting with and without the input pulse.
 
     Per trial the output-window count is Poisson with mean mu*eta + p_n
-    (input on) or p_n (input blocked).  Signal photons are binned on a
+    (input on) or p_n (input blocked), mu and the trials and gate taken
+    from detection.  Signal photons are binned on a
     pulse-shaped profile at the gate center, noise photons uniformly; the
     per-bin placement is cosmetic and does not affect the estimators,
     which use whole-gate totals.  Identical seeds give identical
@@ -215,27 +230,24 @@ def simulate_run(mu: float, eta: float, p_n: float, trials: int,
     MAX_RUN_PHOTONS photons, input on and off together, raises
     CapacityError.
     """
-    if trials < 1:
-        raise InvalidArgumentError(f"trials must be >= 1, got {trials}")
-    if mu < 0 or eta < 0 or p_n < 0:
-        raise InvalidArgumentError("mu, eta and p_n must be >= 0")
+    if eta < 0 or p_n < 0:
+        raise InvalidArgumentError("eta and p_n must be >= 0")
+    mu, trials = detection.mu, detection.trials
     check_run_photons(mu, eta, p_n, trials, "trials or mu")
-    if gate is None:
-        gate = GateConfig()
     rng = spawn_generator(seed, DOMAIN_DETECTION, stream)
     n_sig = int(rng.poisson(trials * mu * eta))
     n_noise_with = int(rng.poisson(trials * p_n))
     n_noise_without = int(rng.poisson(trials * p_n))
 
-    edges = gate.bin_edges_s
-    center = 0.5 * gate.duration_s
-    width = gate.duration_s / 10.0
+    edges = detection.bin_edges_s
+    center = 0.5 * detection.gate_duration_s
+    width = detection.gate_duration_s / 10.0
     sig_times = np.clip(rng.normal(center, width, n_sig), edges[0], edges[-1])
     counts_with = np.histogram(sig_times, bins=edges)[0]
     counts_with = counts_with + np.bincount(
-        rng.integers(0, gate.n_bins, n_noise_with), minlength=gate.n_bins)
+        rng.integers(0, detection.gate_bins, n_noise_with), minlength=detection.gate_bins)
     counts_without = np.bincount(
-        rng.integers(0, gate.n_bins, n_noise_without), minlength=gate.n_bins)
+        rng.integers(0, detection.gate_bins, n_noise_without), minlength=detection.gate_bins)
 
     W = (n_sig + n_noise_with) / trials
     B = n_noise_without / trials

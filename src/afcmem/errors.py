@@ -1,4 +1,5 @@
-"""Exception hierarchy shared by all simulator modules."""
+"""Exception hierarchy shared by all simulator modules, and the one count check
+that the config sections, afc and detection share."""
 
 
 class AfcmemError(Exception):
@@ -27,3 +28,11 @@ class ConfigError(AfcmemError, ValueError):
     def __init__(self, diagnostics):
         self.diagnostics = list(diagnostics)
         super().__init__("; ".join(str(d) for d in self.diagnostics))
+
+
+def check_count(name: str, value, minimum: int = 1, maximum: int | None = None) -> None:
+    """Reject a count that is not an integer in [minimum, maximum] (booleans included)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
+        raise InvalidArgumentError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if maximum is not None and value > maximum:
+        raise InvalidArgumentError(f"{name} must be <= {maximum}, got {value}")

@@ -101,7 +101,7 @@ def _chain_results(cfg: ExperimentConfig, t_s: float) -> dict:
     """Analytic efficiency and noise chain at storage time t_s."""
     eta = afc.memory_efficiency(cfg.memory, cfg.comb, cfg.ensemble, cfg.sequence.kind, t_s,
                                 pulse=cfg.pulse.to_domain(), seed=cfg.seed)
-    p_n = detection.noise_probability(cfg.noise, cfg.noise.residual_population)
+    p_n = detection.noise_probability(cfg.noise)
     mu = cfg.detection.mu
     m1 = detection.mu1(p_n, eta)
     window = detection.quantum_regime_window(m1)
@@ -122,9 +122,8 @@ def _chain_results(cfg: ExperimentConfig, t_s: float) -> dict:
 
 
 def _simulate_mode(cfg: ExperimentConfig, results: dict, stream: int = 0):
-    return detection.simulate_run(results["mu"], results["eta_model"],
-                                  results["p_n_model"], cfg.detection.trials,
-                                  cfg.detection.gate(), seed=cfg.seed, stream=stream)
+    return detection.simulate_run(cfg.detection, results["eta_model"], results["p_n_model"],
+                                  seed=cfg.seed, stream=stream)
 
 
 def _write_histogram(path: Path, runs: list[detection.RunStatistics]) -> Path:
@@ -161,9 +160,7 @@ def _run_single_mode(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) -> _P
 
 
 def _run_multimode(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) -> _PipelineOutput:
-    timeline = afc.memory_timeline(cfg.comb.periodicity_hz, cfg.sequence.t_s_s,
-                                   cfg.modes.n_modes, cfg.modes.mode_duration_s,
-                                   cfg.modes.dead_time_fraction)
+    timeline = afc.memory_timeline(cfg.modes, cfg.comb.periodicity_hz, cfg.sequence.t_s_s)
     results = _chain_results(cfg, cfg.sequence.t_s_s)
     detection.check_run_photons(results["mu"], results["eta_model"], results["p_n_model"],
                                 cfg.modes.n_modes * cfg.detection.trials,

@@ -13,12 +13,12 @@ import time
 
 import numpy as np
 
-from afcmem import (AdiabaticPulseSpec, CapacityError, DetuningDistribution, PulseSpec,
-                    build_comb, build_sequence, calibrate_systematic_error, coherence_1e_time,
-                    comb_dephasing_factor, dephasing_envelope, free_evolve,
-                    inversion_error_profile, memory_timeline, mu1, qubit_fidelity,
-                    quantum_regime_window, sample_detunings, sequence_population_error,
-                    simulate_run, snr_analytic, thermalization_curve,
+from afcmem import (AdiabaticPulseSpec, CapacityError, DetectionConfig, DetuningDistribution,
+                    ModesConfig, PulseSpec, build_comb, build_sequence,
+                    calibrate_systematic_error, coherence_1e_time, comb_dephasing_factor,
+                    dephasing_envelope, free_evolve, inversion_error_profile, memory_timeline,
+                    mu1, qubit_fidelity, quantum_regime_window, sample_detunings,
+                    sequence_population_error, simulate_run, snr_analytic, thermalization_curve,
                     thermalization_monte_carlo_uniform)
 from afcmem.afc import CombConfig
 from afcmem.pulses import IntegratorConfig
@@ -184,13 +184,13 @@ def test_criterion_8_monte_carlo_detection():
     ok = True
     worst = 0.0
     for eta, _, _, p_n, _, _ in TABLE1:
-        stats = simulate_run(2.0, eta, p_n, trials=100_000, seed=8)
+        stats = simulate_run(DetectionConfig(2.0, trials=100_000), eta, p_n, seed=8)
         target = snr_analytic(2.0, eta, p_n)
         pull = abs(stats.snr.value - target) / stats.snr.stderr
         ok &= pull <= 3.0
         worst = max(worst, pull)
-    a = simulate_run(2.0, 0.051, 0.010, trials=100_000, seed=9)
-    b = simulate_run(2.0, 0.051, 0.010, trials=100_000, seed=9)
+    a = simulate_run(DetectionConfig(2.0, trials=100_000), 0.051, 0.010, seed=9)
+    b = simulate_run(DetectionConfig(2.0, trials=100_000), 0.051, 0.010, seed=9)
     ok &= (a.counts_with.tobytes() == b.counts_with.tobytes()
            and a.counts_without.tobytes() == b.counts_without.tobytes())
     elapsed = time.perf_counter() - start
@@ -202,20 +202,24 @@ def test_criterion_8_monte_carlo_detection():
 
 def test_criterion_9_noise_floor():
     from afcmem import NoiseModel, noise_probability
-    model = NoiseModel(optical_readout_noise=5e-3, residual_coupling=1.0)
-    added = noise_probability(model, rho_err=0.002) - noise_probability(model, rho_err=0.0)
+
+    def p_n(residual_population):
+        return noise_probability(NoiseModel(optical_readout_noise=5e-3, residual_coupling=1.0,
+                                            residual_population=residual_population))
+
+    added = p_n(0.002) - p_n(0.0)
     ok = 1e-3 <= added <= 3e-3
-    _report("9 noise floor", ok, f"added noise at rho_err=0.2% is {added:.1e}")
+    _report("9 noise floor", ok, f"added noise at residual population 0.2% is {added:.1e}")
 
 
 def test_criterion_10_timeline_exactness():
     delta, t_s, mode_len = 100e3, 0.5e-3, 1.5e-6
-    tl = memory_timeline(delta, t_s, 5, mode_len)
+    tl = memory_timeline(ModesConfig(5, mode_len), delta, t_s)
     ok = tl.total_s == (1.0 / delta) + t_s
     ok &= all(t_out == t_in + tl.total_s for t_in, t_out in tl.mode_slots)
     ok &= len(tl.mode_slots) == 5
     try:
-        memory_timeline(delta, t_s, 6, mode_len)
+        memory_timeline(ModesConfig(6, mode_len), delta, t_s)
         sixth_raises = False
     except CapacityError:
         sixth_raises = True

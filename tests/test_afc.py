@@ -6,7 +6,7 @@ import pytest
 from afcmem import (CapacityError, CombConfig, DetuningDistribution, InvalidArgumentError,
                     MemoryModel, PulseSpec, afc_echo_amplitude, afc_efficiency, build_comb,
                     comb_dephasing_factor, dephasing_envelope, echo_trace, memory_efficiency,
-                    memory_timeline, spinwave_excitation)
+                    ModesConfig, memory_timeline, spinwave_excitation)
 from afcmem.afc import MAX_COMB_BUILD_WORK, MAX_COMB_GRID_POINTS
 from oracles import find_echo_peak
 
@@ -252,30 +252,30 @@ class TestSpinwaveExcitation:
 
 class TestTimeline:
     def test_single_mode_total(self):
-        tl = memory_timeline(100e3, 0.5e-3, 1, 1.5e-6)
+        tl = memory_timeline(ModesConfig(1, 1.5e-6), 100e3, 0.5e-3)
         assert tl.afc_delay_s == 1e-5
         assert tl.total_s == tl.afc_delay_s + tl.t_s_s
         assert tl.total_s == pytest.approx(510e-6)
 
     def test_five_modes_fit_default_window(self):
-        tl = memory_timeline(100e3, 0.5e-3, 5, 1.5e-6)
+        tl = memory_timeline(ModesConfig(5, 1.5e-6), 100e3, 0.5e-3)
         assert len(tl.mode_slots) == 5
         for t_in, t_out in tl.mode_slots:
             assert t_out == t_in + tl.total_s  # exact float identity
 
     def test_sixth_mode_overflows(self):
         with pytest.raises(CapacityError) as exc:
-            memory_timeline(100e3, 0.5e-3, 6, 1.5e-6)
+            memory_timeline(ModesConfig(6, 1.5e-6), 100e3, 0.5e-3)
         assert "usable input window" in str(exc.value)
 
     def test_oversized_single_mode(self):
         with pytest.raises(CapacityError):
-            memory_timeline(100e3, 0.5e-3, 1, 9e-6)
+            memory_timeline(ModesConfig(1, 9e-6), 100e3, 0.5e-3)
 
     def test_invalid_arguments(self):
         with pytest.raises(InvalidArgumentError):
-            memory_timeline(0.0, 1e-3, 1, 1e-6)
+            memory_timeline(ModesConfig(1, 1e-6), 0.0, 1e-3)
         with pytest.raises(InvalidArgumentError):
-            memory_timeline(100e3, 1e-3, 0, 1e-6)
+            memory_timeline(ModesConfig(0, 1e-6), 100e3, 1e-3)
         with pytest.raises(InvalidArgumentError):
-            memory_timeline(100e3, 1e-3, 1, 1e-6, dead_time_fraction=1.0)
+            memory_timeline(ModesConfig(1, 1e-6, dead_time_fraction=1.0), 100e3, 1e-3)

@@ -35,7 +35,70 @@ def _config_fields():
 CONFIG_FIELDS = list(_config_fields())
 
 
+# Every settable key: (section, key, annotation, default), section None at the
+# top level.  A change that adds, drops or retypes a setting shows up here.
+SCHEMA = [
+    (None, "pipeline", "str", "single_mode"),
+    (None, "seed", "int", 12345),
+    (None, "output_dir", "str", "results"),
+    (None, "format", "str", "csv"),
+    ("ensemble", "shape", "str", "gaussian"),
+    ("ensemble", "fwhm_hz", "float", 27000.0),
+    ("ensemble", "n_spins", "int", 10000),
+    ("pulse", "systematic_error", "float", 0.01),
+    ("pulse", "jitter_sd", "float", 0.0),
+    ("pulse", "rabi_hz", "float | None", None),
+    ("adiabatic", "peak_rabi_hz", "float", 30000.0),
+    ("adiabatic", "chirp_span_hz", "float", 200000.0),
+    ("adiabatic", "duration_s", "float", 0.0005),
+    ("adiabatic", "envelope", "str", "sech"),
+    ("sequence", "kind", "str | None", "xy4"),
+    ("sequence", "t_s_s", "float", 0.0005),
+    ("comb", "periodicity_hz", "float", 100000.0),
+    ("comb", "finesse", "float", 4.0),
+    ("comb", "width_hz", "float", 2000000.0),
+    ("comb", "optical_depth", "float", 2.6),
+    ("comb", "passes", "int", 2),
+    ("comb", "background_depth", "float", 0.0),
+    ("memory", "conversion_efficiency", "float", 0.5),
+    ("memory", "write_stage", "float", 0.5),
+    ("memory", "readout_loss", "float", 0.0),
+    ("memory", "spin_decay_tau_s", "float | None", None),
+    ("memory", "spin_decay_exponent", "float | None", None),
+    ("noise", "optical_readout_noise", "float", 0.005),
+    ("noise", "residual_coupling", "float", 1.0),
+    ("noise", "detector_dark", "float", 0.0),
+    ("noise", "excess", "float", 0.0),
+    ("noise", "residual_population", "float", 0.002),
+    ("detection", "mu", "float", 2.0),
+    ("detection", "trials", "int", 100000),
+    ("detection", "gate_duration_s", "float", 2e-06),
+    ("detection", "gate_bins", "int", 40),
+    ("thermalization", "n_max", "int", 120),
+    ("thermalization", "eps_xx", "float", 0.036),
+    ("thermalization", "eps_xy4", "float", 0.002),
+    ("modes", "n_modes", "int", 5),
+    ("modes", "mode_duration_s", "float", 1.5e-06),
+    ("modes", "dead_time_fraction", "float", 0.2),
+    ("sweep", "t_s_values_s", "tuple[float, ...]",
+     (0.00025, 0.0005, 0.00075, 0.001, 0.00125, 0.0015)),
+    ("random_phase", "n_max", "int", 50),
+    ("random_phase", "tilt", "float", 0.1),
+    ("random_phase", "kinds", "tuple[str, ...]", ("xx", "xy4", "xy8", "kdd")),
+]
+
+
 class TestParsing:
+    def test_schema_is_pinned(self):
+        rows = []
+        for f in dataclasses.fields(ExperimentConfig):
+            if f.default_factory is dataclasses.MISSING:
+                rows.append((None, f.name, f.type, f.default))
+            else:
+                rows += [(f.name, g.name, g.type, g.default)
+                         for g in dataclasses.fields(f.default_factory)]
+        assert rows == SCHEMA
+
     def test_defaults_are_valid(self):
         cfg, diags = parse_config({})
         assert diags == []
@@ -122,7 +185,7 @@ class TestPresetCalibrations:
                                 pulse=cfg.pulse.to_domain())
         assert abs(eta - 0.051) <= 0.004
         assert spinwave_excitation(2.0, cfg.memory) == pytest.approx(1.0)
-        p_n = noise_probability(cfg.noise, cfg.noise.residual_population)
+        p_n = noise_probability(cfg.noise)
         assert abs(p_n - 0.010) <= 0.002
 
     def test_fig2c_per_mode_figures(self):
@@ -131,7 +194,7 @@ class TestPresetCalibrations:
         eta = memory_efficiency(cfg.memory, cfg.comb, cfg.ensemble, cfg.sequence.kind, 0.5e-3,
                                 pulse=cfg.pulse.to_domain())
         assert abs(eta - fixtures["eta"]["value"]) <= fixtures["eta"]["err"]
-        p_n = noise_probability(cfg.noise, cfg.noise.residual_population)
+        p_n = noise_probability(cfg.noise)
         snr = snr_analytic(2.0, eta, p_n)
         assert abs(snr - fixtures["snr"]["value"]) <= fixtures["snr"]["err"]
 
@@ -198,11 +261,16 @@ class TestCli:
         ("table1", {"memory": {"spin_decay_tau_s": 0}}, "memory: spin_decay_tau_s must be > 0"),
         ("table1", {"memory": {"spin_decay_exponent": -1}},
          "memory: spin_decay_exponent must be > 0"),
+        ("fig2a", {"detection": {"gate_duration_s": 0}},
+         "detection: gate_duration_s must be > 0"),
+        ("fig2b", {"noise": {"residual_population": 0.6}},
+         "noise: residual_population must be in [0, 0.5]"),
     ], ids=["rp_n_max_float", "therm_n_max_float", "n_spins_float", "rp_n_max_bool",
             "kinds_string", "kinds_repeated", "kinds_empty", "n_modes_float",
             "trials_float", "mu_string", "decay_string", "pulse_null", "tilt_object",
             "comb_bool", "sweep_inf_item", "mu_int_past_float_range", "decay_tau_alone",
-            "decay_tau_zero", "decay_exponent_negative"])
+            "decay_tau_zero", "decay_exponent_negative", "gate_duration_zero",
+            "residual_population_above_half"])
     def test_malformed_count_or_kinds_exit_2(self, tmp_path, capsys, preset, override, needle):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(dict(override, preset=preset)))
@@ -274,12 +342,6 @@ class TestCli:
         assert main(["validate", "fig2a"]) == 0
         assert main(["validate", "cfg.json"]) == 2
         assert "cfg.json" in capsys.readouterr().err
-
-    def test_capacity_error_exit_3(self, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"preset": "fig2c", "modes": {"n_modes": 6}}))
-        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
-        assert "usable input window" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_noise_budget_above_one_exit_2(self, tmp_path, capsys, command):
@@ -359,8 +421,21 @@ class TestCli:
         assert main(["validate", str(path)]) == 0
 
     @pytest.mark.parametrize("command", ["validate", "run"])
-    def test_multimode_histogram_bins_exit_2_without_counting(self, tmp_path, monkeypatch,
-                                                              capsys, command):
+    @pytest.mark.parametrize("override,needle", [
+        # each count within its own bound; each mode keeps its own histograms,
+        # so 2^14 modes x 2^18 bins would hold 2^32 bins per histogram
+        ({"modes": {"n_modes": 2 ** 14, "mode_duration_s": 1e-12},
+          "detection": {"gate_bins": 2 ** 18}},
+         "error: modes: 16384 modes x 262144 gate bins is more than the 262144"),
+        # six 1.5 us modes in the 8 us window of a 100 kHz comb
+        ({"modes": {"n_modes": 6}},
+         "error: modes: usable input window exceeded: n_modes * mode_duration = 9e-06 s"),
+        # five 1.5 us modes in the 4 us window of a 200 kHz comb
+        ({"comb": {"periodicity_hz": 200000.0}},
+         "error: modes: usable input window exceeded: n_modes * mode_duration = 7.5e-06 s"),
+    ], ids=["bins", "n_modes", "periodicity"])
+    def test_overfull_multimode_exit_2_without_counting(self, tmp_path, monkeypatch, capsys,
+                                                        override, needle, command):
         import afcmem.detection
 
         def refuse(*args, **kwargs):
@@ -368,15 +443,11 @@ class TestCli:
 
         monkeypatch.setattr(afcmem.detection, "simulate_run", refuse)
         path = tmp_path / "cfg.json"
-        # each count within its own bound; each mode keeps its own histograms,
-        # so 2^14 modes x 2^18 bins would hold 2^32 bins per histogram
-        path.write_text(json.dumps({"preset": "fig2c",
-                                    "modes": {"n_modes": 2 ** 14, "mode_duration_s": 1e-12},
-                                    "detection": {"gate_bins": 2 ** 18}}))
+        path.write_text(json.dumps(dict(override, preset="fig2c")))
         extra = ["--out", str(tmp_path / "out")] if command == "run" else []
         assert main([command, str(path)] + extra) == 2
         err = capsys.readouterr().err
-        assert "error: modes: 16384 modes x 262144 gate bins is more than the 262144" in err
+        assert needle in err
         assert not (tmp_path / "out").exists()
 
     def test_multimode_histogram_bins_at_the_bound_are_valid(self, tmp_path):
@@ -389,6 +460,9 @@ class TestCli:
         # the bound weighs only the pipeline that keeps a histogram per mode
         path.write_text(json.dumps({"preset": "fig2a", "modes": {"n_modes": 2 ** 14},
                                     "detection": {"gate_bins": 2 ** 18}}))
+        assert main(["validate", str(path)]) == 0
+        # and so does the input window: single_mode reads no modes
+        path.write_text(json.dumps({"preset": "fig2a", "comb": {"periodicity_hz": 200000.0}}))
         assert main(["validate", str(path)]) == 0
 
     def test_multimode_photons_exit_3_without_counting(self, tmp_path, monkeypatch, capsys):
@@ -416,7 +490,7 @@ class TestCli:
     @pytest.mark.parametrize("preset,section,name,needle,allocator", [
         ("random_phase", "ensemble", "n_spins", "n_spins must be <= 1048576",
          "sequences.random_phase_population_study"),
-        ("fig2a", "detection", "gate_bins", "n_bins must be in [1, 262144]",
+        ("fig2a", "detection", "gate_bins", "gate_bins must be in [1, 262144]",
          "detection.simulate_run"),
         ("fig1d", "thermalization", "n_max", "n_max must be <= 524288",
          "sequences.thermalization_monte_carlo_uniform"),

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afcmem import (CapacityError, DomainError, GateConfig, InvalidArgumentError, NoiseModel, mu1,
-                    noise_probability, qubit_fidelity, quantum_regime_window, simulate_run,
+from afcmem import (CapacityError, DetectionConfig, DomainError, InvalidArgumentError, NoiseModel,
+                    mu1, noise_probability, qubit_fidelity, quantum_regime_window, simulate_run,
                     snr_analytic)
 
 # Measured sweep rows: (t_s ms, eta, mu1 +- err, p_n, snr +- err), mu = 2.
@@ -22,24 +22,25 @@ TABLE_ROWS = [
 
 class TestNoiseProbability:
     def test_no_rf_floor(self):
-        model = NoiseModel(optical_readout_noise=5e-3, detector_dark=0.0)
-        assert noise_probability(model, rho_err=0.0) == pytest.approx(5e-3)
+        model = NoiseModel(optical_readout_noise=5e-3, detector_dark=0.0, residual_population=0.0)
+        assert noise_probability(model) == pytest.approx(5e-3)
 
     def test_residual_population_adds_floor(self):
-        model = NoiseModel(optical_readout_noise=5e-3, residual_coupling=1.0)
-        assert noise_probability(model, rho_err=0.002) == pytest.approx(7e-3)
+        model = NoiseModel(optical_readout_noise=5e-3, residual_coupling=1.0,
+                           residual_population=0.002)
+        assert noise_probability(model) == pytest.approx(7e-3)
 
     def test_all_zero(self):
-        assert noise_probability(NoiseModel(0.0, 0.0, 0.0, 0.0), 0.0) == 0.0
+        assert noise_probability(NoiseModel(0.0, 0.0, 0.0, 0.0, 0.0)) == 0.0
 
     def test_monotone_in_residual_population(self):
-        model = NoiseModel()
-        vals = [noise_probability(model, r) for r in np.linspace(0.0, 0.5, 11)]
+        vals = [noise_probability(NoiseModel(residual_population=r))
+                for r in np.linspace(0.0, 0.5, 11)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
     def test_rho_out_of_range(self):
         with pytest.raises(InvalidArgumentError):
-            noise_probability(NoiseModel(), rho_err=0.6)
+            noise_probability(NoiseModel(residual_population=0.6))
 
 
 class TestAnalyticFigures:
@@ -135,49 +136,49 @@ class TestQuantumWindow:
 
 class TestSimulateRun:
     def test_deterministic_histograms(self):
-        a = simulate_run(2.0, 0.051, 0.010, 50_000, seed=5)
-        b = simulate_run(2.0, 0.051, 0.010, 50_000, seed=5)
+        a = simulate_run(DetectionConfig(2.0, 50_000), 0.051, 0.010, seed=5)
+        b = simulate_run(DetectionConfig(2.0, 50_000), 0.051, 0.010, seed=5)
         np.testing.assert_array_equal(a.counts_with, b.counts_with)
         np.testing.assert_array_equal(a.counts_without, b.counts_without)
         assert a.snr.value == b.snr.value
 
     def test_streams_differ(self):
-        a = simulate_run(2.0, 0.051, 0.010, 50_000, seed=5, stream=0)
-        b = simulate_run(2.0, 0.051, 0.010, 50_000, seed=5, stream=1)
+        a = simulate_run(DetectionConfig(2.0, 50_000), 0.051, 0.010, seed=5, stream=0)
+        b = simulate_run(DetectionConfig(2.0, 50_000), 0.051, 0.010, seed=5, stream=1)
         assert not np.array_equal(a.counts_with, b.counts_with)
 
     def test_matches_analytic_within_three_sigma(self):
-        stats = simulate_run(2.0, 0.051, 0.010, 100_000, seed=1)
+        stats = simulate_run(DetectionConfig(2.0, 100_000), 0.051, 0.010, seed=1)
         expected = snr_analytic(2.0, 0.051, 0.010)
         assert abs(stats.snr.value - expected) <= 3.0 * stats.snr.stderr
 
     def test_zero_input_consistent_with_zero_snr(self):
-        stats = simulate_run(0.0, 0.051, 0.010, 100_000, seed=2)
+        stats = simulate_run(DetectionConfig(0.0, 100_000), 0.051, 0.010, seed=2)
         assert abs(stats.snr.value) <= 3.0 * stats.snr.stderr
 
     def test_identity_mu1_snr(self):
-        stats = simulate_run(2.0, 0.051, 0.010, 100_000, seed=3)
+        stats = simulate_run(DetectionConfig(2.0, 100_000), 0.051, 0.010, seed=3)
         assert stats.snr.value * stats.mu1.value == pytest.approx(2.0, rel=1e-12)
 
     def test_histogram_totals_are_counts(self):
-        gate = GateConfig(duration_s=2e-6, n_bins=25)
-        stats = simulate_run(1.0, 0.05, 0.01, 10_000, gate=gate, seed=4)
+        detection = DetectionConfig(1.0, 10_000, gate_duration_s=2e-6, gate_bins=25)
+        stats = simulate_run(detection, 0.05, 0.01, seed=4)
         assert stats.counts_with.sum() >= 0
         assert stats.counts_with.size == 25
         assert np.all(stats.counts_with >= 0) and np.all(stats.counts_without >= 0)
         assert stats.bin_edges_s.size == 26
 
     def test_estimates_cover_truth(self):
-        stats = simulate_run(2.0, 0.051, 0.010, 200_000, seed=6)
+        stats = simulate_run(DetectionConfig(2.0, 200_000), 0.051, 0.010, seed=6)
         assert abs(stats.eta.value - 0.051) <= 4.0 * stats.eta.stderr
         assert abs(stats.p_n.value - 0.010) <= 4.0 * stats.p_n.stderr
 
     def test_invalid_args(self):
         with pytest.raises(InvalidArgumentError):
-            simulate_run(1.0, 0.1, 0.01, 0)
+            simulate_run(DetectionConfig(1.0, 0), 0.1, 0.01)
 
     @pytest.mark.parametrize("mu,trials", [(1e308, 100_000), (2.0, 10 ** 9)])
     def test_photon_count_is_bounded_before_drawing(self, mu, trials):
         # mu 1e308 once reached numpy's "lam value too large"
         with pytest.raises(CapacityError, match="photons"):
-            simulate_run(mu, 0.05, 0.01, trials)
+            simulate_run(DetectionConfig(mu, trials), 0.05, 0.01)
