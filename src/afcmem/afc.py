@@ -57,7 +57,7 @@ MAX_OPTICAL_DEPTH = 700.0
 MAX_MODES = 2 ** 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CombConfig:
     """Geometry of the spectral grating.
 
@@ -138,7 +138,7 @@ class CombConfig:
         return 1.0 / self.periodicity_hz
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class CombSpectrum:
     """Sampled absorption profile alpha(f) of a comb."""
 
@@ -292,7 +292,7 @@ def afc_efficiency(cfg: CombConfig) -> float:
     return absorption * comb_dephasing_factor(cfg)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemoryModel:
     """The efficiency chain's own factors; this is the config's memory section.
 
@@ -375,7 +375,7 @@ def spinwave_excitation(mu_in: float, model: MemoryModel) -> float:
     return mu_in * model.write_stage
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModesConfig:
     """Temporal modes stored in one cycle; this is the config's modes section.
 
@@ -396,7 +396,7 @@ class ModesConfig:
                 f"dead_time_fraction must be in [0, 1), got {self.dead_time_fraction}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MemoryTimeline:
     """Input/output schedule; every mode is stored for exactly 1/delta + t_s."""
 

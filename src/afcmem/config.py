@@ -21,7 +21,9 @@ override any subset of its fields.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -45,27 +47,27 @@ OUTPUT_DIR_ENV = "AFCMEM_OUT"
 
 # Largest counts that size arrays.  Each keeps the peak memory its count adds
 # to a run under 170 MiB, at the cost per unit measured with tracemalloc:
-# 168 bytes per spin at 2^20 spins and at 2^16 (random_phase, a 168.0 MiB
-# peak while one kind's (3, 3, n) maps are composed; 10 on thermalization),
-# 290 per thermalization sequence (fig1d) and 428 per random-phase
-# repetition (four kinds, mostly CSV rows).  The sections that are domain
-# classes bound their own counts: afc.MAX_MODES and detection.MAX_GATE_BINS.
+# 138 bytes per spin at 2^16 spins (random_phase, while one kind's SU(2) maps
+# (a, b) are composed; 144 with jittered pulses, whose spinors are stepped;
+# 10 on thermalization), 290 per thermalization sequence (fig1d) and 428 per
+# random-phase repetition (four kinds, mostly CSV rows).  The sections that
+# are domain classes bound their own counts: afc.MAX_MODES and
+# detection.MAX_GATE_BINS.
 MAX_SPINS = 2 ** 20
 MAX_THERMALIZATION_SEQUENCES = 2 ** 19
 MAX_RANDOM_PHASE_REPETITIONS = 2 ** 18
 
 # Most spins x repetitions a random_phase run may ask for: the counts above
-# cap its memory, this its time.  Each kind's (3, 3, n) maps are composed
-# once and their powers taken in closed form, one complex multiply and one
-# complex dot on (n,) arrays per kind and repetition; on a 2-vCPU host, one
-# CPU, a whole four-kind run took 7 ns per spin and repetition at
-# 2^13 x 2^13, 14-15 at 2^16 x 2^10 and 113-114 at 2^20 x 2^6 (nearly all
-# of it sampling the spins and composing maps that outgrow the cache), so
-# 0.5-7.7 s at the bound.  A jittered pulse steps the sequence in every
-# repetition instead, reusing each wait's cos/sin across them, at about
-# 0.6-0.8 us per spin and repetition on 10k spins (5.4-5.8 us on 2k spins
-# and 8.5 us on 10k with rabi_hz, which rebuilds every pulse's per-spin
-# stack).
+# cap its memory, this its time.  Each kind's SU(2) maps are composed once
+# and their powers taken in closed form, one complex multiply and one complex
+# dot on (n,) arrays per kind and repetition; on a 2-vCPU host, one CPU, a
+# whole four-kind run took 8 ns per spin and repetition at 2^13 x 2^13, 13 at
+# 2^16 x 2^10 and 50 at 2^20 x 2^6 (most of it sampling the spins and
+# composing maps that outgrow the cache), so 0.5-3.4 s at the bound.  A
+# jittered pulse steps each spin's spinor in every repetition instead,
+# reusing each wait's phases across them, at about 0.35 us per spin and
+# repetition on 10k spins (0.66 us on 2k spins, and 1.6 us on 10k with
+# rabi_hz, which rebuilds each jittered pulse's per-spin parameters).
 MAX_RANDOM_PHASE_WORK = 2 ** 26
 
 # Longest storage time: far above any physical one (ms to hours), and low
@@ -74,7 +76,7 @@ MAX_RANDOM_PHASE_WORK = 2 ** 26
 MAX_STORAGE_TIME_S = 1e12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diagnostic:
     """One validation violation: where it is and what is wrong."""
 
@@ -85,21 +87,21 @@ class Diagnostic:
         return f"{self.path}: {self.message}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnsembleSection(DetuningDistribution):
     """The spin line plus the Monte Carlo ensemble size."""
 
     n_spins: int = 10000
 
     def __post_init__(self):
-        super().__post_init__()
+        DetuningDistribution.__post_init__(self)  # slots=True rebuilds the class: no bare super()
         check_count("n_spins", self.n_spins, maximum=MAX_SPINS)
 
     def to_domain(self) -> DetuningDistribution:
         return DetuningDistribution(self.shape, self.fwhm_hz)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PulseSection:
     systematic_error: float = 0.01
     jitter_sd: float = 0.0
@@ -113,7 +115,7 @@ class PulseSection:
                          jitter_sd=self.jitter_sd, rabi_hz=self.rabi_hz)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdiabaticSection:
     peak_rabi_hz: float = 30e3
     chirp_span_hz: float = 200e3
@@ -128,7 +130,7 @@ class AdiabaticSection:
                                   self.duration_s, self.envelope)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SequenceSection:
     kind: str | None = "xy4"
     t_s_s: float = 0.5e-3
@@ -142,7 +144,7 @@ class SequenceSection:
                 f"t_s_s must be in (0, {MAX_STORAGE_TIME_S:g}], got {self.t_s_s}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ThermalizationSection:
     n_max: int = 120
     eps_xx: float = 0.036
@@ -156,7 +158,7 @@ class ThermalizationSection:
                 raise InvalidArgumentError(f"{name} must be in [0, 0.5], got {v}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RandomPhaseSection:
     n_max: int = 50
     tilt: float = 0.1
@@ -177,7 +179,7 @@ class RandomPhaseSection:
             raise InvalidArgumentError(f"kinds must not repeat; repeated: {repeated}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SweepSection:
     t_s_values_s: tuple[float, ...] = (0.25e-3, 0.5e-3, 0.75e-3, 1.0e-3, 1.25e-3, 1.5e-3)
 
@@ -190,7 +192,7 @@ class SweepSection:
                 f"t_s_values_s must all be in (0, {MAX_STORAGE_TIME_S:g}]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExperimentConfig:
     """Full description of one reproducible run."""
 
@@ -212,7 +214,9 @@ class ExperimentConfig:
     random_phase: RandomPhaseSection = field(default_factory=RandomPhaseSection)
 
 
-_SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(ExperimentConfig)
+# One default instance per section, shared by every config that does not set
+# the section: the sections are frozen, so a kept config holds only its own.
+_DEFAULTS = {f.name: f.default_factory() for f in dataclasses.fields(ExperimentConfig)
              if f.default_factory is not dataclasses.MISSING}
 
 
@@ -253,18 +257,18 @@ def _typed_kwargs(cls, data: dict, path: str, diags: list[Diagnostic]) -> dict:
     return kwargs
 
 
-def _build_section(cls, data, path: str, diags: list[Diagnostic]):
-    if data is None:
-        return cls()
-    if not isinstance(data, dict):
+def _build_section(path: str, data, diags: list[Diagnostic]):
+    """The section built from data, or the shared default when data is None or
+    the section has a violation (which diags then holds)."""
+    cls = type(_DEFAULTS[path])
+    if data is not None and not isinstance(data, dict):
         diags.append(Diagnostic(path, f"expected an object, got {type(data).__name__}"))
-        return cls()
-    kwargs = _typed_kwargs(cls, data, path, diags)
-    try:
-        return cls(**kwargs)
-    except InvalidArgumentError as exc:
-        diags.append(Diagnostic(path, str(exc)))
-        return cls()
+    elif data is not None:
+        try:
+            return cls(**_typed_kwargs(cls, data, path, diags))
+        except InvalidArgumentError as exc:
+            diags.append(Diagnostic(path, str(exc)))
+    return _DEFAULTS[path]
 
 
 def parse_config(data: dict) -> tuple[ExperimentConfig, list[Diagnostic]]:
@@ -272,12 +276,12 @@ def parse_config(data: dict) -> tuple[ExperimentConfig, list[Diagnostic]]:
     diags: list[Diagnostic] = []
     if not isinstance(data, dict):
         return ExperimentConfig(), [Diagnostic("<root>", "config must be an object")]
-    scalars = {k: v for k, v in data.items() if k not in _SECTIONS}
+    scalars = {k: v for k, v in data.items() if k not in _DEFAULTS}
     kwargs = _typed_kwargs(ExperimentConfig, scalars, "", diags)
     for key, value in data.items():
-        if key in _SECTIONS:
-            kwargs[key] = _build_section(_SECTIONS[key], value, key, diags)
-    return ExperimentConfig(**kwargs), diags
+        if key in _DEFAULTS:
+            kwargs[key] = _build_section(key, value, diags)
+    return ExperimentConfig(**{**_DEFAULTS, **kwargs}), diags
 
 
 def validate_config(cfg: ExperimentConfig) -> list[Diagnostic]:
@@ -327,14 +331,26 @@ def preset_names() -> list[str]:
     return sorted(p.name[:-5] for p in files.iterdir() if p.name.endswith(".json"))
 
 
+@functools.lru_cache(maxsize=16)
+def _parsed_preset(name: str) -> dict | None:
+    """The preset file parsed, once per process; None when there is none."""
+    path = resources.files("afcmem.presets") / f"{name}.json"
+    return json.loads(path.read_text()) if path.is_file() else None
+
+
 def load_preset(name: str) -> dict:
-    """Raw preset document {name, pipeline, notes, config, fixtures?}."""
-    files = resources.files("afcmem.presets")
-    path = files / f"{name}.json"
-    if not path.is_file():
+    """Raw preset document {name, pipeline, notes, config, fixtures?}.
+
+    Each call returns a deep copy of the document parsed once per process.
+    Its strings and numbers are immutable and not copied, so every config
+    built from a preset shares them: a kept config holds only its own
+    structure.
+    """
+    doc = _parsed_preset(name)
+    if doc is None:
         raise ConfigError([Diagnostic("preset", f"unknown preset {name!r}; "
                                       f"valid presets: {', '.join(preset_names())}")])
-    return json.loads(path.read_text())
+    return copy.deepcopy(doc)
 
 
 def load_config(target: str, overrides: dict | None = None) -> tuple[ExperimentConfig, dict]:

@@ -40,7 +40,7 @@ class ValueWithError(NamedTuple):
     stderr: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NoiseModel:
     """Additive contributions to the unconditional noise probability; this is
     the config's noise section.
@@ -127,7 +127,7 @@ def qubit_fidelity(mu1_value: float, p: float) -> FidelityResult:
     return FidelityResult(f, p > mu1_value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QuantumWindow:
     """Open interval of qubit probabilities p allowing quantum storage."""
 
@@ -146,7 +146,7 @@ def quantum_regime_window(mu1_value: float) -> QuantumWindow:
     return QuantumWindow(lower=mu1_value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetectionConfig:
     """Photon counting of one run; this is the config's detection section.
 
@@ -166,7 +166,8 @@ class DetectionConfig:
         check_count("trials", self.trials)
         if not self.gate_duration_s > 0:
             raise InvalidArgumentError(f"gate_duration_s must be > 0, got {self.gate_duration_s}")
-        if not 1 <= self.gate_bins <= MAX_GATE_BINS:
+        check_count("gate_bins", self.gate_bins)
+        if self.gate_bins > MAX_GATE_BINS:
             raise InvalidArgumentError(
                 f"gate_bins must be in [1, {MAX_GATE_BINS}], got {self.gate_bins}")
 
@@ -175,7 +176,7 @@ class DetectionConfig:
         return np.linspace(0.0, self.gate_duration_s, self.gate_bins + 1)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class RunStatistics:
     """Photon-counting outcome of one simulated run.
 

@@ -35,7 +35,7 @@ MAX_FWHM_HZ = 1e15
 _SHAPES = ("gaussian", "lorentzian")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetuningDistribution:
     """Line shape of the inhomogeneous spin broadening.
 
@@ -88,7 +88,7 @@ class DetuningDistribution:
         return g * np.tan((2.0 * u - 1.0) * math.atan(L / g))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class SpinEnsemble:
     """A fixed set of spins: detunings, Bloch vectors, and statistical weights.
 
@@ -175,30 +175,6 @@ def grid_ensemble(dist: DetuningDistribution, n: int) -> tuple[np.ndarray, np.nd
     return det, w / w.sum()
 
 
-def precession_turn(detunings_hz: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """(cos, sin) of every spin's precession angle 2*pi*detuning*dt."""
-    theta = 2.0 * math.pi * dt * detunings_hz
-    return np.cos(theta), np.sin(theta, out=theta)
-
-
-def precess_in_place(x: np.ndarray, y: np.ndarray, c: np.ndarray, s: np.ndarray,
-                     scratch: np.ndarray) -> None:
-    """The z rotation x <- c x - s y, y <- s x + c y.
-
-    x and y are written in place; scratch holds two rows shaped like x.
-    Kept in place so that only (n,)-sized temporaries, and so little peak
-    memory, are needed.
-    """
-    cx, sy = scratch[0], scratch[1]
-    np.multiply(c, x, out=cx)
-    np.multiply(s, y, out=sy)
-    cx -= sy
-    np.multiply(s, x, out=sy)
-    y *= c
-    y += sy
-    x[...] = cx
-
-
 def free_evolve(ens: SpinEnsemble, dt: float) -> SpinEnsemble:
     """Evolve every spin freely for dt seconds.
 
@@ -213,9 +189,14 @@ def free_evolve(ens: SpinEnsemble, dt: float) -> SpinEnsemble:
     """
     if dt < 0:
         raise InvalidArgumentError(f"dt must be >= 0, got {dt}")
+    theta = 2.0 * math.pi * dt * ens.detunings_hz
+    c, s = np.cos(theta), np.sin(theta, out=theta)
     states = np.array(ens.states, dtype=float)
-    c, s = precession_turn(ens.detunings_hz, dt)
-    precess_in_place(states[:, 0], states[:, 1], c, s, np.empty((2, ens.n)))
+    x, y = states[:, 0], states[:, 1]
+    cx = c * x - s * y
+    y *= c
+    y += s * x
+    x[...] = cx
     return replace(ens, states=states)
 
 

@@ -185,6 +185,27 @@ def rotation_matrix(pulse: PulseSpec, detunings_hz: float | np.ndarray = 0.0,
                      [-y * s + z * x * u, x * s + z * y * u, c + z * z * u]])
 
 
+def cayley_klein(pulse: PulseSpec, detunings_hz: np.ndarray,
+                 jitter: float = 0.0) -> tuple[float | np.ndarray, float | np.ndarray]:
+    """The pulse's rotation as the Cayley-Klein parameters of its SU(2) map.
+
+    A rotation by the angle t about the unit axis n is U = [[a, -b*], [b, a*]]
+    with a = cos(t/2) - i n_z sin(t/2) and b = -i (n_x + i n_y) sin(t/2).
+    The axis phase only turns b, so (a, s) is returned with b = -i s e^{i
+    phase}.  Without rabi_hz, a = cos(t/2) and s = sin(t/2) are floats.
+    With rabi_hz the axis and angle are rotation_matrix's, per spin: a
+    (complex) and s (real) are arrays shaped like detunings_hz, with
+    s = sin(t/2) rabi / g.
+    """
+    half = 0.5 * (pulse.nominal_angle * (1.0 + pulse.systematic_error) + jitter)
+    if pulse.rabi_hz is None:
+        return math.cos(half), math.sin(half)
+    g = np.hypot(pulse.rabi_hz, detunings_hz)
+    angle = half / pulse.rabi_hz * g
+    s = np.sin(angle) / g
+    return np.cos(angle) - 1j * (s * detunings_hz), s * pulse.rabi_hz
+
+
 def rotate_states(states: np.ndarray, pulse: PulseSpec, detunings_hz: np.ndarray,
                   jitter: float = 0.0) -> np.ndarray:
     """Apply one pulse to (n, 3) Bloch vectors: rotation_matrix(pulse,

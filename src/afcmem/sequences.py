@@ -16,12 +16,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# free_evolve, sample_detunings and rotate_states are unused here but stay
-# bound: the span tracer in benchmarks/tracing.py patches them under this module.
+# free_evolve, sample_detunings, rotate_states and rotation_matrix are unused
+# here but stay bound: the span tracer in benchmarks/tracing.py patches them
+# under this module.
 from .ensemble import (DetuningDistribution, SpinEnsemble, draw_detunings,  # noqa: F401
-                       free_evolve, precess_in_place, precession_turn, sample_detunings)
+                       free_evolve, sample_detunings)
 from .errors import InvalidArgumentError
-from .pulses import PulseSpec, jitter_angle, rotate_states, rotation_matrix  # noqa: F401
+from .pulses import (PulseSpec, cayley_klein, jitter_angle, rotate_states,  # noqa: F401
+                     rotation_matrix)
 from .rng import DOMAIN_RANDOM_PHASE, DOMAIN_THERMALIZATION, spawn_generator
 
 _X, _Y = 0.0, math.pi / 2.0
@@ -101,84 +103,145 @@ def build_sequence(kind: str, t_s: float, pulse_template: PulseSpec | None = Non
     return DDSequence(tuple(steps), kind, t_s)
 
 
-# Component-major starting points: |s> for one vector per spin, and the
-# identity for a map (entry [i, j] is component i of the image of basis j).
-_POLE = np.array([0.0, 0.0, 1.0])[:, None]
-_IDENTITY = np.eye(3)[:, :, None]
+# OpenBLAS splits a dot of more elements than this across its threads, and
+# the order of its sum then depends on the thread count.
+_DOT_CHUNK = 10_000
 
 
-def _rotate_in_place(m: np.ndarray, v: np.ndarray, scratch: np.ndarray) -> None:
-    """v <- m v in place for component-major vectors v (rows x, y, z).
+def _dot(x: np.ndarray, y: np.ndarray):
+    """np.dot of two 1-d arrays, with bits that do not depend on the BLAS
+    thread count: chunks of at most _DOT_CHUNK elements are dotted one by
+    one and their sums added in order, so up to _DOT_CHUNK elements it is
+    one np.dot."""
+    return sum(np.dot(x[i:i + _DOT_CHUNK], y[i:i + _DOT_CHUNK])
+               for i in range(0, x.size, _DOT_CHUNK))
 
-    m is a 3x3 matrix or a (3, 3, n) stack of per-spin matrices; scratch is
-    shaped like v and must not overlap it.  One einsum contraction into
-    scratch, without optimize=: numpy's own loop sums ((0 + m_i0 v0) + m_i1
-    v1) + m_i2 v2 with a separate multiply and add per term, so each element
-    has the bits of that explicit chain (an exact -0 comes out +0).  The
-    optimize route goes through BLAS, which reorders the sum and fuses
-    multiply-adds.
+
+def _phasor(angle: np.ndarray, out: np.ndarray) -> None:
+    """out <- e^{i angle}, as ((1 - t^2) + 2 i t) / (1 + t^2) with t =
+    tan(angle/2), overwriting angle.
+
+    One tangent costs a tenth of a cosine and a sine where numpy vectorizes
+    tan and not cos/sin (10k angles of up to 30 rad on a 2-vCPU AVX-512
+    Xeon, numpy 2.4.6: 29 us against 220 + 212 us), and the parts agree
+    with them within 2.3e-16.
     """
-    np.einsum("ij...,j...->i...", m, v, out=scratch)
-    v[...] = scratch
+    t = np.tan(np.multiply(angle, 0.5, out=angle), out=angle)
+    np.multiply(t, 2.0, out=out.imag)
+    t *= t
+    np.subtract(1.0, t, out=out.real)
+    t += 1.0
+    out.real /= t
+    out.imag /= t
 
 
-def _propagate(states: np.ndarray, detunings_hz: np.ndarray, seq: DDSequence,
-               seed: int | None, first_pulse: int = 0,
-               turns: dict[float, tuple[np.ndarray, np.ndarray]] | None = None) -> np.ndarray:
-    """Step component-major Bloch vectors through the sequence; the one
-    sequence propagator.
+def _propagate(ab: np.ndarray, detunings_hz: np.ndarray, seq: DDSequence, seed: int | None,
+               first_pulse: int = 0, turns: dict[float, np.ndarray] | None = None,
+               work: np.ndarray | None = None) -> np.ndarray:
+    """Compose each spin's SU(2) map with the sequence; the one sequence
+    propagator.
 
-    states is (3, n), one vector per spin, or (3, 3, n), the three basis
-    columns of a map per spin.  A copy is stepped in place, step by step
-    and column by column, with one (3, n) scratch buffer, and returned; the
-    caller's array is never written.  Waits precess every column, with
-    cos/sin computed once per distinct wait length and kept in turns (a
-    caller that steps the same detunings again passes the same dict);
-    pulses act as 3x3 matrices, each computed once per distinct pulse and
-    jitter.  The k-th pulse of the sequence draws its jitter keyed by
-    (seed, first_pulse + k), and a seed of None means no jitter.
+    ab is a (2, n) complex array, or one (2, 1) column for every spin, whose
+    column j is the first column (a, b) of spin j's map U = [[a, -b*],
+    [b, a*]]: the identity (1, 0) gives the
+    sequence's own map, and a pure spin state, whose spinor is such a
+    column, is carried through the sequence the same way (|s> is (1, 0);
+    its Bloch vector has x + i y = 2 a* b and z = |a|^2 - |b|^2).  A copy
+    is stepped in place with one (2, n) scratch buffer and returned; the
+    caller's array is never written.  A caller that propagates again and
+    again passes work, a (2, 2, n) complex array it keeps: the copy is then
+    work[0] (ab may be work[0] itself) and the scratch work[1].  Arrays this
+    size, allocated afresh at every call, go back to the system when freed
+    and cost a page fault per 4 KiB when touched again: 1,230 faults and
+    2-5 ms of an 11-15 ms random_phase run on 10k spins (2-vCPU Xeon).
+
+    A wait multiplies each column by the diagonal of its map, computed once
+    per distinct wait length and kept in turns (a caller that steps the same
+    detunings again passes the same dict); a wait twice as long as a kept
+    one is two multiplies by it.  A pulse U_p = [[a, -b*], [b, a*]], b =
+    -i s e^{i phase}, is two multiply-adds, with (a, s) from
+    pulses.cayley_klein built once per call for each distinct rotation
+    (angle, jitter and Rabi frequency; the axis phase is a scalar on b).
+    The k-th pulse of the sequence draws its jitter keyed by (seed,
+    first_pulse + k), and a seed of None means no jitter.
     """
-    out = np.array(states, dtype=float, order="C")
-    columns = [out] if out.ndim == 2 else [out[:, j] for j in range(3)]
-    scratch = np.empty((3, detunings_hz.size))
+    out, scratch = np.empty((2, 2, detunings_hz.size), dtype=complex) if work is None else work
+    out[...] = ab
     turns = {} if turns is None else turns
-    matrices: dict[tuple[PulseSpec, float], np.ndarray] = {}
+    rotations = {}
     pulse_index = first_pulse
     for step in seq.steps:
         if step.wait_s > 0:
-            if step.wait_s not in turns:
-                turns[step.wait_s] = precession_turn(detunings_hz, step.wait_s)
-            c, s = turns[step.wait_s]
-            for v in columns:
-                precess_in_place(v[0], v[1], c, s, scratch)
-        if step.pulse is not None:
-            key = (step.pulse, jitter_angle(step.pulse, seed, pulse_index))
-            m = matrices.get(key)
-            if m is None:
-                m = rotation_matrix(step.pulse, detunings_hz, key[1])
-                if step.pulse.rabi_hz is None:  # per-spin stacks are not kept: (3, 3, n) each
-                    matrices[key] = m
-            for v in columns:
-                _rotate_in_place(m, v, scratch)
+            half = turns.get(0.5 * step.wait_s)
+            if half is not None:  # a full gap is two half-gaps
+                out *= half
+                out *= half
+            else:
+                if step.wait_s not in turns:  # [e^{-i pi det t}; e^{i pi det t}]
+                    turn = turns[step.wait_s] = np.empty_like(out)
+                    _phasor(np.multiply(detunings_hz, math.pi * step.wait_s), turn[1])
+                    np.conjugate(turn[1], out=turn[0])
+                out *= turns[step.wait_s]
+        pulse = step.pulse
+        if pulse is not None:
+            jitter = jitter_angle(pulse, seed, pulse_index)
+            key = (pulse.nominal_angle, pulse.systematic_error, pulse.rabi_hz, jitter)
+            if key not in rotations:
+                a, s = cayley_klein(pulse, detunings_hz, jitter)
+                # a per-spin a is stacked over its conjugate: one multiply of the
+                # whole (2, n) array, as numpy rounds an in-place complex multiply
+                # of one element apart from a longer one, so row by row a
+                # one-spin map would drift from the same spin's map in a stack
+                rotations[key] = (a, s) if np.ndim(a) == 0 else (np.array([a, a.conj()]), s)
+            a, s = rotations.pop(key) if jitter else rotations[key]  # a jittered angle never recurs
+            # U (a, b) with b_p = -i s e^{i phase}: a multiplies row a and a* row
+            # b, and -b_p* b and b_p a come from the swapped rows
+            phases = np.exp([[-1j * pulse.axis_phase], [1j * pulse.axis_phase]])
+            np.multiply(out[::-1], -1j * s * phases, out=scratch)
+            out *= a
+            out += scratch
             pulse_index += 1
     return out
+
+
+def _sequence_map(seq: DDSequence, detunings_hz: np.ndarray, seed: int | None = None,
+                  work: np.ndarray | None = None) -> np.ndarray:
+    """(2, n) first columns (a, b) of each spin's sequence map: the identity's
+    first column (1, 0) propagated."""
+    return _propagate(np.array([[1.0 + 0.0j], [0.0j]]), detunings_hz, seq, seed, work=work)
+
+
+def _bloch_map(ab: np.ndarray) -> np.ndarray:
+    """The (n, 3, 3) rotations of the Bloch vector made by the SU(2) maps
+    with first columns ab; entry [i, j] is component i of the image of
+    basis vector j.
+
+    The images of x, y and z have x - i y = a^2 - (b*)^2, -i (a^2 + (b*)^2)
+    and 2 a b*, and z components -2 Re(a b), -2 Im(a b) and 1 - 2 |b|^2.
+    """
+    a, b = ab
+    cb = np.conjugate(b)
+    images = np.array([a * a - cb * cb, -1j * (a * a + cb * cb), 2.0 * a * cb])
+    z_row = -2.0 * a * b
+    m = np.array([images.real, -images.imag, [z_row.real, z_row.imag, 1.0 - 2.0 * _norm2(b)]])
+    return np.ascontiguousarray(np.moveaxis(m, 2, 0))
+
+
+def _norm2(z: np.ndarray) -> np.ndarray:
+    """|z|^2, from the real and imaginary parts without a square root."""
+    return z.real * z.real + z.imag * z.imag
 
 
 def apply_sequence(ens: SpinEnsemble, seq: DDSequence, seed: int = 0) -> SpinEnsemble:
     """Run the ensemble through the sequence (free evolution + pulses).
 
-    Jitter, when enabled on the pulses, is drawn once per pulse application
-    keyed by (seed, pulse index), so runs are reproducible and independent
-    of per-spin parallelism.
+    Each spin's SU(2) map is composed once and applied to its Bloch vector
+    as a 3x3 rotation.  Jitter, when enabled on the pulses, is drawn once
+    per pulse application keyed by (seed, pulse index), so runs are
+    reproducible and independent of per-spin parallelism.
     """
-    states = _propagate(ens.states.T, ens.detunings_hz, seq, seed)
-    return replace(ens, states=states.T)
-
-
-def _sequence_maps(seq: DDSequence, detunings_hz: np.ndarray) -> np.ndarray:
-    """Component-major (3, 3, n) sequence maps: the identity propagated once."""
-    identity = np.broadcast_to(_IDENTITY, (3, 3, detunings_hz.size))
-    return _propagate(identity, detunings_hz, seq, None)
+    maps = _bloch_map(_sequence_map(seq, ens.detunings_hz, seed))
+    return replace(ens, states=np.einsum("nij,nj->ni", maps, ens.states))
 
 
 def sequence_rotation_matrix(seq: DDSequence, detuning_hz: float | np.ndarray = 0.0) -> np.ndarray:
@@ -186,12 +249,11 @@ def sequence_rotation_matrix(seq: DDSequence, detuning_hz: float | np.ndarray = 
 
     The columns are the images of the x, y and z basis vectors.  A scalar
     detuning gives one (3, 3) matrix; a 1-d array of n detunings gives an
-    (n, 3, 3) stack, built by propagating the three basis vectors together
-    in one pass.  Jitter is excluded: this is the deterministic map used
-    for error budgets.
+    (n, 3, 3) stack, read off each spin's composed SU(2) map.  Jitter is
+    excluded: this is the deterministic map used for error budgets.
     """
     det = np.asarray(detuning_hz, dtype=float)
-    maps = np.ascontiguousarray(np.moveaxis(_sequence_maps(seq, det.ravel()), 2, 0))
+    maps = _bloch_map(_sequence_map(seq, det.ravel()))
     return maps[0] if det.ndim == 0 else maps
 
 
@@ -199,14 +261,14 @@ def sequence_population_error(seq: DDSequence,
                               detuning_hz: float | np.ndarray = 0.0) -> float | np.ndarray:
     """Population moved to the |g> pole by one sequence (no jitter, no Monte Carlo).
 
-    A spin starts at z = +1; an even sequence should return it there, so
-    the error is (1 - z_final)/2.  detuning_hz may be a scalar (a float is
-    returned) or a 1-d array (one error per detuning is returned).
+    A spin starts at z = +1, the spinor (1, 0); the sequence's map takes it
+    to its first column (a, b), whose |g> population is |b|^2 (read
+    directly, not as (1 - z)/2, which cancels when the error is small).
+    detuning_hz may be a scalar (a float is returned) or a 1-d array (one
+    error per detuning is returned).
     """
     det = np.asarray(detuning_hz, dtype=float)
-    states = np.broadcast_to(_POLE, (3, det.size))
-    z_final = _propagate(states, det.ravel(), seq, None)[2]
-    err = 0.5 * (1.0 - z_final)
+    err = _norm2(_sequence_map(seq, det.ravel())[1])
     return float(err[0]) if det.ndim == 0 else err
 
 
@@ -317,83 +379,58 @@ def rephasing_fidelity(seq: DDSequence, detunings_hz: np.ndarray, weights: np.nd
     transverse along x (the unit spin-wave amplitude) and run through the
     sequence, and the surviving collective amplitude magnitude is
     returned.  Its square is the intensity factor that feeds the memory
-    efficiency chain.
+    efficiency chain.  Each spin's x vector ends at x - i y = a^2 - (b*)^2
+    of its sequence map, the first column of apply_sequence's rotation.
     """
-    transverse = np.broadcast_to([[1.0], [0.0], [0.0]], (3, detunings_hz.size))
-    # reduced as columns of a spin-major (n, 3) array, the layout of
-    # SpinEnsemble.states, so the bits match a reduction of an ensemble's
-    # final states; contiguous (3, n) rows sum in another BLAS order
-    final = np.ascontiguousarray(_propagate(transverse, detunings_hz, seq, seed).T)
-    return abs(complex(np.dot(weights, final[:, 0]), -np.dot(weights, final[:, 1])))
+    a, b = _sequence_map(seq, detunings_hz, seed)
+    cb = np.conjugate(b)
+    x_image = a * a - cb * cb  # as _bloch_map computes it, to the bit
+    # the real and imaginary parts are strided views, summed by BLAS in the
+    # order of a column of SpinEnsemble.states, so the bits match a reduction
+    # of an ensemble's final states; contiguous rows sum in another order
+    return abs(complex(_dot(weights, x_image.real), _dot(weights, x_image.imag)))
 
 
-def _repeated_rotation(r: np.ndarray, v: np.ndarray, w: np.ndarray, rho0: float,
-                       n_max: int) -> np.ndarray:
-    """|g> population after 1..n_max applications of per-spin rotations to v,
-    in closed form.
+def _repeated_rotation(ab: np.ndarray, transverse: np.ndarray, vz, w: np.ndarray,
+                       rho0: float, n_max: int, spare: np.ndarray) -> np.ndarray:
+    """|g> population after 1..n_max applications of per-spin rotations to
+    the vectors v, in closed form.
 
-    r is the (3, 3, n) stack of rotations R, v the (3, n) start vectors, w
-    the weights and rho0 the population of v.  R^k = cos(k theta) I
-    + sin(k theta) [u]x + (1 - cos(k theta)) u u^T, so after k applications
-    z = v_z + alpha sin(k theta) + beta (1 - cos(k theta)), with alpha =
-    (u x v)_z and beta = u_z (u . v) - v_z.  The antisymmetric part of R is
-    omega = u sin(theta), and cos(theta) = (tr R - 1)/2.  Near theta = pi,
-    omega is too small to give u, so where cos(theta) <= 0 beta is read from
-    the symmetric part instead: ((R + R^T)/2 v - v)_z = (1 - cos(theta)) beta.
-    Where omega is 0, alpha = 0, and so is beta if cos(theta) > 0.
+    ab is the (2, n) stack of the rotations' SU(2) first columns (a, b),
+    transverse = v_x + i v_y, vz the z components (a scalar or one per
+    spin), w the weights and rho0 the population of v.  A rotation by theta
+    about the unit axis u has cos(theta/2) = Re a and u sin(theta/2) = q =
+    (-Im b, Re b, -Im a).  R^k = cos(k theta) I + sin(k theta) [u]x
+    + (1 - cos(k theta)) u u^T, so after k applications z = v_z + alpha
+    sin(k theta) + beta (1 - cos(k theta)), with alpha = (u x v)_z = -Re(b
+    conj(transverse)) / |q| and beta = u_z (u . v) - v_z, where q . v =
+    -Im(b conj(transverse)) - Im(a) v_z.  Where q is 0 (theta = 0 or
+    2 pi), alpha and beta are 0.  Every angle, pi included, reads the axis
+    from q with no cancellation.
 
-    Each repetition then turns one unit phasor e^{ik theta} per spin by a
-    complex multiply, and rho_k = rho0 - sum(w beta)/2 + Re(sum(phasor w
-    (beta + i alpha)))/2 is one complex dot.  (A recurrence in cos(theta)
-    alone loses digits near theta = 0 and pi, and the symmetric-part beta
-    near theta = 0.)  Only (n,) arrays are computed while the maps are
-    alive, and they are freed before the rest: the caller passes them
-    without keeping a reference.
+    Each repetition then turns one unit phasor e^{ik theta} = (h / |h|)^{2k},
+    h = Re a + i |q|, per spin by a complex multiply, and rho_k = rho0 -
+    sum(w beta)/2 + Re(sum(phasor w (beta + i alpha)))/2 is one complex
+    dot.  The two complex arrays, the phasor step and the weighted
+    coefficients, are the rows of spare, a (2, n) complex array the caller
+    keeps, and the phasor itself reuses the row a of ab once it is read.
     """
-    cos = r[0, 0] + r[1, 1]
-    cos += r[2, 2]
-    cos -= 1.0
-    cos *= 0.5
-    ux = r[2, 1] - r[1, 2]  # 2 omega, scaled to u below
-    uy = r[0, 2] - r[2, 0]
-    uz = r[1, 0] - r[0, 1]
-    sym = r[2, 0] + r[0, 2]  # 2 ((R + R^T)/2 v - v)_z, term by term
-    sym *= v[0]
-    term = r[2, 1] + r[1, 2]
-    term *= v[1]
-    sym += term
-    np.subtract(r[2, 2], 1.0, out=term)
-    term *= v[2]
-    term *= 2.0
-    sym += term
-    del r, term
-    sin = np.sqrt(ux * ux + uy * uy + uz * uz)
-    has_axis = sin > 0.0
-    inv = np.divide(1.0, sin, out=np.zeros_like(sin), where=has_axis)
-    sin *= 0.5
-    for part in (ux, uy, uz):
-        part *= inv
-    del inv
-    alpha = ux * v[1] - uy * v[0]
-    beta = uz * (ux * v[0] + uy * v[1] + uz * v[2]) - v[2] * has_axis
-    np.divide(sym, 2.0 * (1.0 - cos), out=beta, where=cos <= 0.0)
-    del ux, uy, uz, sym, has_axis
-    norm = np.sqrt(cos * cos + sin * sin)
-    step = np.empty(cos.size, dtype=complex)
-    np.divide(cos, norm, out=step.real)
-    np.divide(sin, norm, out=step.imag)
-    del cos, sin, norm
-    gamma = np.empty_like(step)
-    np.multiply(w, beta, out=gamma.real)
-    np.multiply(w, alpha, out=gamma.imag)
-    offset = rho0 - 0.5 * np.dot(w, beta)
-    del alpha, beta
-    phasor = np.ones_like(step)
-    track = np.empty(n_max, dtype=complex)
-    for k in range(n_max):
-        phasor *= step
-        track[k] = np.dot(phasor, gamma)
-    return offset + 0.5 * track.real
+    a, b = ab
+    sin = np.sqrt(_norm2(b) + a.imag * a.imag)  # |q|
+    norm = a.real * a.real + sin * sin  # |h|^2 for h = Re a + i |q|
+    step, gamma = spare  # step: e^{-i theta}
+    step.real, step.imag = (a.real * a.real - sin * sin) / norm, -2.0 * a.real * sin / norm
+    np.conjugate(b, out=gamma)
+    gamma *= transverse  # -alpha |q| + i (q . v + Im(a) v_z)
+    beta = a.imag * (a.imag * vz - gamma.imag)  # u_z (u . v) |q|^2
+    inv = np.divide(1.0, sin, out=sin, where=sin > 0.0)
+    beta = beta * inv * inv - vz * (inv > 0.0)
+    gamma.imag = gamma.real * inv * w  # conj(w (beta + i alpha))
+    gamma.real = w * beta
+    offset = rho0 - 0.5 * _dot(w, beta)
+    a[...] = 1.0  # a, read, now holds the phasor
+    track = [_dot(np.multiply(a, step, out=a), gamma).real for _ in range(n_max)]
+    return offset + 0.5 * np.array(track)
 
 
 def random_phase_population_study(seqs: Sequence[DDSequence], detunings_hz: np.ndarray,
@@ -412,39 +449,40 @@ def random_phase_population_study(seqs: Sequence[DDSequence], detunings_hz: np.n
     phase (the state produced by storing a weak random optical field); that
     start state is drawn once, and every sequence is applied to it
     coherently n_max times with no readout in between.  Without jitter every
-    repetition is the same rotation, so each spin's 3x3 sequence map is
+    repetition is the same rotation, so each spin's SU(2) sequence map is
     composed once and its n_max powers are taken in closed form
     (_repeated_rotation): one complex multiply and one complex dot per
-    repetition, not a map application.  With jitter the sequence is stepped
-    pulse by pulse, with one cos/sin cache per sequence across its
-    repetitions, and pulses are counted across repetitions: the k-th pulse
-    of repetition r (both from 0) draws its jitter keyed by (seed,
-    r * seq.n_pulses + k), so no two applications of one sequence share a
-    draw.
+    repetition, not a map application.  With jitter each spin's spinor is
+    stepped pulse by pulse, with one wait cache per sequence across its
+    repetitions, and its |g> population is |b|^2; pulses are counted across
+    repetitions: the k-th pulse of repetition r (both from 0) draws its
+    jitter keyed by (seed, r * seq.n_pulses + k), so no two applications of
+    one sequence share a draw.
     """
     if not 0.0 < tilt < 1.0:
         raise InvalidArgumentError(f"tilt must be in (0, 1), got {tilt}")
     det, w, n_spins = detunings_hz, weights, detunings_hz.size
     phi = spawn_generator(seed, DOMAIN_RANDOM_PHASE).uniform(0.0, 2.0 * math.pi, n_spins)
-    start = np.empty((3, n_spins))
-    start[0] = tilt * np.cos(phi)
-    start[1] = tilt * np.sin(phi)
-    start[2] = math.sqrt(1.0 - tilt * tilt)
+    transverse = np.empty(n_spins, dtype=complex)
+    _phasor(phi, transverse)
+    transverse *= tilt
     del phi  # 8 bytes a spin that would stay alive through the repetitions
+    vz = math.sqrt(1.0 - tilt * tilt)
 
-    def population_in_g(z: np.ndarray) -> float:
-        return np.dot(w, 0.5 * (1.0 - z))
-
+    work = np.empty((2, 2, n_spins), dtype=complex)  # kept across sequences: see _propagate
     rho = np.empty((len(seqs), n_max + 1))
-    rho[:, 0] = population_in_g(start[2])
+    rho[:, 0] = 0.5 * (1.0 - vz) * w.sum()
     for i, seq in enumerate(seqs):
         if not any(p.jitter_sd > 0 for p in seq.pulses):
-            rho[i, 1:] = _repeated_rotation(_sequence_maps(seq, det), start, w, rho[i, 0], n_max)
+            rho[i, 1:] = _repeated_rotation(_sequence_map(seq, det, work=work), transverse, vz, w,
+                                            rho[i, 0], n_max, work[1])
             continue
-        states = start
-        turns: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        # the start vector's spinor (cos(t/2), e^{i phi} sin(t/2)), t its tilt
+        # angle, is (cos(t/2), transverse / (2 cos(t/2)))
+        work[0, 0], work[0, 1] = math.sqrt(0.5 + 0.5 * vz), transverse / math.sqrt(2.0 + 2.0 * vz)
+        turns: dict[float, np.ndarray] = {}
         for k in range(1, n_max + 1):
-            states = _propagate(states, det, seq, seed, (k - 1) * seq.n_pulses, turns)
-            rho[i, k] = population_in_g(states[2])
-        del states, turns  # freed before the next sequence composes its maps
+            states = _propagate(work[0], det, seq, seed, (k - 1) * seq.n_pulses, turns, work)
+            rho[i, k] = _dot(w, _norm2(states[1]))
+        del turns  # freed before the next sequence composes its maps
     return rho

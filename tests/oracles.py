@@ -98,6 +98,15 @@ def longdouble_sequence_maps(seq, detunings_hz):
     return maps
 
 
+def longdouble_population_error(seq, detunings_hz):
+    """|g> population after one sequence from |s>, in np.longdouble: the z
+    column (m_xz, m_yz, m_zz) of longdouble_sequence_maps is a unit vector,
+    so (1 - m_zz)/2 is read as (m_xz^2 + m_yz^2) / (2 (1 + m_zz)), without
+    the cancellation of 1 - m_zz when the error is small.  Returns longdoubles."""
+    m = longdouble_sequence_maps(seq, detunings_hz)
+    return (m[0, 2] ** 2 + m[1, 2] ** 2) / (2 * (1 + m[2, 2]))
+
+
 def longdouble_random_phase(seq, detunings_hz, weights, start, n_max):
     """|g> population sum(w (1 - z))/2 after 0..n_max applications of the
     sequence to the (3, n) start vectors, with no rounding to float64 before

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import json
 import math
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -121,6 +123,41 @@ class TestParsing:
         cfg, diags = parse_config({"sequence": {"t_s_s": -1.0}})
         diags += validate_config(cfg)
         assert any("t_s_s" in str(d) for d in diags)
+
+    def test_unset_sections_are_shared_defaults(self):
+        a, _ = load_config("random_phase", {"seed": 1})
+        b, _ = load_config("random_phase", {"seed": 2})
+        for name in ("pulse", "adiabatic", "comb", "memory", "noise", "detection",
+                     "thermalization", "modes", "sweep"):
+            assert getattr(a, name) is getattr(b, name), name
+            assert getattr(a, name) == getattr(ExperimentConfig(), name), name
+        assert a.ensemble is not b.ensemble  # the preset sets it
+
+    def test_preset_copies_are_independent(self):
+        doc = load_preset("fig1d")
+        doc["fixtures"].clear()
+        doc["config"]["seed"] = -1
+        again = load_preset("fig1d")
+        assert again["fixtures"] and again["config"]["seed"] != -1
+
+    def test_kept_config_costs_little_memory(self):
+        # a caller that keeps its configs (a benchmark's results) keeps only the
+        # sections each one sets, and shares the preset's strings and numbers:
+        # about 420 bytes per random_phase config
+        for seed in range(50):  # warm the interpreter's caches and free lists
+            load_config("random_phase", {"seed": seed})
+        kept = []
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for seed in range(500):
+                kept.append(load_config("random_phase", {"seed": seed})[0])
+            gc.collect()
+            per_config = (tracemalloc.get_traced_memory()[0] - before) / len(kept)
+        finally:
+            tracemalloc.stop()
+        assert per_config <= 1200, f"{per_config:.0f} bytes a config"
 
     def test_all_violations_reported(self):
         cfg, diags = parse_config({"comb": {"finesse": 0.5},

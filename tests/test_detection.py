@@ -177,6 +177,12 @@ class TestSimulateRun:
         with pytest.raises(InvalidArgumentError):
             simulate_run(DetectionConfig(1.0, 0), 0.1, 0.01)
 
+    @pytest.mark.parametrize("gate_bins", [2.5, 40.0, True])
+    def test_gate_bins_must_be_an_integer(self, gate_bins):
+        # a float bin count once reached numpy's TypeError in the histogram
+        with pytest.raises(InvalidArgumentError, match="gate_bins must be an integer"):
+            simulate_run(DetectionConfig(gate_bins=gate_bins, trials=10), 0.05, 0.01)
+
     @pytest.mark.parametrize("mu,trials", [(1e308, 100_000), (2.0, 10 ** 9)])
     def test_photon_count_is_bounded_before_drawing(self, mu, trials):
         # mu 1e308 once reached numpy's "lam value too large"

@@ -71,7 +71,7 @@ class TestInstantaneousRotations:
     @pytest.mark.parametrize("jitter", [0.0, 0.01, -0.01])
     @pytest.mark.parametrize("error", [0.01, calibrate_systematic_error(0.036)])
     def test_resonant_matrix_matches_reference_bit_for_bit(self, error, jitter):
-        # the 3x3 route every preset takes: the closed form must round exactly
+        # the resonant 3x3 route of rotate_states: the closed form must round exactly
         # as the vector formula does on the three basis vectors
         rng = np.random.default_rng(5)
         phases = sorted({p for kind in SEQUENCE_PHASES.values() for p in kind})

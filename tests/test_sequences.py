@@ -16,13 +16,14 @@ from afcmem import (DDSequence, DetuningDistribution, InvalidArgumentError, Puls
 from afcmem import sequences
 from afcmem.config import load_config
 from afcmem.ensemble import draw_detunings
-from afcmem.pulses import jitter_angle
+from afcmem.pulses import cayley_klein, jitter_angle
 from afcmem.rng import DOMAIN_RANDOM_PHASE, DOMAIN_THERMALIZATION, spawn_generator
 from afcmem.runner import _calibrated_pulse, run_experiment
-from afcmem.sequences import (SEQUENCE_KINDS, _flip_monte_carlo, _propagate, _rotate_in_place,
+from afcmem.sequences import (SEQUENCE_KINDS, _flip_monte_carlo, _propagate,
                               sequence_rotation_matrix)
 from oracles import (collective_coherence, grid_spin_ensemble, longdouble_pole_track,
-                     longdouble_random_phase, reference_rotate, with_transverse_states)
+                     longdouble_population_error, longdouble_random_phase, reference_rotate,
+                     with_transverse_states)
 
 GAUSS27 = DetuningDistribution("gaussian", 27e3)
 NARROW = DetuningDistribution("gaussian", 1.0)  # effectively a single line
@@ -159,35 +160,41 @@ _CUSTOM = DDSequence((SequenceStep(0.0, PulseSpec(systematic_error=0.02)),
                       SequenceStep(31e-6)), "custom", 110e-6)
 
 
-# Inputs whose rounding the kernel must reproduce: signed zeros, subnormals,
-# magnitudes whose products overflow, infinities and nan.  assert_array_equal
-# counts -0 equal to +0, the one result einsum's loop gives differently.
-_EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e300, -1e300,
-                         np.inf, -np.inf, np.nan])
-
-
 class TestKernel:
-    @pytest.mark.parametrize("per_spin", [False, True], ids=["matrix", "stack"])
-    @pytest.mark.parametrize("n", [1, 4099])
-    def test_rotation_is_the_explicit_chain_bit_for_bit(self, per_spin, n):
-        # each element is (m_i0 v0 + m_i1 v1) + m_i2 v2, rounded after every
-        # multiply and add; a fused or reordered sum would move report bytes
+    @pytest.mark.parametrize("per_spin", [False, True], ids=["resonant", "rabi"])
+    @pytest.mark.parametrize("phase", [0.0, math.pi / 2, 2.3])
+    def test_pulse_is_the_su2_product(self, per_spin, phase):
+        # the pulse kernel against the explicit 2x2 product U (a, b), with U
+        # built from cayley_klein's (a, s) and the phase by their definition
         rng = np.random.default_rng(11)
-        m = rng.normal(size=(3, 3, n) if per_spin else (3, 3))
-        v = rng.normal(size=(3, n)) * np.exp(rng.uniform(-30.0, 30.0, (3, n)))
-        for i in range(3):  # edge values in every row of v and, per spin, of m
-            v[i, rng.integers(0, n, 3)] = rng.choice(_EDGE_VALUES, 3)
-            if per_spin:
-                m[i, :, rng.integers(0, n, 3)] = rng.choice(_EDGE_VALUES, (3, 3))
-        if n > _EDGE_VALUES.size ** 2:  # every pair of edge values meets in one product
-            v[:, :_EDGE_VALUES.size ** 2] = np.repeat(_EDGE_VALUES, _EDGE_VALUES.size)
-            if per_spin:
-                m[:, :, :_EDGE_VALUES.size ** 2] = np.tile(_EDGE_VALUES, _EDGE_VALUES.size)
-        with np.errstate(all="ignore"):
-            expected = np.array([(m[i, 0] * v[0] + m[i, 1] * v[1]) + m[i, 2] * v[2]
-                                 for i in range(3)])
-            _rotate_in_place(m, v, np.empty((3, n)))
-        np.testing.assert_array_equal(v, expected)
+        n = 257
+        det = rng.normal(0.0, 40e3, n)
+        pulse = PulseSpec(axis_phase=phase, systematic_error=0.03,
+                          rabi_hz=60e3 if per_spin else None)
+        a_p, s_p = cayley_klein(pulse, det)
+        a_p, s_p = np.broadcast_to(a_p, n), np.broadcast_to(s_p, n)
+        b_p = -1j * s_p * np.exp(1j * phase)
+        u = np.array([[a_p, -np.conj(b_p)], [b_p, np.conj(a_p)]])  # (2, 2, n)
+        ab = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        ab /= np.sqrt((np.abs(ab) ** 2).sum(axis=0))
+        expected = np.einsum("ijn,jn->in", u, ab)
+        seq = DDSequence((SequenceStep(0.0, pulse), SequenceStep(0.0)), "custom", 0.0)
+        np.testing.assert_allclose(_propagate(ab, det, seq, None), expected, rtol=0.0, atol=1e-15)
+
+    def test_finite_rabi_pulse_is_built_once_per_call(self, monkeypatch):
+        # xy8's eight pulses are one rotation at two axis phases: the phase
+        # only turns b, so the per-spin parameters are built once
+        calls = []
+
+        def counting(*args):
+            calls.append(args[0])
+            return cayley_klein(*args)
+
+        monkeypatch.setattr(sequences, "cayley_klein", counting)
+        det, w = grid_ensemble(GAUSS27, 10_000)
+        seq = build_sequence("xy8", 0.5e-3, PulseSpec(systematic_error=0.01, rabi_hz=2e5))
+        rephasing_fidelity(seq, det, w)
+        assert len(calls) == 1
 
     def test_custom_sequence_matches_stepping(self):
         ens = with_transverse_states(sample_detunings(GAUSS27, 257, seed=13), 0.4)
@@ -215,7 +222,7 @@ class TestKernel:
         np.testing.assert_array_equal(ens.states, states_before)
         # the random-phase study's jittered path hands its own writable array to the kernel
         jittered = build_sequence("xy4", 0.5e-3, PulseSpec(jitter_sd=0.05))
-        states = np.random.default_rng(6).normal(size=(3, 64))
+        states = np.random.default_rng(6).normal(size=(2, 64)) + 0.5j
         states_before = states.copy()
         out = _propagate(states, det, jittered, seed=3, first_pulse=8)
         np.testing.assert_array_equal(states, states_before)
@@ -312,6 +319,17 @@ class TestPopulationError:
         for _ in range(3):
             with pytest.raises(InvalidArgumentError, match=match):
                 calibrate_systematic_error(target, kind, t_s)
+
+    @pytest.mark.parametrize("kind", ["xx", "xy4", "xy8"])
+    def test_small_errors_match_long_double(self, kind):
+        # |b|^2 keeps its digits where (1 - z)/2 has none left: at a 1e-6
+        # angle error xx moves about 1e-11 of the population and xy4 and xy8
+        # about 1e-34, far below the 1.1e-16 spacing of z near 1
+        seq = build_sequence(kind, 0.5e-3, PulseSpec(systematic_error=1e-6))
+        det = np.array([0.0, 1.3e3, -9.1e3, 27e3])
+        expected = longdouble_population_error(seq, det)
+        rel = np.abs(sequence_population_error(seq, det) - expected) / expected
+        assert (rel <= 1e-3).all(), rel.astype(float)
 
     def test_error_model_override(self):
         seq = build_sequence("xx", 0.5e-3, PulseSpec(systematic_error=0.02))
@@ -457,20 +475,24 @@ _THETAS = (0.0, 1e-12, 1e-7, 1e-3, 1.0, math.pi / 2, 3.0, math.pi - 1e-7, math.p
 
 
 def _synthetic_rotations(rng, axes_per_angle):
-    """A (3, 3, n) stack of Rodrigues rotations, axes_per_angle random axes for
-    each angle in _THETAS, and one random unit vector per rotation.  The angle
-    pi is built with sin = 0 exactly, so its matrix is symmetric and its
-    antisymmetric part is exactly 0, as at theta = 0."""
-    mats, vecs = [], []
+    """Rotations by each angle in _THETAS about axes_per_angle random axes, as
+    a (3, 3, n) stack of Rodrigues matrices and as the (2, n) first columns
+    (a, b) of their SU(2) maps, built from the same angle and axis, and one
+    random unit vector per rotation.  The angle pi is built with sin = 0
+    exactly, so its matrix is symmetric and its antisymmetric part is exactly
+    0, as at theta = 0; its (a, b) has cos(theta/2) = 0 exactly."""
+    mats, columns, vecs = [], [], []
     for theta in _THETAS:
         c, s = (-1.0, 0.0) if theta == math.pi else (math.cos(theta), math.sin(theta))
+        ch, sh = (0.0, 1.0) if theta == math.pi else (math.cos(theta / 2), math.sin(theta / 2))
         for _ in range(axes_per_angle):
             u, v = rng.normal(size=(2, 3))
             u /= np.linalg.norm(u)
             cross = np.array([[0.0, -u[2], u[1]], [u[2], 0.0, -u[0]], [-u[1], u[0], 0.0]])
             mats.append(c * np.eye(3) + s * cross + (1.0 - c) * np.outer(u, u))
+            columns.append([complex(ch, -sh * u[2]), complex(sh * u[1], -sh * u[0])])
             vecs.append(v / np.linalg.norm(v))
-    return np.stack(mats, axis=2), np.stack(vecs, axis=1)
+    return np.stack(mats, axis=2), np.array(columns).T, np.stack(vecs, axis=1)
 
 
 class TestRandomPhase:
@@ -505,14 +527,15 @@ class TestRandomPhase:
     def test_closed_form_powers_of_synthetic_rotations(self):
         # each spin alone, so that no error hides in a mean over spins
         axes_per_angle = 4
-        maps, starts = _synthetic_rotations(np.random.default_rng(17), axes_per_angle)
+        maps, columns, starts = _synthetic_rotations(np.random.default_rng(17), axes_per_angle)
         n_max = 4096
         expected = longdouble_pole_track(maps, starts, n_max)
         for j in range(starts.shape[1]):
             v = starts[:, j:j + 1]
             rho0 = 0.5 * (1.0 - v[2, 0])
-            rho = sequences._repeated_rotation(maps[:, :, j:j + 1].copy(), v, np.ones(1),
-                                               rho0, n_max)
+            rho = sequences._repeated_rotation(columns[:, j:j + 1].copy(), v[0] + 1j * v[1],
+                                               v[2], np.ones(1), rho0, n_max,
+                                               np.empty((2, 1), dtype=complex))
             z = np.concatenate([[v[2, 0]], 1.0 - 2.0 * rho])
             np.testing.assert_allclose(
                 z, expected[:, j].astype(float), rtol=0.0, atol=1e-12,
@@ -532,9 +555,9 @@ class TestRandomPhase:
             np.testing.assert_allclose(row, expected, rtol=0.0, atol=1e-14, err_msg=seq.kind)
 
     def test_peak_memory_per_spin(self, tmp_path):
-        # one kind's maps are composed at a time, and freed before their
+        # one kind's (a, b) maps are composed at a time, and freed before their
         # closed-form powers use (n,) arrays, so the peak is one composition's:
-        # 168 bytes a spin at 2^16 spins, 186 if the maps stayed alive
+        # 138 bytes a spin at 2^16 spins
         n_spins = 2 ** 16
         warm, fixtures = load_config("random_phase", {"ensemble": {"n_spins": 64}})
         cfg, _ = load_config("random_phase", {"ensemble": {"n_spins": n_spins},
