@@ -47,27 +47,29 @@ OUTPUT_DIR_ENV = "AFCMEM_OUT"
 
 # Largest counts that size arrays.  Each keeps the peak memory its count adds
 # to a run under 170 MiB, at the cost per unit measured with tracemalloc:
-# 138 bytes per spin at 2^16 spins (random_phase, while one kind's SU(2) maps
-# (a, b) are composed; 144 with jittered pulses, whose spinors are stepped;
-# 10 on thermalization), 290 per thermalization sequence (fig1d) and 428 per
-# random-phase repetition (four kinds, mostly CSV rows).  The sections that
-# are domain classes bound their own counts: afc.MAX_MODES and
-# detection.MAX_GATE_BINS.
+# 138.2 bytes per spin at 2^16 spins (random_phase, while one kind's SU(2)
+# maps (a, b) are composed; 144 with jittered pulses, whose spinors are
+# stepped; 10 on thermalization), 290 per thermalization sequence (fig1d) and
+# 428 per random-phase repetition (four kinds, mostly CSV rows).  Not yet
+# inside it: random_phase with pulse.rabi_hz set costs 216 bytes a spin (234
+# with jitter), as each distinct pulse keeps its per-spin (a, s), so 2^20
+# spins peak at 216-234 MiB.  The sections that are domain classes bound
+# their own counts: afc.MAX_MODES and detection.MAX_GATE_BINS.
 MAX_SPINS = 2 ** 20
 MAX_THERMALIZATION_SEQUENCES = 2 ** 19
 MAX_RANDOM_PHASE_REPETITIONS = 2 ** 18
 
 # Most spins x repetitions a random_phase run may ask for: the counts above
 # cap its memory, this its time.  Each kind's SU(2) maps are composed once
-# and their powers taken in closed form, one complex multiply and one complex
-# dot on (n,) arrays per kind and repetition; on a 2-vCPU host, one CPU, a
-# whole four-kind run took 8 ns per spin and repetition at 2^13 x 2^13, 13 at
-# 2^16 x 2^10 and 50 at 2^20 x 2^6 (most of it sampling the spins and
-# composing maps that outgrow the cache), so 0.5-3.4 s at the bound.  A
-# jittered pulse steps each spin's spinor in every repetition instead,
-# reusing each wait's phases across them, at about 0.35 us per spin and
-# repetition on 10k spins (0.66 us on 2k spins, and 1.6 us on 10k with
-# rabi_hz, which rebuilds each jittered pulse's per-spin parameters).
+# and their powers taken in closed form, one (4, chunk) matrix-vector product
+# per kind, four repetitions and chunk of at most 10,000 spins; on a 2-vCPU
+# host, one BLAS thread, a whole four-kind run took 2.2 ns per spin and
+# repetition at 2^13 x 2^13, 2.6 at 2^16 x 2^10 and 18 at 2^20 x 2^6 (most
+# of it sampling the spins and composing maps that outgrow the cache), so
+# 0.15-1.2 s at the bound.  A jittered pulse steps each spin's spinor in every
+# repetition instead, reusing each wait's phases across them, at about 0.35
+# us per spin and repetition on 10k spins (0.66 us on 2k spins, and 1.6 us on
+# 10k with rabi_hz, which rebuilds each jittered pulse's per-spin parameters).
 MAX_RANDOM_PHASE_WORK = 2 ** 26
 
 # Longest storage time: far above any physical one (ms to hours), and low

@@ -146,19 +146,21 @@ def test_random_phase_pipeline_equals_per_kind_studies(tmp_path, pulse):
 
 def test_report_bytes_do_not_depend_on_blas_threads(tmp_path):
     # OpenBLAS splits a dot of more than 10,000 elements across its threads,
-    # and the random-phase study dots all 40,000 spins here
-    config = tmp_path / "random_phase.json"
-    config.write_text(json.dumps({"preset": "random_phase", "format": "json",
-                                  "ensemble": {"n_spins": 40_000},
-                                  "random_phase": {"n_max": 8}}))
+    # and the random-phase study dots all 40,000 spins here, in chunks of
+    # 10,000 and four repetitions at a time: n_max 9 ends on a partial block
     src = str(Path(afcmem.__file__).resolve().parents[1])
-    outputs = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = tmp_path / f"threads{threads}"
-        subprocess.run([sys.executable, "-m", "afcmem.cli", "run", str(config), "--out", str(out)],
-                       env=env, check=True, capture_output=True)
-        outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
-    assert sorted(outputs[0]) == ["random_phase.csv", "report.json"]
-    assert outputs[0] == outputs[1]
+    for n_max in (8, 9):
+        config = tmp_path / f"random_phase{n_max}.json"
+        config.write_text(json.dumps({"preset": "random_phase", "format": "json",
+                                      "ensemble": {"n_spins": 40_000},
+                                      "random_phase": {"n_max": n_max}}))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = tmp_path / f"n{n_max}threads{threads}"
+            subprocess.run([sys.executable, "-m", "afcmem.cli", "run", str(config),
+                            "--out", str(out)], env=env, check=True, capture_output=True)
+            outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert sorted(outputs[0]) == ["random_phase.csv", "report.json"]
+        assert outputs[0] == outputs[1], f"n_max {n_max}"

@@ -524,6 +524,21 @@ class TestRandomPhase:
                                    _stepped_random_phase(seq, n_spins, n_max, tilt, seed),
                                    rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("n_spins", [1, 2, 3, 20_001])
+    @pytest.mark.parametrize("n_max", [0, 1, 3, 4, 5])
+    def test_blocked_read_out_matches_stepping(self, n_spins, n_max):
+        # the read-out takes four repetitions per block and at most n/2 spins
+        # per chunk: partial blocks, one spin's own buffer, a last chunk of one
+        seq = build_sequence("xy4", 0.5e-3, PulseSpec(systematic_error=0.02))
+        tilt, seed = 0.1, 6
+        ens = sample_detunings(GAUSS27, n_spins, seed)
+        rho_g = random_phase_population_study([seq], ens.detunings_hz, ens.weights, n_max,
+                                              tilt=tilt, seed=seed)
+        assert rho_g.shape == (1, n_max + 1)
+        np.testing.assert_allclose(rho_g[0],
+                                   _stepped_random_phase(seq, n_spins, n_max, tilt, seed),
+                                   rtol=0.0, atol=1e-12)
+
     def test_closed_form_powers_of_synthetic_rotations(self):
         # each spin alone, so that no error hides in a mean over spins
         axes_per_angle = 4
@@ -555,9 +570,9 @@ class TestRandomPhase:
             np.testing.assert_allclose(row, expected, rtol=0.0, atol=1e-14, err_msg=seq.kind)
 
     def test_peak_memory_per_spin(self, tmp_path):
-        # one kind's (a, b) maps are composed at a time, and freed before their
-        # closed-form powers use (n,) arrays, so the peak is one composition's:
-        # 138 bytes a spin at 2^16 spins
+        # one kind's (a, b) maps are composed at a time, and their closed-form
+        # powers reuse them and (n,) arrays, so the peak is one composition's:
+        # 138.2 bytes a spin at 2^16 spins
         n_spins = 2 ** 16
         warm, fixtures = load_config("random_phase", {"ensemble": {"n_spins": 64}})
         cfg, _ = load_config("random_phase", {"ensemble": {"n_spins": n_spins},
