@@ -18,12 +18,15 @@ derived by this package.  The comb dephasing part and the echo trace over
 time are both evaluated in closed form (Gaussian envelope times a tooth
 sum, plus the pedestal's Dirichlet kernel), the dephasing part from the
 comb's config alone, so the efficiency chain never samples a comb; the
-DFT of the sampled comb (afc_echo_amplitude) is the oracle of both, and
-only the spectrum and echo-trace outputs sample the comb.
+DFT of the sampled comb (afc_echo_amplitude) is the oracle of both.  The
+dephasing part is memoized per comb config, and only the spectrum and
+echo-trace outputs sample the comb: once per comb config per process, as
+the runner keeps the last comb's output texts.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,7 +41,12 @@ from .sequences import build_sequence, rephasing_fidelity
 _GRID_PER_TOOTH = 25.0
 
 # Largest frequency grid a comb may ask for (8 MiB per float64 array); the
-# finesse-1000 comb of the tests needs about half of it.
+# finesse-1000 comb of the tests needs about half of it.  The runner holds
+# the last comb's two trace texts between runs: 4.98 MB for that comb (4.96
+# MB of it comb_spectrum.csv at 500,201 points), 17.4 MB for a comb at the
+# bound (finesse 2795 over 1.5 MHz, 1,048,326 points) and 19.3 MB for it
+# with background_depth 0.3.  Two '%.12g' cells a row take at most 38
+# bytes, so no comb's texts pass 40 MB.
 MAX_COMB_GRID_POINTS = 2 ** 20
 
 # Largest teeth x grid points build_comb may evaluate: it adds every tooth
@@ -271,6 +279,7 @@ def _depth_total(cfg: CombConfig) -> float:
     return cfg.peak_depth * tooth_sums / peak + cfg.background_depth * m
 
 
+@functools.lru_cache
 def comb_dephasing_factor(cfg: CombConfig) -> float:
     """Intensity fraction surviving tooth-width dephasing at the echo time.
 
@@ -278,7 +287,9 @@ def comb_dephasing_factor(cfg: CombConfig) -> float:
     depth total of build_comb's comb computed from the config, so no comb
     is sampled; |afc_echo_amplitude|^2 of the sampled comb is its oracle.
     Without a background it is the Gaussian envelope squared,
-    exp(-pi^2 / (2 ln2 finesse^2)), up to rounding.
+    exp(-pi^2 / (2 ln2 finesse^2)), up to rounding.  Memoized per config
+    (a float an entry): a sweep or a loop over seeds asks for one comb's
+    factor at every storage time.
     """
     t = np.array([cfg.afc_delay_s])
     amp = _echo_magnitude(cfg, t, cfg.grid_points, _grid_step(cfg), _depth_total(cfg))

@@ -4,7 +4,9 @@ Each pipeline writes its CSV traces and returns its results; run_experiment
 then writes the self-describing report last (the full parameter set, the
 results, and the preset's fixtures when it has any).  Identical (config,
 seed) give byte-identical files: no timestamps, fixed float formatting,
-sorted keys.
+sorted keys.  The comb's two trace files depend on the comb config alone;
+their texts are formatted once per comb config and kept for the next run
+in the process, one comb's at a time.
 """
 
 from __future__ import annotations
@@ -56,16 +58,20 @@ def _column_cells(column) -> tuple[str, list]:
     return "%s", [_FLOAT_FMT % v if isinstance(v, _FLOAT_TYPES) else str(v) for v in column]
 
 
-def _write_csv(path: Path, columns: dict) -> Path:
-    """Write equal-length columns, headed by their names, as one % over a
-    row template repeated once per row."""
+def _csv_text(columns: dict) -> str:
+    """Equal-length columns, headed by their names, as one % over a row
+    template repeated once per row."""
     fields, cells = zip(*map(_column_cells, columns.values()))
     width, n_rows = len(cells), len(cells[0])
     flat = [None] * (width * n_rows)
     for j, column in enumerate(cells):
         flat[j::width] = column  # a column of another length raises ValueError
     rows = (",".join(fields) + "\n") * n_rows
-    path.write_text(",".join(columns) + "\n" + rows % tuple(flat))
+    return ",".join(columns) + "\n" + rows % tuple(flat)
+
+
+def _write_csv(path: Path, columns: dict) -> Path:
+    path.write_text(_csv_text(columns))
     return path
 
 
@@ -135,13 +141,30 @@ def _write_histogram(path: Path, runs: list[detection.RunStatistics]) -> Path:
     return _write_csv(path, columns)
 
 
+# The texts of comb_spectrum.csv and echo_trace.csv for the last comb config
+# written, so a process that runs one comb again (over seeds or storage times)
+# samples, traces and formats it once.  At most one entry.
+_COMB_TEXTS: dict[afc.CombConfig, tuple[str, str]] = {}
+
+
 def _write_comb_traces(out_dir: Path, cfg: ExperimentConfig) -> list[Path]:
-    comb = afc.build_comb(cfg.comb)
-    times = np.linspace(0.0, 2.0 * comb.config.afc_delay_s, 801)
-    return [_write_csv(out_dir / "comb_spectrum.csv",
-                       {"frequency_hz": comb.freq_hz, "depth": comb.depth}),
-            _write_csv(out_dir / "echo_trace.csv",
-                       {"time_s": times, "amplitude": afc.echo_trace(comb, times)})]
+    """Write the comb's spectrum and echo trace, from _COMB_TEXTS when it
+    holds this comb.  A miss drops the held texts before it builds the new
+    comb, so two combs' texts never coexist: what the memo adds to a
+    process's memory is one comb's texts, under 40 MB at the grid bound
+    (see afc.MAX_COMB_GRID_POINTS)."""
+    texts = _COMB_TEXTS.get(cfg.comb)
+    if texts is None:
+        _COMB_TEXTS.clear()
+        comb = afc.build_comb(cfg.comb)
+        times = np.linspace(0.0, 2.0 * comb.config.afc_delay_s, 801)
+        texts = _COMB_TEXTS[cfg.comb] = (
+            _csv_text({"frequency_hz": comb.freq_hz, "depth": comb.depth}),
+            _csv_text({"time_s": times, "amplitude": afc.echo_trace(comb, times)}))
+    paths = [out_dir / "comb_spectrum.csv", out_dir / "echo_trace.csv"]
+    for path, text in zip(paths, texts):
+        path.write_text(text)
+    return paths
 
 
 def _calibrated_pulse(cfg: ExperimentConfig) -> PulseSpec:

@@ -1,9 +1,11 @@
 import csv
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from afcmem.config import ExperimentConfig, load_config, preset_names
 from afcmem.ensemble import SpinEnsemble, sample_detunings
 from afcmem.sequences import (build_sequence, calibrate_systematic_error,
                               random_phase_population_study)
+from golden import MANIFEST, versions
 
 
 def _per_cell_csv(path, header, rows):
@@ -89,11 +92,7 @@ def test_json_report_takes_numpy_scalars(tmp_path):
     assert type(got["empty"]) is bool and type(got["n"]) is int
 
 
-@pytest.mark.parametrize("preset,builds", [("fig2a", 1), ("fig2b", 1), ("fig2c", 1),
-                                           ("table1", 0)])
-def test_comb_is_sampled_only_for_its_traces(tmp_path, monkeypatch, preset, builds):
-    # the efficiency chain takes the comb's dephasing in closed form; only
-    # comb_spectrum.csv and echo_trace.csv need the sampled comb
+def _count_builds(monkeypatch) -> list:
     calls = []
     build = afcmem.afc.build_comb
 
@@ -102,9 +101,87 @@ def test_comb_is_sampled_only_for_its_traces(tmp_path, monkeypatch, preset, buil
         return build(cfg)
 
     monkeypatch.setattr(afcmem.afc, "build_comb", counted)
-    cfg, fixtures = load_config(preset, {"detection": {"trials": 2000}})
-    runner.run_experiment(cfg, fixtures, out_dir=tmp_path)
-    assert len(calls) == builds
+    return calls
+
+
+def _run_fig2a(out_dir, **overrides):
+    cfg, fixtures = load_config("fig2a", {"detection": {"trials": 2000}, **overrides})
+    return runner.run_experiment(cfg, fixtures, out_dir=out_dir)
+
+
+def test_comb_is_sampled_only_for_its_traces(tmp_path, monkeypatch):
+    # the efficiency chain takes the comb's dephasing in closed form; only
+    # comb_spectrum.csv and echo_trace.csv need the sampled comb, and the
+    # runner keeps the last comb's texts, so fig2a, fig2b, fig2c and table1,
+    # which share one comb, sample it once in a process
+    runner._COMB_TEXTS.clear()
+    calls = _count_builds(monkeypatch)
+    for preset in ("fig2a", "fig2b", "fig2c", "table1"):
+        cfg, fixtures = load_config(preset, {"detection": {"trials": 2000}})
+        runner.run_experiment(cfg, fixtures, out_dir=tmp_path / preset)
+    assert len(calls) == 1
+    _run_fig2a(tmp_path / "other", comb={"finesse": 5.0})
+    assert len(calls) == 2
+
+
+def _files(paths) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in paths}
+
+
+@pytest.mark.parametrize("other", [{"finesse": 5.0}, {"background_depth": 0.3}],
+                         ids=["finesse", "background_depth"])
+def test_held_comb_texts_equal_a_fresh_build(tmp_path, other):
+    # combs A, B, A in one process write what each writes after the memo is
+    # cleared, and the memoized dephasing factor is the function's own value
+    combs = [{}, other, {}]
+    runner._COMB_TEXTS.clear()
+    held = [_files(_run_fig2a(tmp_path / f"held{i}", comb=comb))
+            for i, comb in enumerate(combs)]
+    for i, comb in enumerate(combs):
+        runner._COMB_TEXTS.clear()
+        assert held[i] == _files(_run_fig2a(tmp_path / f"fresh{i}", comb=comb))
+        cfg, _ = load_config("fig2a", {"comb": comb})
+        assert (afcmem.afc.comb_dephasing_factor(cfg.comb)
+                == afcmem.afc.comb_dephasing_factor.__wrapped__(cfg.comb))
+
+
+@pytest.mark.parametrize("finesses", [(4, 4.0), (4.0, 4)], ids=["int_first", "float_first"])
+def test_equal_combs_share_one_entry_and_the_manifest_bytes(tmp_path, monkeypatch, finesses):
+    manifest = json.loads(MANIFEST.read_text())
+    assert {key: manifest[key] for key in versions()} == versions()
+    runner._COMB_TEXTS.clear()
+    afcmem.afc.comb_dephasing_factor.cache_clear()
+    calls = _count_builds(monkeypatch)
+    for finesse in finesses:
+        cfg, fixtures = load_config("fig2a", {"format": "csv", "seed": 1,
+                                              "comb": {"finesse": finesse}})
+        for path in runner.run_experiment(cfg, fixtures, out_dir=tmp_path / str(finesse)):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert digest == manifest["files"][f"fig2a/csv/seed1/{path.name}"], path.name
+    assert len(calls) == 1
+    assert afcmem.afc.comb_dephasing_factor.cache_info().currsize == 1
+
+
+def test_held_comb_texts_do_not_raise_the_next_combs_peak(tmp_path):
+    # a new comb's texts are built only after the held ones are dropped, so
+    # a run whose peak is its comb stage peaks as high after another comb's
+    # run as after an empty memo; the held finesse-200 texts (1.2 MB) would
+    # add 8.5% to this run's 14.4 MB if they outlived the build
+    def peak_of_second(first):
+        runner._COMB_TEXTS.clear()
+        tracemalloc.start()
+        try:
+            if first is not None:
+                _run_fig2a(tmp_path / "first", comb=first)
+            tracemalloc.reset_peak()
+            _run_fig2a(tmp_path / "second", comb={"finesse": 200.0, "background_depth": 0.3})
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    after_empty = peak_of_second(None)
+    after_held = peak_of_second({"finesse": 200.0})
+    assert after_held <= 1.05 * after_empty, f"{after_held} B against {after_empty} B"
 
 
 @pytest.mark.parametrize("preset", preset_names())
