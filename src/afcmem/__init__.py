@@ -15,10 +15,9 @@ from .errors import (AfcmemError, CapacityError, ConfigError, DomainError,
                      IntegrationAccuracyError, InvalidArgumentError)
 from .pulses import (AdiabaticPulseSpec, IntegratorConfig, InversionProfile, PulseSpec,
                      integrate_bloch_many, inversion_error_profile, rotate_states)
-from .sequences import (DDSequence, SequenceStep, ThermalizationCurve, apply_sequence,
-                        build_sequence, calibrate_systematic_error,
-                        random_phase_population_study, rephasing_fidelity,
-                        sequence_population_error, thermalization_curve,
+from .sequences import (DDSequence, ThermalizationCurve, apply_sequence, build_sequence,
+                        calibrate_systematic_error, random_phase_population_study,
+                        rephasing_fidelity, sequence_population_error, thermalization_curve,
                         thermalization_monte_carlo, thermalization_monte_carlo_uniform)
 
 __version__ = "0.1.0"

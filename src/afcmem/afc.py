@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -83,6 +83,13 @@ class CombConfig:
     background_depth: float = 0.0
 
     def __post_init__(self):
+        # a numpy scalar other than float64 compares and hashes equal to the
+        # Python number but computes at its own precision, and the comb's
+        # memos key on equality
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not isinstance(v, (int, float)) or isinstance(v, bool):
+                raise InvalidArgumentError(f"{f.name} must be an int or a float, got {v!r}")
         if not self.periodicity_hz > 0:
             raise InvalidArgumentError(f"periodicity_hz must be > 0, got {self.periodicity_hz}")
         if not self.finesse > 1:

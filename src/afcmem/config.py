@@ -35,7 +35,7 @@ from .detection import MAX_GATE_BINS, DetectionConfig, NoiseModel
 from .ensemble import DetuningDistribution
 from .errors import CapacityError, ConfigError, InvalidArgumentError, check_count
 from .pulses import AdiabaticPulseSpec, PulseSpec
-from .sequences import SEQUENCE_KINDS
+from .sequences import MAX_STORAGE_TIME_S, SEQUENCE_KINDS
 
 SCHEMA_VERSION = 1
 
@@ -52,7 +52,7 @@ OUTPUT_DIR_ENV = "AFCMEM_OUT"
 # stepped; 10 on thermalization), 290 per thermalization sequence (fig1d) and
 # 428 per random-phase repetition (four kinds, mostly CSV rows).  Not yet
 # inside it: random_phase with pulse.rabi_hz set costs 216 bytes a spin (234
-# with jitter), as each distinct pulse keeps its per-spin (a, s), so 2^20
+# with jitter), as the pulse's per-spin (a, s) is kept for the call, so 2^20
 # spins peak at 216-234 MiB.  The sections that are domain classes bound
 # their own counts: afc.MAX_MODES and detection.MAX_GATE_BINS.
 MAX_SPINS = 2 ** 20
@@ -67,16 +67,10 @@ MAX_RANDOM_PHASE_REPETITIONS = 2 ** 18
 # repetition at 2^13 x 2^13, 2.6 at 2^16 x 2^10 and 18 at 2^20 x 2^6 (most
 # of it sampling the spins and composing maps that outgrow the cache), so
 # 0.15-1.2 s at the bound.  A jittered pulse steps each spin's spinor in every
-# repetition instead, reusing each wait's phases across them, at about 0.35
+# repetition instead, reusing its half-gap phases across them, at about 0.35
 # us per spin and repetition on 10k spins (0.66 us on 2k spins, and 1.6 us on
 # 10k with rabi_hz, which rebuilds each jittered pulse's per-spin parameters).
 MAX_RANDOM_PHASE_WORK = 2 ** 26
-
-# Longest storage time: far above any physical one (ms to hours), and low
-# enough that the precession phase 2 pi detuning t and the envelope exponent
-# (pi fwhm t)^2 stay finite for every line up to ensemble.MAX_FWHM_HZ.
-MAX_STORAGE_TIME_S = 1e12
-
 
 @dataclass(frozen=True, slots=True)
 class Diagnostic:

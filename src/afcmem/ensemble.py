@@ -28,7 +28,7 @@ LORENTZIAN_CUTOFF_FWHM = 50.0
 # Widest line: far above any physical spin line (kHz to MHz), and low enough
 # that what derives from it stays finite: the grid's +-4.5 sigma, the
 # Lorentzian cut-off squared in pdf, and, up to the longest storage time
-# (config.MAX_STORAGE_TIME_S), the precession phase 2 pi detuning t and the
+# (sequences.MAX_STORAGE_TIME_S), the precession phase 2 pi detuning t and the
 # envelope exponent (pi fwhm t)^2.
 MAX_FWHM_HZ = 1e15
 

@@ -1,11 +1,11 @@
 """Dynamical-decoupling sequences and their population-error bookkeeping.
 
-Builders produce timed sequences of waits and inversion pulses over a spin
-storage window.  Pulses are placed at the centers of equal refocusing
-intervals (half-gaps at both ends), so an n-pulse sequence over T has gaps
-[T/2n, T/n, ..., T/n, T/2n].  Population error of a sequence is the
-probability mass moved to the |g> pole (z = -1) after one full sequence
-applied to a spin prepared in |s> (z = +1).
+A sequence is its kind, its storage time T and its pi pulse.  The kind's
+n pulses sit at the centers of equal refocusing intervals (half-gaps at
+both ends), so the gaps are [T/2n, T/n, ..., T/n, T/2n], and each pulse is
+the sequence's pulse at the kind's pattern phase.  Population error of a
+sequence is the probability mass moved to the |g> pole (z = -1) after one
+full sequence applied to a spin prepared in |s> (z = +1).
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from .rng import DOMAIN_RANDOM_PHASE, DOMAIN_THERMALIZATION, spawn_generator
 
 _X, _Y = 0.0, math.pi / 2.0
 
-# Pulse phase patterns.  KDD replaces each XY-4 pulse by the standard
-# five-pulse composite block (pi/6+phi, phi, pi/2+phi, phi, pi/6+phi);
-# it is included for exploration and marked experimental.
+# Pulse phase patterns, each of an even count.  KDD replaces each XY-4 pulse
+# by the standard five-pulse composite block (pi/6+phi, phi, pi/2+phi, phi,
+# pi/6+phi); it is included for exploration and marked experimental.
 _KDD_BLOCK = (math.pi / 6.0, 0.0, math.pi / 2.0, 0.0, math.pi / 6.0)
 SEQUENCE_PHASES = {
     "xx": (_X, _X),
@@ -40,67 +40,43 @@ SEQUENCE_PHASES = {
 }
 SEQUENCE_KINDS = tuple(SEQUENCE_PHASES)
 
-
-@dataclass(frozen=True)
-class SequenceStep:
-    """A wait followed by an optional pulse (None for the closing wait)."""
-
-    wait_s: float
-    pulse: PulseSpec | None = None
-
-    def __post_init__(self):
-        if self.wait_s < 0:
-            raise InvalidArgumentError(f"wait_s must be >= 0, got {self.wait_s}")
+# Longest storage time: far above any physical one (ms to hours), and low
+# enough that the precession phase 2 pi detuning t and the envelope exponent
+# (pi fwhm t)^2 stay finite for every line up to ensemble.MAX_FWHM_HZ.
+MAX_STORAGE_TIME_S = 1e12
 
 
 @dataclass(frozen=True)
 class DDSequence:
-    """An ordered list of steps spanning total_duration_s of storage time."""
+    """The kind's n_pulses pulses over t_s seconds of storage time: pulse at
+    each of the kind's pattern phases (pulse's own axis_phase is not read)."""
 
-    steps: tuple[SequenceStep, ...]
     kind: str
-    total_duration_s: float
+    t_s: float
+    pulse: PulseSpec
 
     def __post_init__(self):
-        total = math.fsum(s.wait_s for s in self.steps)
-        if abs(total - self.total_duration_s) > 1e-12 * max(self.total_duration_s, 1.0):
+        if self.kind not in SEQUENCE_KINDS:
+            raise InvalidArgumentError(f"kind must be one of {SEQUENCE_KINDS}, got {self.kind!r}")
+        if not 0 < self.t_s <= MAX_STORAGE_TIME_S:
             raise InvalidArgumentError(
-                f"waits sum to {total!r}, expected {self.total_duration_s!r}")
-        if self.kind in SEQUENCE_KINDS and self.n_pulses % 2 != 0:
-            raise InvalidArgumentError(f"{self.kind} must carry an even pulse count")
+                f"t_s must be in (0, {MAX_STORAGE_TIME_S:g}], got {self.t_s}")
+
+    @property
+    def phases(self) -> tuple[float, ...]:
+        return SEQUENCE_PHASES[self.kind]
 
     @property
     def n_pulses(self) -> int:
-        return sum(1 for s in self.steps if s.pulse is not None)
-
-    @property
-    def pulses(self) -> tuple[PulseSpec, ...]:
-        return tuple(s.pulse for s in self.steps if s.pulse is not None)
+        return len(self.phases)
 
 
 def build_sequence(kind: str, t_s: float, pulse_template: PulseSpec | None = None) -> DDSequence:
-    """Build a named sequence over storage time t_s.
-
-    Every pulse copies the template (default: ideal pi pulse) with its
-    axis_phase replaced by the pattern phase.  xy4 gives gaps
-    [T/8, T/4, T/4, T/4, T/8] with phases X,Y,X,Y; xx gives
-    [T/4, T/2, T/4] with two X pulses.
+    """The named sequence over storage time t_s with the template pulse
+    (default: ideal pi pulse).  xy4 gives gaps [T/8, T/4, T/4, T/4, T/8]
+    with phases X,Y,X,Y; xx gives [T/4, T/2, T/4] with two X pulses.
     """
-    if kind not in SEQUENCE_KINDS:
-        raise InvalidArgumentError(f"kind must be one of {SEQUENCE_KINDS}, got {kind!r}")
-    if not t_s > 0:
-        raise InvalidArgumentError(f"t_s must be > 0, got {t_s}")
-    if pulse_template is None:
-        pulse_template = PulseSpec()
-    phases = SEQUENCE_PHASES[kind]
-    n = len(phases)
-    gap = t_s / n
-    steps = []
-    for i, phase in enumerate(phases):
-        wait = gap / 2.0 if i == 0 else gap
-        steps.append(SequenceStep(wait, replace(pulse_template, axis_phase=phase)))
-    steps.append(SequenceStep(gap / 2.0))
-    return DDSequence(tuple(steps), kind, t_s)
+    return DDSequence(kind, t_s, PulseSpec() if pulse_template is None else pulse_template)
 
 
 # OpenBLAS splits a dot of more elements than this across its threads, and
@@ -135,8 +111,17 @@ def _phasor(angle: np.ndarray, out: np.ndarray) -> None:
     out.imag /= t
 
 
+def _half_gap_turn(seq: DDSequence, detunings_hz: np.ndarray) -> np.ndarray:
+    """The (2, n) diagonal [e^{-i pi det h}; e^{i pi det h}] of each spin's
+    map over the half-gap h = (T/n)/2 of the sequence."""
+    turn = np.empty((2, detunings_hz.size), dtype=complex)
+    _phasor(np.multiply(detunings_hz, math.pi * (seq.t_s / seq.n_pulses / 2.0)), turn[1])
+    np.conjugate(turn[1], out=turn[0])
+    return turn
+
+
 def _propagate(ab: np.ndarray, detunings_hz: np.ndarray, seq: DDSequence, seed: int | None,
-               first_pulse: int = 0, turns: dict[float, np.ndarray] | None = None,
+               first_pulse: int = 0, turn: np.ndarray | None = None,
                work: np.ndarray | None = None) -> np.ndarray:
     """Compose each spin's SU(2) map with the sequence; the one sequence
     propagator.
@@ -155,52 +140,37 @@ def _propagate(ab: np.ndarray, detunings_hz: np.ndarray, seq: DDSequence, seed: 
     and cost a page fault per 4 KiB when touched again: 1,230 faults and
     2-5 ms of an 11-15 ms random_phase run on 10k spins (2-vCPU Xeon).
 
-    A wait multiplies each column by the diagonal of its map, computed once
-    per distinct wait length and kept in turns (a caller that steps the same
-    detunings again passes the same dict); a wait twice as long as a kept
-    one is two multiplies by it.  A pulse U_p = [[a, -b*], [b, a*]], b =
-    -i s e^{i phase}, is two multiply-adds, with (a, s) from
-    pulses.cayley_klein built once per call for each distinct rotation
-    (angle, jitter and Rabi frequency; the axis phase is a scalar on b).
+    Each pulse is a half-gap, the pulse and a half-gap, so a full gap is two
+    multiplies by the half-gap's diagonal turn (_half_gap_turn; a caller
+    that steps the same detunings again passes the one it keeps).  A pulse
+    U_p = [[a, -b*], [b, a*]], b = -i s e^{i phase}, is two multiply-adds,
+    with (a, s) from pulses.cayley_klein built once per call, or once per
+    pulse when its jitter angle changes (the axis phase is a scalar on b).
     The k-th pulse of the sequence draws its jitter keyed by (seed,
     first_pulse + k), and a seed of None means no jitter.
     """
     out, scratch = np.empty((2, 2, detunings_hz.size), dtype=complex) if work is None else work
     out[...] = ab
-    turns = {} if turns is None else turns
-    rotations = {}
-    pulse_index = first_pulse
-    for step in seq.steps:
-        if step.wait_s > 0:
-            half = turns.get(0.5 * step.wait_s)
-            if half is not None:  # a full gap is two half-gaps
-                out *= half
-                out *= half
-            else:
-                if step.wait_s not in turns:  # [e^{-i pi det t}; e^{i pi det t}]
-                    turn = turns[step.wait_s] = np.empty_like(out)
-                    _phasor(np.multiply(detunings_hz, math.pi * step.wait_s), turn[1])
-                    np.conjugate(turn[1], out=turn[0])
-                out *= turns[step.wait_s]
-        pulse = step.pulse
-        if pulse is not None:
-            jitter = jitter_angle(pulse, seed, pulse_index)
-            key = (pulse.nominal_angle, pulse.systematic_error, pulse.rabi_hz, jitter)
-            if key not in rotations:
-                a, s = cayley_klein(pulse, detunings_hz, jitter)
-                # a per-spin a is stacked over its conjugate: one multiply of the
-                # whole (2, n) array, as numpy rounds an in-place complex multiply
-                # of one element apart from a longer one, so row by row a
-                # one-spin map would drift from the same spin's map in a stack
-                rotations[key] = (a, s) if np.ndim(a) == 0 else (np.array([a, a.conj()]), s)
-            a, s = rotations.pop(key) if jitter else rotations[key]  # a jittered angle never recurs
-            # U (a, b) with b_p = -i s e^{i phase}: a multiplies row a and a* row
-            # b, and -b_p* b and b_p a come from the swapped rows
-            phases = np.exp([[-1j * pulse.axis_phase], [1j * pulse.axis_phase]])
-            np.multiply(out[::-1], -1j * s * phases, out=scratch)
-            out *= a
-            out += scratch
-            pulse_index += 1
+    turn = _half_gap_turn(seq, detunings_hz) if turn is None else turn
+    built = None  # the jitter of the rotation (a, s) last built
+    for k, phase in enumerate(seq.phases):
+        out *= turn
+        jitter = jitter_angle(seq.pulse, seed, first_pulse + k)
+        if jitter != built:  # once without jitter: a jittered angle never recurs
+            built = jitter
+            a, s = cayley_klein(seq.pulse, detunings_hz, jitter)
+            # a per-spin a is stacked over its conjugate: one multiply of the
+            # whole (2, n) array, as numpy rounds an in-place complex multiply
+            # of one element apart from a longer one, so row by row a
+            # one-spin map would drift from the same spin's map in a stack
+            if np.ndim(a):
+                a = np.array([a, a.conj()])
+        # U (a, b) with b_p = -i s e^{i phase}: a multiplies row a and a* row
+        # b, and -b_p* b and b_p a come from the swapped rows
+        np.multiply(out[::-1], -1j * s * np.exp([[-1j * phase], [1j * phase]]), out=scratch)
+        out *= a
+        out += scratch
+        out *= turn
     return out
 
 
@@ -471,8 +441,8 @@ def random_phase_population_study(seqs: Sequence[DDSequence], detunings_hz: np.n
     composed once and its n_max powers are taken in closed form
     (_repeated_rotation): one (4, chunk) matrix-vector product per chunk of
     spins and four repetitions, not a map application per repetition.  With
-    jitter each spin's spinor is stepped pulse by pulse, with one wait cache
-    per sequence across its repetitions, and its |g> population is |b|^2;
+    jitter each spin's spinor is stepped pulse by pulse, with one half-gap
+    turn per sequence across its repetitions, and its |g> population is |b|^2;
     pulses are counted across repetitions: the k-th pulse of repetition r
     (both from 0) draws its jitter keyed by (seed, r * seq.n_pulses + k), so
     no two applications of one sequence share a draw.
@@ -491,16 +461,16 @@ def random_phase_population_study(seqs: Sequence[DDSequence], detunings_hz: np.n
     rho = np.empty((len(seqs), n_max + 1))
     rho[:, 0] = 0.5 * (1.0 - vz) * w.sum()
     for i, seq in enumerate(seqs):
-        if not any(p.jitter_sd > 0 for p in seq.pulses):
+        if seq.pulse.jitter_sd == 0.0:
             rho[i, 1:] = _repeated_rotation(_sequence_map(seq, det, work=work), transverse, vz, w,
                                             rho[i, 0], n_max, work[1])
             continue
         # the start vector's spinor (cos(t/2), e^{i phi} sin(t/2)), t its tilt
         # angle, is (cos(t/2), transverse / (2 cos(t/2)))
         work[0, 0], work[0, 1] = math.sqrt(0.5 + 0.5 * vz), transverse / math.sqrt(2.0 + 2.0 * vz)
-        turns: dict[float, np.ndarray] = {}
+        turn = _half_gap_turn(seq, det)
         for k in range(1, n_max + 1):
-            states = _propagate(work[0], det, seq, seed, (k - 1) * seq.n_pulses, turns, work)
+            states = _propagate(work[0], det, seq, seed, (k - 1) * seq.n_pulses, turn, work)
             rho[i, k] = _dot(w, _norm2(states[1]))
-        del turns  # freed before the next sequence composes its maps
+        del turn  # freed before the next sequence composes its maps
     return rho

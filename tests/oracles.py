@@ -55,6 +55,16 @@ def reference_rotate(states, pulse, detunings_hz, jitter=0.0):
             + axis * (ndotv * (1.0 - c))[:, None])
 
 
+def sequence_steps(seq):
+    """The sequence as (wait_s, pulse) steps, pulse None for the closing wait:
+    the gaps [T/2n, T/n, ..., T/n, T/2n], each followed by the sequence's
+    pulse at the next pattern phase."""
+    gap = seq.t_s / seq.n_pulses
+    steps = [(gap / 2.0 if k == 0 else gap, replace(seq.pulse, axis_phase=phase))
+             for k, phase in enumerate(seq.phases)]
+    return steps + [(gap / 2.0, None)]
+
+
 def longdouble_pole_track(maps, start, n_max):
     """z of each spin after 0..n_max applications of its map, in np.longdouble.
 
@@ -80,14 +90,12 @@ def longdouble_sequence_maps(seq, detunings_hz):
     ld = np.longdouble
     det = np.asarray(detunings_hz).astype(ld)
     maps = np.broadcast_to(np.eye(3, dtype=ld)[:, :, None], (3, 3, det.size)).copy()
-    for step in seq.steps:
-        if step.wait_s > 0:
-            angle = ld(2) * ld(math.pi) * ld(step.wait_s) * det
-            c, s = np.cos(angle), np.sin(angle)
-            x, y = maps[0], maps[1]
-            maps[0], maps[1] = c * x - s * y, s * x + c * y  # both formed before either is set
-        if step.pulse is not None:
-            pulse = step.pulse
+    for wait_s, pulse in sequence_steps(seq):
+        angle = ld(2) * ld(math.pi) * ld(wait_s) * det
+        c, s = np.cos(angle), np.sin(angle)
+        x, y = maps[0], maps[1]
+        maps[0], maps[1] = c * x - s * y, s * x + c * y  # both formed before either is set
+        if pulse is not None:
             assert pulse.rabi_hz is None and pulse.jitter_sd == 0
             theta = ld(pulse.nominal_angle) * (ld(1) + ld(pulse.systematic_error))
             c, s = np.cos(theta), np.sin(theta)

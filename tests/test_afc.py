@@ -74,6 +74,20 @@ class TestBuildComb:
         with pytest.raises(InvalidArgumentError, match="40001 teeth over 1010201 grid points"):
             CombConfig(periodicity_hz=50.0, finesse=1.01)
 
+    @pytest.mark.parametrize("wrap", [np.float32, np.int64, bool, str])
+    @pytest.mark.parametrize("field", ["periodicity_hz", "finesse", "width_hz", "optical_depth",
+                                       "passes", "background_depth"])
+    def test_numbers_are_python_ints_or_floats(self, field, wrap):
+        # np.float32(4.0) == 4.0 and hashes alike, but computes in float32:
+        # comb_dephasing_factor's cache would return whichever came first
+        with pytest.raises(InvalidArgumentError, match=f"{field} must be an int or a float"):
+            CombConfig(**{field: wrap(getattr(DEFAULT_COMB, field))})
+
+    def test_float64_scalars_are_floats(self):
+        # np.float64 subclasses float and computes in float64
+        comb = CombConfig(finesse=np.float64(4.0))
+        assert comb_dephasing_factor(comb) == comb_dephasing_factor(CombConfig(finesse=4.0))
+
     @pytest.mark.parametrize("field", ["optical_depth", "background_depth"])
     def test_depth_is_bounded(self, field):
         # past 700 the sample is opaque and the sampled comb's sums overflow

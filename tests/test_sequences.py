@@ -1,7 +1,7 @@
 import math
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,21 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afcmem import (DDSequence, DetuningDistribution, InvalidArgumentError, PulseSpec,
-                    SequenceStep, SpinEnsemble, apply_sequence, build_sequence,
-                    calibrate_systematic_error, dephasing_envelope, free_evolve, grid_ensemble,
-                    random_phase_population_study, rephasing_fidelity, sample_detunings,
-                    sequence_population_error, thermalization_curve, thermalization_monte_carlo)
+                    SpinEnsemble, apply_sequence, build_sequence, calibrate_systematic_error,
+                    free_evolve, grid_ensemble, random_phase_population_study,
+                    rephasing_fidelity, sample_detunings, sequence_population_error,
+                    thermalization_curve, thermalization_monte_carlo)
 from afcmem import sequences
 from afcmem.config import load_config
 from afcmem.ensemble import draw_detunings
 from afcmem.pulses import cayley_klein, jitter_angle
 from afcmem.rng import DOMAIN_RANDOM_PHASE, DOMAIN_THERMALIZATION, spawn_generator
 from afcmem.runner import _calibrated_pulse, run_experiment
-from afcmem.sequences import (SEQUENCE_KINDS, _flip_monte_carlo, _propagate,
-                              sequence_rotation_matrix)
+from afcmem.sequences import (MAX_STORAGE_TIME_S, SEQUENCE_KINDS, SEQUENCE_PHASES,
+                              _flip_monte_carlo, _propagate, sequence_rotation_matrix)
 from oracles import (collective_coherence, grid_spin_ensemble, longdouble_pole_track,
                      longdouble_population_error, longdouble_random_phase, reference_rotate,
-                     with_transverse_states)
+                     sequence_steps, with_transverse_states)
 
 GAUSS27 = DetuningDistribution("gaussian", 27e3)
 NARROW = DetuningDistribution("gaussian", 1.0)  # effectively a single line
@@ -46,11 +46,10 @@ def _axis_rotation(axis, angle):
 def _oracle_sequence_matrix(seq, detuning_hz):
     """Explicit product of the closed-form wait and pulse rotations."""
     m = np.eye(3)
-    for step in seq.steps:
-        m = _z_rotation(2.0 * math.pi * detuning_hz * step.wait_s) @ m
-        if step.pulse is None:
+    for wait_s, pulse in sequence_steps(seq):
+        m = _z_rotation(2.0 * math.pi * detuning_hz * wait_s) @ m
+        if pulse is None:
             continue
-        pulse = step.pulse
         angle = pulse.nominal_angle * (1.0 + pulse.systematic_error)
         cphi, sphi = math.cos(pulse.axis_phase), math.sin(pulse.axis_phase)
         if pulse.rabi_hz is None:
@@ -62,36 +61,58 @@ def _oracle_sequence_matrix(seq, detuning_hz):
     return m
 
 
+def _waits(seq):
+    return [wait_s for wait_s, _ in sequence_steps(seq)]
+
+
+def _phases(seq):
+    return [pulse.axis_phase for _, pulse in sequence_steps(seq)[:-1]]
+
+
 class TestBuilders:
     def test_xy4_layout(self):
         t_s = 0.5e-3
         seq = build_sequence("xy4", t_s)
-        waits = [s.wait_s for s in seq.steps]
-        assert waits == [t_s / 8, t_s / 4, t_s / 4, t_s / 4, t_s / 8]
-        assert [p.axis_phase for p in seq.pulses] == [X, Y, X, Y]
+        assert _waits(seq) == [t_s / 8, t_s / 4, t_s / 4, t_s / 4, t_s / 8]
+        assert _phases(seq) == list(seq.phases) == [X, Y, X, Y]
         assert seq.n_pulses == 4
 
     def test_xx_layout(self):
         seq = build_sequence("xx", 1e-3)
-        assert [s.wait_s for s in seq.steps] == [0.25e-3, 0.5e-3, 0.25e-3]
-        assert [p.axis_phase for p in seq.pulses] == [X, X]
+        assert _waits(seq) == [0.25e-3, 0.5e-3, 0.25e-3]
+        assert _phases(seq) == [X, X]
 
     def test_xy8_layout(self):
         seq = build_sequence("xy8", 1e-3)
         assert seq.n_pulses == 8
-        assert [p.axis_phase for p in seq.pulses] == [X, Y, X, Y, Y, X, Y, X]
+        assert _phases(seq) == [X, Y, X, Y, Y, X, Y, X]
 
     def test_kdd_is_twenty_pulses(self):
         seq = build_sequence("kdd", 1e-3)
         assert seq.n_pulses == 20
-        assert seq.n_pulses % 2 == 0
+
+    def test_every_kind_has_an_even_pulse_count(self):
+        assert all(len(phases) % 2 == 0 for phases in SEQUENCE_PHASES.values())
+
+    def test_sequence_is_its_kind_storage_time_and_pulse(self):
+        pulse = PulseSpec(systematic_error=0.02, rabi_hz=60e3)
+        seq = build_sequence("xy8", 0.37e-3, pulse)
+        assert seq == DDSequence("xy8", 0.37e-3, pulse)
+        assert [f.name for f in fields(seq)] == ["kind", "t_s", "pulse"]
+        assert build_sequence("xx", 1e-3).pulse == PulseSpec()
+
+    def test_template_axis_phase_is_not_read(self):
+        det = np.array([0.0, 1.3e3, -9.1e3])
+        turned = build_sequence("xy4", 0.5e-3, PulseSpec(axis_phase=0.7, systematic_error=0.02))
+        plain = build_sequence("xy4", 0.5e-3, PulseSpec(systematic_error=0.02))
+        np.testing.assert_array_equal(sequence_rotation_matrix(turned, det),
+                                      sequence_rotation_matrix(plain, det))
 
     @settings(max_examples=40, deadline=None)
     @given(t_s=st.floats(1e-6, 1e-2),
            kind=st.sampled_from(["xx", "xy4", "xy8", "kdd"]))
     def test_waits_close_to_duration(self, t_s, kind):
-        seq = build_sequence(kind, t_s)
-        total = math.fsum(s.wait_s for s in seq.steps)
+        total = math.fsum(_waits(build_sequence(kind, t_s)))
         assert abs(total - t_s) <= 1e-12 * t_s
 
     def test_invalid_duration(self):
@@ -100,9 +121,15 @@ class TestBuilders:
         with pytest.raises(InvalidArgumentError):
             build_sequence("zz", 1e-3)
 
-    def test_even_count_enforced_for_builtins(self):
-        with pytest.raises(InvalidArgumentError):
-            DDSequence((SequenceStep(1e-3, PulseSpec()),), "xy4", 1e-3)
+    @pytest.mark.parametrize("t_s", [math.inf, math.nan, 2e12, -1e-3])
+    def test_storage_time_is_bounded_where_the_sequence_is_built(self, t_s):
+        # an unbounded t_s makes the wait phases inf and the population error nan
+        for build in (lambda: build_sequence("xy4", t_s),
+                      lambda: DDSequence("xy4", t_s, PulseSpec())):
+            with pytest.raises(InvalidArgumentError, match=r"t_s must be in \(0, 1e\+12\]"):
+                build()
+        assert math.isfinite(sequence_population_error(build_sequence("xy4", MAX_STORAGE_TIME_S),
+                                                       27e3))
 
 
 class TestApplySequence:
@@ -119,14 +146,6 @@ class TestApplySequence:
         fid = rephasing_fidelity(build_sequence(kind, 0.5e-3), ens.detunings_hz, ens.weights)
         assert abs(fid - 1.0) < 1e-9
 
-    def test_free_decay_matches_envelope(self):
-        t = 40e-6
-        seq = DDSequence((SequenceStep(t),), "custom", t)
-        n = 20000
-        ens = with_transverse_states(sample_detunings(GAUSS27, n, seed=4))
-        amp = abs(collective_coherence(apply_sequence(ens, seq)))
-        assert abs(amp - dephasing_envelope(GAUSS27, t)) < 5.0 / math.sqrt(n) + 1e-3
-
     def test_deterministic_with_jitter(self):
         ens = sample_detunings(GAUSS27, 100, seed=5)
         seq = build_sequence("xy4", 0.5e-3, PulseSpec(jitter_sd=0.02))
@@ -141,72 +160,88 @@ def _stepped_states(seq, states, det, seed=None):
     """Oracle: free_evolve each wait and reference_rotate each pulse, one step
     at a time; the k-th pulse draws its jitter keyed by (seed, k)."""
     ens = SpinEnsemble(det, states, np.full(det.size, 1.0 / det.size))
-    pulses = 0
-    for step in seq.steps:
-        ens = free_evolve(ens, step.wait_s)
-        if step.pulse is not None:
-            jitter = jitter_angle(step.pulse, seed, pulses)
-            ens = replace(ens, states=reference_rotate(ens.states, step.pulse, det, jitter))
-            pulses += 1
+    for k, (wait_s, pulse) in enumerate(sequence_steps(seq)):
+        ens = free_evolve(ens, wait_s)
+        if pulse is not None:
+            jitter = jitter_angle(pulse, seed, k)
+            ens = replace(ens, states=reference_rotate(ens.states, pulse, det, jitter))
     return ens.states
 
 
-# A leading zero wait, a repeated wait length, and a finite-Rabi pulse among
-# instantaneous ones.
-_CUSTOM = DDSequence((SequenceStep(0.0, PulseSpec(systematic_error=0.02)),
-                      SequenceStep(31e-6, PulseSpec(axis_phase=Y, systematic_error=-0.01)),
-                      SequenceStep(31e-6, PulseSpec(axis_phase=0.3, rabi_hz=60e3)),
-                      SequenceStep(17e-6, PulseSpec(axis_phase=Y, systematic_error=0.02)),
-                      SequenceStep(31e-6)), "custom", 110e-6)
+def _count_calls(monkeypatch, *names):
+    """Count the calls the sequences module makes to each named function."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counting(*args, _name=name, _func=getattr(sequences, name)):
+            counts[_name] += 1
+            return _func(*args)
+        monkeypatch.setattr(sequences, name, counting)
+    return counts
 
 
 class TestKernel:
     @pytest.mark.parametrize("per_spin", [False, True], ids=["resonant", "rabi"])
-    @pytest.mark.parametrize("phase", [0.0, math.pi / 2, 2.3])
-    def test_pulse_is_the_su2_product(self, per_spin, phase):
-        # the pulse kernel against the explicit 2x2 product U (a, b), with U
-        # built from cayley_klein's (a, s) and the phase by their definition
+    @pytest.mark.parametrize("kind", ["xx", "xy4"])
+    def test_pulse_is_the_su2_product(self, per_spin, kind):
+        # the kernel against the explicit product of 2x2 maps: each half-gap
+        # the diagonal of the kernel's own half-gap turn, and each pulse U
+        # built from cayley_klein's (a, s) and the pattern phase by their
+        # definition (kdd's twenty pulses round past 1e-15)
         rng = np.random.default_rng(11)
         n = 257
         det = rng.normal(0.0, 40e3, n)
-        pulse = PulseSpec(axis_phase=phase, systematic_error=0.03,
-                          rabi_hz=60e3 if per_spin else None)
-        a_p, s_p = cayley_klein(pulse, det)
+        seq = build_sequence(kind, 31e-6, PulseSpec(systematic_error=0.03,
+                                                    rabi_hz=60e3 if per_spin else None))
+        a_p, s_p = cayley_klein(seq.pulse, det)
         a_p, s_p = np.broadcast_to(a_p, n), np.broadcast_to(s_p, n)
-        b_p = -1j * s_p * np.exp(1j * phase)
-        u = np.array([[a_p, -np.conj(b_p)], [b_p, np.conj(a_p)]])  # (2, 2, n)
+        turn = sequences._half_gap_turn(seq, det)
+        half_gap = np.array([[turn[0], np.zeros(n)], [np.zeros(n), turn[1]]])  # (2, 2, n)
         ab = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
         ab /= np.sqrt((np.abs(ab) ** 2).sum(axis=0))
-        expected = np.einsum("ijn,jn->in", u, ab)
-        seq = DDSequence((SequenceStep(0.0, pulse), SequenceStep(0.0)), "custom", 0.0)
+        expected = ab
+        for phase in seq.phases:
+            b_p = -1j * s_p * np.exp(1j * phase)
+            u = np.array([[a_p, -np.conj(b_p)], [b_p, np.conj(a_p)]])
+            for m in (half_gap, u, half_gap):
+                expected = np.einsum("ijn,jn->in", m, expected)
         np.testing.assert_allclose(_propagate(ab, det, seq, None), expected, rtol=0.0, atol=1e-15)
 
     def test_finite_rabi_pulse_is_built_once_per_call(self, monkeypatch):
         # xy8's eight pulses are one rotation at two axis phases: the phase
         # only turns b, so the per-spin parameters are built once
-        calls = []
-
-        def counting(*args):
-            calls.append(args[0])
-            return cayley_klein(*args)
-
-        monkeypatch.setattr(sequences, "cayley_klein", counting)
+        counts = _count_calls(monkeypatch, "cayley_klein")
         det, w = grid_ensemble(GAUSS27, 10_000)
         seq = build_sequence("xy8", 0.5e-3, PulseSpec(systematic_error=0.01, rabi_hz=2e5))
         rephasing_fidelity(seq, det, w)
-        assert len(calls) == 1
+        assert counts == {"cayley_klein": 1}
 
-    def test_custom_sequence_matches_stepping(self):
+    @pytest.mark.parametrize("rabi_hz", [None, 2e5], ids=["resonant", "rabi"])
+    def test_call_computes_one_half_gap_phasor(self, monkeypatch, rabi_hz):
+        # every gap is one or two half-gaps, so one phasor serves them all; the
+        # rotation is built once, or once per pulse when each draws a jitter
+        counts = _count_calls(monkeypatch, "_phasor", "cayley_klein")
+        det = np.random.default_rng(7).normal(0.0, 27e3, 300)
+        start = np.array([[1.0 + 0.0j], [0.0j]])
+        _propagate(start, det, build_sequence("kdd", 0.5e-3, PulseSpec(rabi_hz=rabi_hz)), 4)
+        assert counts == {"_phasor": 1, "cayley_klein": 1}
+        jittered = build_sequence("kdd", 0.5e-3, PulseSpec(jitter_sd=0.05, rabi_hz=rabi_hz))
+        _propagate(start, det, jittered, 4)
+        assert counts == {"_phasor": 2, "cayley_klein": 1 + 20}
+
+    def test_built_sequence_matches_stepping(self):
+        # the sequence's map on three basis vectors and on transverse states,
+        # against one free_evolve and one reference_rotate at a time
+        seq = build_sequence("kdd", 110e-6, PulseSpec(systematic_error=0.02, rabi_hz=60e3))
         ens = with_transverse_states(sample_detunings(GAUSS27, 257, seed=13), 0.4)
         det = ens.detunings_hz
-        out = apply_sequence(ens, _CUSTOM)
-        np.testing.assert_allclose(out.states, _stepped_states(_CUSTOM, ens.states, det),
+        out = apply_sequence(ens, seq)
+        np.testing.assert_allclose(out.states, _stepped_states(seq, ens.states, det),
                                    rtol=0.0, atol=1e-12)
-        maps = sequence_rotation_matrix(_CUSTOM, det)
+        maps = sequence_rotation_matrix(seq, det)
         for j in range(3):
             basis = np.zeros((det.size, 3))
             basis[:, j] = 1.0
-            np.testing.assert_allclose(maps[:, :, j], _stepped_states(_CUSTOM, basis, det),
+            np.testing.assert_allclose(maps[:, :, j], _stepped_states(seq, basis, det),
                                        rtol=0.0, atol=1e-12)
 
     def test_inputs_are_never_written(self):
@@ -390,14 +425,6 @@ class TestThermalization:
 
 
 class TestRephasing:
-    def test_no_pulse_decay_reaches_1_over_e(self):
-        from afcmem import coherence_1e_time
-        t = coherence_1e_time(GAUSS27)
-        seq = DDSequence((SequenceStep(t),), "custom", t)
-        ens = sample_detunings(GAUSS27, 20_000, seed=8)
-        fid = rephasing_fidelity(seq, ens.detunings_hz, ens.weights)
-        assert fid == pytest.approx(math.exp(-1), abs=0.04)
-
     def test_one_percent_error_keeps_fidelity(self):
         det, w = grid_ensemble(GAUSS27, 4096)
         seq = build_sequence("xy4", 0.5e-3, PulseSpec(systematic_error=0.01))
@@ -458,13 +485,11 @@ def _stepped_random_phase(seq, n_spins, n_max, tilt, seed):
     ens = SpinEnsemble(det, states, np.full(n_spins, 1.0 / n_spins))
     expected = [float(np.mean(0.5 * (1.0 - ens.states[:, 2])))]
     for r in range(n_max):
-        k = 0
-        for step in seq.steps:
-            ens = free_evolve(ens, step.wait_s)
-            if step.pulse is not None:
-                jit = jitter_angle(step.pulse, seed, r * seq.n_pulses + k)
-                ens = replace(ens, states=reference_rotate(ens.states, step.pulse, det, jit))
-                k += 1
+        for k, (wait_s, pulse) in enumerate(sequence_steps(seq)):
+            ens = free_evolve(ens, wait_s)
+            if pulse is not None:
+                jit = jitter_angle(pulse, seed, r * seq.n_pulses + k)
+                ens = replace(ens, states=reference_rotate(ens.states, pulse, det, jit))
         expected.append(float(np.mean(0.5 * (1.0 - ens.states[:, 2]))))
     return expected
 
@@ -538,6 +563,16 @@ class TestRandomPhase:
         np.testing.assert_allclose(rho_g[0],
                                    _stepped_random_phase(seq, n_spins, n_max, tilt, seed),
                                    rtol=0.0, atol=1e-12)
+
+    def test_jittered_study_computes_one_half_gap_phasor_per_sequence(self, monkeypatch):
+        # the half-gap turn is kept across the n_max repetitions; each
+        # jittered pulse builds its own rotation
+        seqs = [build_sequence(kind, 0.5e-3, PulseSpec(jitter_sd=0.05)) for kind in ("xx", "kdd")]
+        ens = sample_detunings(GAUSS27, 100, seed=3)
+        counts = _count_calls(monkeypatch, "_phasor", "cayley_klein")
+        random_phase_population_study(seqs, ens.detunings_hz, ens.weights, 6, seed=3)
+        # one more phasor turns the start state's random phases
+        assert counts == {"_phasor": 1 + len(seqs), "cayley_klein": 6 * (2 + 20)}
 
     def test_closed_form_powers_of_synthetic_rotations(self):
         # each spin alone, so that no error hides in a mean over spins
