@@ -9,14 +9,15 @@ Each section checks itself once, when it is built, by building the domain
 object it stands for, so every bound lives in one place: the comb, memory
 and modes sections are afc.CombConfig, afc.MemoryModel and afc.ModesConfig
 themselves, the noise and detection sections are detection.NoiseModel and
-detection.DetectionConfig, the ensemble section extends
-DetuningDistribution, and the pulse and adiabatic sections build PulseSpec
-and AdiabaticPulseSpec.  validate_config adds the top-level pipeline,
-format and seed, and the bounds that span two sections: the random-phase
-work, and for a multimode run its histogram bins and whether its modes fit
-the comb's input window.  All violations are reported, not only the first.
-Presets are data files under afcmem/presets; a config may name one and
-override any subset of its fields.
+detection.DetectionConfig, the pulse section is a PulseSpec with its own
+default error, the ensemble section extends DetuningDistribution, and the
+adiabatic section builds AdiabaticPulseSpec.  validate_config adds the
+top-level pipeline, format and seed, and the bounds that span two sections:
+the random-phase work, and for a multimode run its histogram bins and
+whether its modes fit the comb's input window.  All violations are
+reported, not only the first.  Presets are data files under
+afcmem/presets; a config may name one and override any subset of its
+fields.
 """
 
 from __future__ import annotations
@@ -98,17 +99,13 @@ class EnsembleSection(DetuningDistribution):
 
 
 @dataclass(frozen=True, slots=True)
-class PulseSection:
-    systematic_error: float = 0.01
-    jitter_sd: float = 0.0
-    rabi_hz: float | None = None
+class PulseSection(PulseSpec):
+    """The pi pulse of the run, with a 1% systematic angle error by default."""
 
-    def __post_init__(self):
-        self.to_domain()
+    systematic_error: float = 0.01
 
     def to_domain(self) -> PulseSpec:
-        return PulseSpec(systematic_error=self.systematic_error,
-                         jitter_sd=self.jitter_sd, rabi_hz=self.rabi_hz)
+        return PulseSpec(self.systematic_error, self.jitter_sd, self.rabi_hz)
 
 
 @dataclass(frozen=True, slots=True)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_count
 from .rng import DOMAIN_ENSEMBLE, spawn_generator
 
 # FWHM = 2*sqrt(2*ln 2) * sigma for a Gaussian line.
@@ -151,8 +151,7 @@ def sample_detunings(dist: DetuningDistribution, n: int, seed: int) -> SpinEnsem
 def draw_detunings(dist: DetuningDistribution, n: int, seed: int) -> np.ndarray:
     """The n detunings (Hz) of sample_detunings(dist, n, seed), bit for bit,
     without the ensemble: for a caller that needs no states."""
-    if n < 1:
-        raise InvalidArgumentError(f"n must be >= 1, got {n}")
+    check_count("n", n)
     return dist.sample(n, spawn_generator(seed, DOMAIN_ENSEMBLE))
 
 
@@ -164,8 +163,7 @@ def grid_ensemble(dist: DetuningDistribution, n: int) -> tuple[np.ndarray, np.nd
     checks, efficiency chains).  The grid spans +-4.5 standard deviations
     for a Gaussian line and +-3 FWHM for a Lorentzian.
     """
-    if n < 1:
-        raise InvalidArgumentError(f"n must be >= 1, got {n}")
+    check_count("n", n)
     if dist.shape == "gaussian":
         half = 4.5 * dist.sigma_hz
     else:

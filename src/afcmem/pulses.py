@@ -3,8 +3,9 @@
 Two fidelity tiers are modeled separately so sequence-design effects can be
 isolated from off-resonance effects:
 
-* instantaneous rotations with a systematic angle error, optional per-pulse
-  angle jitter, and an optional finite-Rabi tilted-axis correction;
+* instantaneous pi pulses with a systematic angle error, optional per-pulse
+  angle jitter, and an optional finite-Rabi tilted-axis correction, each
+  an SU(2) map (cayley_klein) whose Bloch rotation is its bloch_map;
 * chirped adiabatic pulses integrated through the Bloch equations with a
   fixed-step RK4 (fixed step for bit-reproducibility).
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import DetuningDistribution
-from .errors import IntegrationAccuracyError, InvalidArgumentError
+from .errors import IntegrationAccuracyError, InvalidArgumentError, check_count
 from .rng import DOMAIN_JITTER, spawn_generator
 
 # Norm drift above this aborts an integration as too coarse.
@@ -50,39 +51,32 @@ _SECH_TRUNC = math.acosh(100.0)
 PULSE_ENVELOPES = ("linear", "sech")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PulseSpec:
-    """An instantaneous rotation pulse with an explicit error model.
+    """A pi pulse with an explicit error model, about the equatorial axis
+    its sequence gives it.
 
     Parameters
     ----------
-    axis_phase : float
-        Equatorial rotation-axis phase in rad (0 = X axis, pi/2 = Y axis).
-    nominal_angle : float
-        Intended rotation angle in rad (pi for inversion).
     systematic_error : float
         Fractional angle error in [-1, 1]; the actual angle is
-        nominal * (1 + error).
+        pi * (1 + error).
     jitter_sd : float
         Standard deviation of a per-application Gaussian angle jitter,
-        as a fraction of the nominal angle, in [0, 1].
+        as a fraction of pi, in [0, 1].
     rabi_hz : float, optional
         When given, the rotation axis tilts out of the equator by
         atan(detuning / rabi) and the angle scales by the generalized Rabi
         frequency, so off-resonant spins are driven imperfectly.
     """
 
-    axis_phase: float = 0.0
-    nominal_angle: float = math.pi
     systematic_error: float = 0.0
     jitter_sd: float = 0.0
     rabi_hz: float | None = None
 
     def __post_init__(self):
-        if not self.nominal_angle > 0:
-            raise InvalidArgumentError(f"nominal_angle must be > 0, got {self.nominal_angle}")
-        # Past 100% of the nominal angle an error is no longer a pulse error,
-        # and the bound keeps every rotation angle finite.
+        # Past 100% of pi an error is no longer a pulse error, and the bound
+        # keeps every rotation angle finite.
         if not -1.0 <= self.systematic_error <= 1.0:
             raise InvalidArgumentError(
                 f"systematic_error must be in [-1, 1], got {self.systematic_error}")
@@ -150,54 +144,33 @@ def jitter_angle(pulse: PulseSpec, seed: int | None, pulse_index: int = 0) -> fl
     if pulse.jitter_sd == 0.0 or seed is None:
         return 0.0
     rng = spawn_generator(seed, DOMAIN_JITTER, pulse_index)
-    return pulse.nominal_angle * pulse.jitter_sd * rng.standard_normal()
+    return math.pi * pulse.jitter_sd * rng.standard_normal()
 
 
-def rotation_matrix(pulse: PulseSpec, detunings_hz: float | np.ndarray = 0.0,
-                    jitter: float = 0.0) -> np.ndarray:
-    """The pulse's rotation c I + s [n]x + (1 - c) n n^T (Rodrigues) about the
-    unit axis n by the angle a, with c = cos(a) and s = sin(a).
-
-    Entry [i, j] is component i of the image of basis vector j.  Without
-    rabi_hz the axis is n = (cos phase, sin phase, 0) for every detuning
-    and one 3x3 matrix is returned.  With rabi_hz the axis tilts to
-    (rabi cos phase, rabi sin phase, detuning) / g and the angle scales by
-    g / rabi, with g = hypot(rabi, detuning): a scalar detuning gives a 3x3
-    matrix, and a 1-d array of n detunings a (3, 3, n) per-spin stack.  The
-    jitter angle is added to every spin's angle (one RF drive per
-    application).
-    """
-    theta = pulse.nominal_angle * (1.0 + pulse.systematic_error) + jitter
-    cphi, sphi = math.cos(pulse.axis_phase), math.sin(pulse.axis_phase)
-    if pulse.rabi_hz is None:
-        x, y, z = cphi, sphi, 0.0
-        c, s = math.cos(theta), math.sin(theta)
-    else:
-        om = pulse.rabi_hz
-        g = np.hypot(om, detunings_hz)
-        x, y, z = om * cphi / g, om * sphi / g, detunings_hz / g
-        c, s = np.cos(theta * g / om), np.sin(theta * g / om)
-    u = 1.0 - c
-    # x * y * u is (x * y) * u, which rounds as np.outer(n, n) * (1 - c) does,
-    # so a resonant matrix has the bits of the vector formula on the basis
-    return np.array([[c + x * x * u, -z * s + x * y * u, y * s + x * z * u],
-                     [z * s + y * x * u, c + y * y * u, -x * s + y * z * u],
-                     [-y * s + z * x * u, x * s + z * y * u, c + z * z * u]])
+def detuning_array(detunings_hz: float | np.ndarray) -> np.ndarray:
+    """detunings_hz as a float array, which must be a scalar or 1-d."""
+    det = np.asarray(detunings_hz, dtype=float)
+    if det.ndim > 1:
+        raise InvalidArgumentError(
+            f"detunings must be a scalar or a 1-d array, got shape {det.shape}")
+    return det
 
 
 def cayley_klein(pulse: PulseSpec, detunings_hz: np.ndarray,
                  jitter: float = 0.0) -> tuple[float | np.ndarray, float | np.ndarray]:
-    """The pulse's rotation as the Cayley-Klein parameters of its SU(2) map.
+    """The pulse's rotation about the X axis as the Cayley-Klein parameters
+    of its SU(2) map.
 
     A rotation by the angle t about the unit axis n is U = [[a, -b*], [b, a*]]
     with a = cos(t/2) - i n_z sin(t/2) and b = -i (n_x + i n_y) sin(t/2).
-    The axis phase only turns b, so (a, s) is returned with b = -i s e^{i
-    phase}.  Without rabi_hz, a = cos(t/2) and s = sin(t/2) are floats.
-    With rabi_hz the axis and angle are rotation_matrix's, per spin: a
-    (complex) and s (real) are arrays shaped like detunings_hz, with
-    s = sin(t/2) rabi / g.
+    A sequence's phase only turns b, so (a, s) is returned with b = -i s
+    e^{i phase}.  The angle is t = pi (1 + error) + jitter.  Without
+    rabi_hz, a = cos(t/2) and s = sin(t/2) are floats.  With rabi_hz the
+    axis tilts to (rabi, 0, detuning) / g and the angle scales by g / rabi,
+    with g = hypot(rabi, detuning), per spin: a (complex) and s (real) are
+    arrays shaped like detunings_hz, with s = sin(t/2) rabi / g.
     """
-    half = 0.5 * (pulse.nominal_angle * (1.0 + pulse.systematic_error) + jitter)
+    half = 0.5 * (math.pi * (1.0 + pulse.systematic_error) + jitter)
     if pulse.rabi_hz is None:
         return math.cos(half), math.sin(half)
     g = np.hypot(pulse.rabi_hz, detunings_hz)
@@ -206,12 +179,50 @@ def cayley_klein(pulse: PulseSpec, detunings_hz: np.ndarray,
     return np.cos(angle) - 1j * (s * detunings_hz), s * pulse.rabi_hz
 
 
+def bloch_map(ab: np.ndarray) -> np.ndarray:
+    """The (n, 3, 3) rotations of the Bloch vector made by the SU(2) maps
+    with first columns ab; entry [i, j] is component i of the image of
+    basis vector j.
+
+    The images of x, y and z have x - i y = a^2 - (b*)^2, -i (a^2 + (b*)^2)
+    and 2 a b*, and z components -2 Re(a b), -2 Im(a b) and 1 - 2 |b|^2.
+    """
+    a, b = ab
+    cb = np.conjugate(b)
+    images = np.array([a * a - cb * cb, -1j * (a * a + cb * cb), 2.0 * a * cb])
+    z_row = -2.0 * a * b
+    m = np.array([images.real, -images.imag, [z_row.real, z_row.imag, 1.0 - 2.0 * norm2(b)]])
+    return np.ascontiguousarray(np.moveaxis(m, 2, 0))
+
+
+def norm2(z: np.ndarray) -> np.ndarray:
+    """|z|^2, from the real and imaginary parts without a square root."""
+    return z.real * z.real + z.imag * z.imag
+
+
+def rotation_matrix(pulse: PulseSpec, detunings_hz: float | np.ndarray = 0.0,
+                    jitter: float = 0.0) -> np.ndarray:
+    """The pulse's rotation of the Bloch vector: the bloch_map of its
+    cayley_klein parameters (a, -i s).
+
+    Entry [i, j] is component i of the image of basis vector j.  Without
+    rabi_hz, or at a scalar detuning, one 3x3 matrix is returned; with
+    rabi_hz a 1-d array of n detunings gives an (n, 3, 3) per-spin stack.
+    The jitter angle is added to every spin's angle (one RF drive per
+    application).
+    """
+    det = detuning_array(detunings_hz)
+    a, s = cayley_klein(pulse, det.ravel(), jitter)
+    maps = bloch_map(np.array([np.atleast_1d(a), -1j * np.atleast_1d(s)]))
+    return maps if pulse.rabi_hz is not None and det.ndim else maps[0]
+
+
 def rotate_states(states: np.ndarray, pulse: PulseSpec, detunings_hz: np.ndarray,
                   jitter: float = 0.0) -> np.ndarray:
     """Apply one pulse to (n, 3) Bloch vectors: rotation_matrix(pulse,
     detunings_hz, jitter) applied to each row, in one einsum contraction."""
     m = rotation_matrix(pulse, detunings_hz, jitter)
-    return np.einsum("ij...,...j->...i", m, np.asarray(states, dtype=float))
+    return np.einsum("...ij,...j->...i", m, np.asarray(states, dtype=float))
 
 
 def _bloch_derivative(states: np.ndarray, det: np.ndarray, rabi_hz: float, chirp_hz: float) -> np.ndarray:
@@ -295,8 +306,7 @@ def inversion_error_profile(pulse: PulseSpec | AdiabaticPulseSpec, dist: Detunin
     n_samples : int
         Grid size, >= 3.
     """
-    if n_samples < 3:
-        raise InvalidArgumentError(f"n_samples must be >= 3, got {n_samples}")
+    check_count("n_samples", n_samples, minimum=3)
     det = np.linspace(-2.0 * dist.fwhm_hz, 2.0 * dist.fwhm_hz, n_samples)
     states = np.zeros((n_samples, 3))
     states[:, 2] = 1.0

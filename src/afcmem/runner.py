@@ -106,7 +106,7 @@ def _write_report(out_dir: Path, cfg: ExperimentConfig, results: dict) -> Path:
 def _chain_results(cfg: ExperimentConfig, t_s: float) -> dict:
     """Analytic efficiency and noise chain at storage time t_s."""
     eta = afc.memory_efficiency(cfg.memory, cfg.comb, cfg.ensemble, cfg.sequence.kind, t_s,
-                                pulse=cfg.pulse.to_domain(), seed=cfg.seed)
+                                pulse=cfg.pulse, seed=cfg.seed)
     p_n = detection.noise_probability(cfg.noise)
     mu = cfg.detection.mu
     m1 = detection.mu1(p_n, eta)
@@ -171,7 +171,7 @@ def _calibrated_pulse(cfg: ExperimentConfig) -> PulseSpec:
     """The configured pulse with the per-pulse error that makes the xx
     sequence reproduce the measured per-sequence error eps_xx."""
     eps = sequences.calibrate_systematic_error(cfg.thermalization.eps_xx)
-    return replace(cfg.pulse.to_domain(), systematic_error=eps)
+    return replace(cfg.pulse, systematic_error=eps)
 
 
 def _run_single_mode(cfg: ExperimentConfig, out_dir: Path, fixtures: dict) -> _PipelineOutput:

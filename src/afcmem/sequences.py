@@ -21,9 +21,9 @@ import numpy as np
 # under this module.
 from .ensemble import (DetuningDistribution, SpinEnsemble, draw_detunings,  # noqa: F401
                        free_evolve, sample_detunings)
-from .errors import InvalidArgumentError
-from .pulses import (PulseSpec, cayley_klein, jitter_angle, rotate_states,  # noqa: F401
-                     rotation_matrix)
+from .errors import InvalidArgumentError, check_count
+from .pulses import (PulseSpec, bloch_map, cayley_klein, detuning_array,  # noqa: F401
+                     jitter_angle, norm2, rotate_states, rotation_matrix)
 from .rng import DOMAIN_RANDOM_PHASE, DOMAIN_THERMALIZATION, spawn_generator
 
 _X, _Y = 0.0, math.pi / 2.0
@@ -49,7 +49,7 @@ MAX_STORAGE_TIME_S = 1e12
 @dataclass(frozen=True)
 class DDSequence:
     """The kind's n_pulses pulses over t_s seconds of storage time: pulse at
-    each of the kind's pattern phases (pulse's own axis_phase is not read)."""
+    each of the kind's pattern phases."""
 
     kind: str
     t_s: float
@@ -145,7 +145,7 @@ def _propagate(ab: np.ndarray, detunings_hz: np.ndarray, seq: DDSequence, seed: 
     that steps the same detunings again passes the one it keeps).  A pulse
     U_p = [[a, -b*], [b, a*]], b = -i s e^{i phase}, is two multiply-adds,
     with (a, s) from pulses.cayley_klein built once per call, or once per
-    pulse when its jitter angle changes (the axis phase is a scalar on b).
+    pulse when its jitter angle changes (the pattern phase is a scalar on b).
     The k-th pulse of the sequence draws its jitter keyed by (seed,
     first_pulse + k), and a seed of None means no jitter.
     """
@@ -181,27 +181,6 @@ def _sequence_map(seq: DDSequence, detunings_hz: np.ndarray, seed: int | None = 
     return _propagate(np.array([[1.0 + 0.0j], [0.0j]]), detunings_hz, seq, seed, work=work)
 
 
-def _bloch_map(ab: np.ndarray) -> np.ndarray:
-    """The (n, 3, 3) rotations of the Bloch vector made by the SU(2) maps
-    with first columns ab; entry [i, j] is component i of the image of
-    basis vector j.
-
-    The images of x, y and z have x - i y = a^2 - (b*)^2, -i (a^2 + (b*)^2)
-    and 2 a b*, and z components -2 Re(a b), -2 Im(a b) and 1 - 2 |b|^2.
-    """
-    a, b = ab
-    cb = np.conjugate(b)
-    images = np.array([a * a - cb * cb, -1j * (a * a + cb * cb), 2.0 * a * cb])
-    z_row = -2.0 * a * b
-    m = np.array([images.real, -images.imag, [z_row.real, z_row.imag, 1.0 - 2.0 * _norm2(b)]])
-    return np.ascontiguousarray(np.moveaxis(m, 2, 0))
-
-
-def _norm2(z: np.ndarray) -> np.ndarray:
-    """|z|^2, from the real and imaginary parts without a square root."""
-    return z.real * z.real + z.imag * z.imag
-
-
 def apply_sequence(ens: SpinEnsemble, seq: DDSequence, seed: int = 0) -> SpinEnsemble:
     """Run the ensemble through the sequence (free evolution + pulses).
 
@@ -210,8 +189,8 @@ def apply_sequence(ens: SpinEnsemble, seq: DDSequence, seed: int = 0) -> SpinEns
     per pulse application keyed by (seed, pulse index), so runs are
     reproducible and independent of per-spin parallelism.
     """
-    maps = _bloch_map(_sequence_map(seq, ens.detunings_hz, seed))
-    return replace(ens, states=np.einsum("nij,nj->ni", maps, ens.states))
+    maps = bloch_map(_sequence_map(seq, ens.detunings_hz, seed))
+    return replace(ens, states=np.einsum("...ij,...j->...i", maps, ens.states))
 
 
 def sequence_rotation_matrix(seq: DDSequence, detuning_hz: float | np.ndarray = 0.0) -> np.ndarray:
@@ -222,8 +201,8 @@ def sequence_rotation_matrix(seq: DDSequence, detuning_hz: float | np.ndarray = 
     (n, 3, 3) stack, read off each spin's composed SU(2) map.  Jitter is
     excluded: this is the deterministic map used for error budgets.
     """
-    det = np.asarray(detuning_hz, dtype=float)
-    maps = _bloch_map(_sequence_map(seq, det.ravel()))
+    det = detuning_array(detuning_hz)
+    maps = bloch_map(_sequence_map(seq, det.ravel()))
     return maps[0] if det.ndim == 0 else maps
 
 
@@ -237,8 +216,8 @@ def sequence_population_error(seq: DDSequence,
     detuning_hz may be a scalar (a float is returned) or a 1-d array (one
     error per detuning is returned).
     """
-    det = np.asarray(detuning_hz, dtype=float)
-    err = _norm2(_sequence_map(seq, det.ravel())[1])
+    det = detuning_array(detuning_hz)
+    err = norm2(_sequence_map(seq, det.ravel())[1])
     return float(err[0]) if det.ndim == 0 else err
 
 
@@ -283,8 +262,7 @@ def thermalization_curve(eps_seq: float, n_max: int) -> ThermalizationCurve:
     """
     if not 0.0 <= eps_seq <= 0.5:
         raise InvalidArgumentError(f"eps_seq must be in [0, 0.5], got {eps_seq}")
-    if n_max < 0:
-        raise InvalidArgumentError(f"n_max must be >= 0, got {n_max}")
+    check_count("n_max", n_max, minimum=0)
     ns = np.arange(n_max + 1)
     rho = 0.5 * (1.0 - (1.0 - 2.0 * eps_seq) ** ns)
     return ThermalizationCurve(ns, rho)
@@ -295,8 +273,8 @@ def _flip_monte_carlo(eps, n_spins: int, n_max: int,
     """Each of n_max sequences flips each spin between the poles with
     probability eps (a scalar, or one value per spin); the closed-form
     track uses the mean of eps."""
-    if n_spins < 1:
-        raise InvalidArgumentError(f"n_spins must be >= 1, got {n_spins}")
+    check_count("n_spins", n_spins)
+    check_count("n_max", n_max, minimum=0)
     in_g = np.zeros(n_spins, dtype=bool)
     rho_mc = np.empty(n_max + 1)
     rho_mc[0] = 0.0
@@ -354,7 +332,7 @@ def rephasing_fidelity(seq: DDSequence, detunings_hz: np.ndarray, weights: np.nd
     """
     a, b = _sequence_map(seq, detunings_hz, seed)
     cb = np.conjugate(b)
-    x_image = a * a - cb * cb  # as _bloch_map computes it, to the bit
+    x_image = a * a - cb * cb  # as bloch_map computes it, to the bit
     # the real and imaginary parts are strided views, summed by BLAS in the
     # order of a column of SpinEnsemble.states, so the bits match a reduction
     # of an ensemble's final states; contiguous rows sum in another order
@@ -393,7 +371,7 @@ def _repeated_rotation(ab: np.ndarray, transverse: np.ndarray, vz, w: np.ndarray
     a spin.
     """
     a, b = ab
-    sin = np.sqrt(_norm2(b) + a.imag * a.imag)  # |q|
+    sin = np.sqrt(norm2(b) + a.imag * a.imag)  # |q|
     norm = a.real * a.real + sin * sin  # |h|^2 for h = Re a + i |q|
     step, gamma = spare  # step: e^{-i theta}
     step.real, step.imag = (a.real * a.real - sin * sin) / norm, -2.0 * a.real * sin / norm
@@ -449,6 +427,7 @@ def random_phase_population_study(seqs: Sequence[DDSequence], detunings_hz: np.n
     """
     if not 0.0 < tilt < 1.0:
         raise InvalidArgumentError(f"tilt must be in (0, 1), got {tilt}")
+    check_count("n_max", n_max, minimum=0)
     det, w, n_spins = detunings_hz, weights, detunings_hz.size
     phi = spawn_generator(seed, DOMAIN_RANDOM_PHASE).uniform(0.0, 2.0 * math.pi, n_spins)
     transverse = np.empty(n_spins, dtype=complex)
@@ -471,6 +450,6 @@ def random_phase_population_study(seqs: Sequence[DDSequence], detunings_hz: np.n
         turn = _half_gap_turn(seq, det)
         for k in range(1, n_max + 1):
             states = _propagate(work[0], det, seq, seed, (k - 1) * seq.n_pulses, turn, work)
-            rho[i, k] = _dot(w, _norm2(states[1]))
+            rho[i, k] = _dot(w, norm2(states[1]))
         del turn  # freed before the next sequence composes its maps
     return rho

@@ -1,9 +1,11 @@
-"""Code-line and dataclass counts of the afcmem package.
+"""Code-line, dataclass and field counts of the afcmem package.
 
 A code line is a non-blank line that holds something besides comments and
 docstrings (a docstring is a string statement opening a module, class or
-function body).  Prints one row per module of src/afcmem, the total, and
-the number of dataclasses.
+function body).  A field is an annotated name that a dataclass body
+declares, so an override of an inherited field counts again: it is a
+settable value of its own.  Prints one row per module of src/afcmem, the
+total, the number of dataclasses and the number of their fields.
 
     python tests/loc.py
 """
@@ -41,8 +43,13 @@ def _is_dataclass(node: ast.AST) -> bool:
                                                   for d in node.decorator_list)
 
 
-def count(path: Path) -> tuple[int, int]:
-    """(code lines, dataclasses) of one source file."""
+def _fields(node: ast.ClassDef) -> int:
+    return sum(isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+               for stmt in node.body)
+
+
+def count(path: Path) -> tuple[int, int, int]:
+    """(code lines, dataclasses, dataclass fields) of one source file."""
     source = path.read_text()
     tree = ast.parse(source)
     docstrings = _docstring_lines(tree)
@@ -50,18 +57,21 @@ def count(path: Path) -> tuple[int, int]:
     for tok in tokenize.generate_tokens(io.StringIO(source).readline):
         if tok.type not in _NOT_CODE:
             code.update(n for n in range(tok.start[0], tok.end[0] + 1) if n not in docstrings)
-    return len(code), sum(map(_is_dataclass, ast.walk(tree)))
+    dataclasses = [node for node in ast.walk(tree) if _is_dataclass(node)]
+    return len(code), len(dataclasses), sum(map(_fields, dataclasses))
 
 
 def main() -> None:
-    total_lines = total_classes = 0
+    total_lines = total_classes = total_fields = 0
     for path in sorted(PACKAGE.rglob("*.py")):
-        lines, classes = count(path)
+        lines, classes, fields = count(path)
         total_lines += lines
         total_classes += classes
+        total_fields += fields
         print(f"{path.relative_to(PACKAGE)!s:24} {lines:5}")
     print(f"{'total':24} {total_lines:5}")
     print(f"{'dataclasses':24} {total_classes:5}")
+    print(f"{'fields':24} {total_fields:5}")
 
 
 if __name__ == "__main__":

@@ -29,18 +29,20 @@ def grid_spin_ensemble(dist, n):
     return SpinEnsemble(det, pole, w)
 
 
-def reference_rotate(states, pulse, detunings_hz, jitter=0.0):
-    """One pulse on (n, 3) Bloch vectors by the vector Rodrigues formula
-    v' = v cos(a) + (n x v) sin(a) + n (n . v) (1 - cos(a)), with np.cross.
+def reference_rotate(states, pulse, phase, detunings_hz, jitter=0.0):
+    """One pulse at the given phase on (n, 3) Bloch vectors by the vector
+    Rodrigues formula v' = v cos(a) + (n x v) sin(a) + n (n . v) (1 - cos(a)),
+    with np.cross.
 
-    Without rabi_hz the axis is (cos phase, sin phase, 0) for every spin;
-    with it the axis tilts per spin to (rabi cos phase, rabi sin phase,
-    detuning) / g and the angle scales by g / rabi, g = hypot(rabi, detuning).
+    The angle is pi (1 + error) + jitter.  Without rabi_hz the axis is
+    (cos phase, sin phase, 0) for every spin; with it the axis tilts per spin
+    to (rabi cos phase, rabi sin phase, detuning) / g and the angle scales by
+    g / rabi, g = hypot(rabi, detuning).
     """
     states = np.asarray(states, dtype=float)
     det = np.asarray(detunings_hz, dtype=float)
-    theta = pulse.nominal_angle * (1.0 + pulse.systematic_error) + jitter
-    cphi, sphi = math.cos(pulse.axis_phase), math.sin(pulse.axis_phase)
+    theta = math.pi * (1.0 + pulse.systematic_error) + jitter
+    cphi, sphi = math.cos(phase), math.sin(phase)
     if pulse.rabi_hz is None:
         axis = np.array([cphi, sphi, 0.0])
         c, s = math.cos(theta), math.sin(theta)
@@ -56,13 +58,38 @@ def reference_rotate(states, pulse, detunings_hz, jitter=0.0):
 
 
 def sequence_steps(seq):
-    """The sequence as (wait_s, pulse) steps, pulse None for the closing wait:
-    the gaps [T/2n, T/n, ..., T/n, T/2n], each followed by the sequence's
-    pulse at the next pattern phase."""
+    """The sequence as (wait_s, pulse, phase) steps, pulse and phase None for
+    the closing wait: the gaps [T/2n, T/n, ..., T/n, T/2n], each followed by
+    the sequence's pulse at the next pattern phase."""
     gap = seq.t_s / seq.n_pulses
-    steps = [(gap / 2.0 if k == 0 else gap, replace(seq.pulse, axis_phase=phase))
+    steps = [(gap / 2.0 if k == 0 else gap, seq.pulse, phase)
              for k, phase in enumerate(seq.phases)]
-    return steps + [(gap / 2.0, None)]
+    return steps + [(gap / 2.0, None, None)]
+
+
+def longdouble_rotation(pulse, phase, detunings_hz, jitter=0.0):
+    """Each spin's (3, 3, n) rotation by one pulse at the given phase, in
+    np.longdouble from the same float64 inputs the package builds it from:
+    the detunings, the pulse's error and Rabi frequency, the jitter angle
+    and the phase.  The angle is pi (1 + error) + jitter about (cos phase,
+    sin phase, 0); with rabi_hz it is g / rabi times that about (rabi cos
+    phase, rabi sin phase, detuning) / g, g = hypot(rabi, detuning).  The
+    matrix is Rodrigues' c I + s [n]x + (1 - c) n n^T."""
+    ld = np.longdouble
+    det = np.atleast_1d(np.asarray(detunings_hz).astype(ld))
+    theta = ld(math.pi) * (ld(1) + ld(pulse.systematic_error)) + ld(jitter)
+    cphi, sphi = np.cos(ld(phase)), np.sin(ld(phase))
+    if pulse.rabi_hz is None:
+        ones = np.ones_like(det)
+        n, angle = np.array([cphi * ones, sphi * ones, 0 * ones]), theta * ones
+    else:
+        om = ld(pulse.rabi_hz)
+        g = np.hypot(om, det)
+        n, angle = np.array([om * cphi / g, om * sphi / g, det / g]), theta * g / om
+    c, s = np.cos(angle), np.sin(angle)
+    zero = np.zeros_like(det)
+    cross = np.array([[zero, -n[2], n[1]], [n[2], zero, -n[0]], [-n[1], n[0], zero]])
+    return c * np.eye(3, dtype=ld)[:, :, None] + s * cross + (1 - c) * n[:, None] * n[None, :]
 
 
 def longdouble_pole_track(maps, start, n_max):
@@ -82,27 +109,23 @@ def longdouble_pole_track(maps, start, n_max):
 
 
 def longdouble_sequence_maps(seq, detunings_hz):
-    """Each spin's (3, 3, n) map of one resonant, unjittered sequence, composed
-    in np.longdouble from the same float64 inputs the package composes its
-    maps from: the detunings, the wait lengths and each pulse's angle, error
-    and phase.  A wait turns x and y by 2 pi t detuning; a pulse is the
-    Rodrigues matrix about (cos phase, sin phase, 0)."""
+    """Each spin's (3, 3, n) map of one unjittered sequence, composed in
+    np.longdouble from the same float64 inputs the package composes its
+    maps from: the detunings, the wait lengths and each pulse's error, Rabi
+    frequency and phase.  A wait turns x and y by 2 pi t detuning; a pulse
+    is longdouble_rotation."""
     ld = np.longdouble
     det = np.asarray(detunings_hz).astype(ld)
     maps = np.broadcast_to(np.eye(3, dtype=ld)[:, :, None], (3, 3, det.size)).copy()
-    for wait_s, pulse in sequence_steps(seq):
+    for wait_s, pulse, phase in sequence_steps(seq):
         angle = ld(2) * ld(math.pi) * ld(wait_s) * det
         c, s = np.cos(angle), np.sin(angle)
         x, y = maps[0], maps[1]
         maps[0], maps[1] = c * x - s * y, s * x + c * y  # both formed before either is set
         if pulse is not None:
-            assert pulse.rabi_hz is None and pulse.jitter_sd == 0
-            theta = ld(pulse.nominal_angle) * (ld(1) + ld(pulse.systematic_error))
-            c, s = np.cos(theta), np.sin(theta)
-            n = np.array([np.cos(ld(pulse.axis_phase)), np.sin(ld(pulse.axis_phase)), ld(0)])
-            cross = np.array([[0, -n[2], n[1]], [n[2], 0, -n[0]], [-n[1], n[0], 0]], dtype=ld)
-            rotation = c * np.eye(3, dtype=ld) + s * cross + (1 - c) * np.outer(n, n)
-            maps = (rotation[:, :, None, None] * maps[None, :, :, :]).sum(axis=1)
+            assert pulse.jitter_sd == 0
+            rotation = longdouble_rotation(pulse, phase, det)
+            maps = (rotation[:, :, None, :] * maps[None, :, :, :]).sum(axis=1)
     return maps
 
 

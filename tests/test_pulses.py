@@ -9,8 +9,9 @@ from afcmem import (AdiabaticPulseSpec, DetuningDistribution, IntegrationAccurac
                     IntegratorConfig, InvalidArgumentError, PulseSpec, inversion_error_profile,
                     rotate_states)
 from afcmem.pulses import jitter_angle, rotation_matrix
-from afcmem.sequences import SEQUENCE_PHASES, calibrate_systematic_error
-from oracles import adiabaticity, integrate_bloch, landau_zener_error, reference_rotate
+from afcmem.sequences import calibrate_systematic_error
+from oracles import (adiabaticity, integrate_bloch, landau_zener_error, longdouble_rotation,
+                     reference_rotate)
 
 UP = np.array([0.0, 0.0, 1.0])
 ON_RESONANCE = np.zeros(1)
@@ -56,7 +57,7 @@ class TestInstantaneousRotations:
 
     def test_double_pi_is_identity(self):
         state = np.array([0.3, -0.4, math.sqrt(1 - 0.25)])
-        pulse = PulseSpec(axis_phase=0.7)
+        pulse = PulseSpec()
         out = rotate_states(rotate_states(state[None], pulse, ON_RESONANCE), pulse, ON_RESONANCE)
         np.testing.assert_allclose(out[0], state, atol=1e-9)
 
@@ -70,57 +71,62 @@ class TestInstantaneousRotations:
 
     @pytest.mark.parametrize("jitter", [0.0, 0.01, -0.01])
     @pytest.mark.parametrize("error", [0.01, calibrate_systematic_error(0.036)])
-    def test_resonant_matrix_matches_reference_bit_for_bit(self, error, jitter):
-        # the resonant 3x3 route of rotate_states: the closed form must round exactly
-        # as the vector formula does on the three basis vectors
-        rng = np.random.default_rng(5)
-        phases = sorted({p for kind in SEQUENCE_PHASES.values() for p in kind})
-        for phase in phases + list(rng.uniform(0.0, 2.0 * math.pi, 20)):
-            pulse = PulseSpec(axis_phase=phase, systematic_error=error)
-            expected = reference_rotate(np.eye(3), pulse, np.zeros(3), jitter).T
-            np.testing.assert_array_equal(rotation_matrix(pulse, jitter=jitter), expected)
+    def test_resonant_matrix_matches_long_double(self, error, jitter):
+        # the resonant 3x3 route of rotate_states against the Rodrigues matrix
+        # in long double: within 4.83e-16, as a Rodrigues builder in float64 is
+        pulse = PulseSpec(systematic_error=error)
+        expected = longdouble_rotation(pulse, 0.0, 0.0, jitter)[:, :, 0]
+        got = rotation_matrix(pulse, jitter=jitter).astype(np.longdouble)
+        assert np.abs(got - expected).max() <= 5e-16
 
-    @pytest.mark.parametrize("phase", [0.0, 0.9, math.pi / 2])
-    def test_finite_rabi_stack_matches_reference(self, phase):
-        # two ulps of 1: the closed form rounds (n_i n_j)(1 - c), the vector
-        # formula n_i (n_j (1 - c))
+    @pytest.mark.parametrize("rabi", [5e3, 40e3, 200e3])
+    def test_finite_rabi_stack_matches_long_double(self, rabi):
+        # the float64 angle theta g / rabi is rounded to an ulp of itself, so
+        # the bound is one ulp of the largest angle plus two ulps of 1 for the
+        # matrix's own rounding (1.1e-14 at 5 kHz, where it reaches 49 rad)
         det = np.random.default_rng(5).normal(0.0, 27e3, 500)
-        pulse = PulseSpec(axis_phase=phase, systematic_error=0.03, rabi_hz=40e3)
+        pulse = PulseSpec(systematic_error=0.03, rabi_hz=rabi)
         stack = rotation_matrix(pulse, det, 0.01)
-        assert stack.shape == (3, 3, 500)
-        for j, unit in enumerate(np.eye(3)):
-            expected = reference_rotate(np.broadcast_to(unit, (500, 3)), pulse, det, 0.01)
-            np.testing.assert_allclose(stack[:, j].T, expected, rtol=0.0, atol=4.5e-16)
+        assert stack.shape == (500, 3, 3)
+        expected = np.moveaxis(longdouble_rotation(pulse, 0.0, det, 0.01), 2, 0)
+        largest = (math.pi * 1.03 + 0.01) * np.hypot(rabi, det).max() / rabi
+        bound = np.finfo(float).eps * (largest + 2.0)
+        assert np.abs(stack.astype(np.longdouble) - expected).max() <= bound
         one = rotation_matrix(pulse, det[7], 0.01)
         assert one.shape == (3, 3)
-        np.testing.assert_array_equal(one, stack[:, :, 7])
+        np.testing.assert_array_equal(one, stack[7])
+        assert rotation_matrix(PulseSpec(), det).shape == (3, 3)  # one matrix without rabi_hz
+
+    def test_detunings_are_at_most_one_dimensional(self):
+        pulse = PulseSpec(rabi_hz=40e3)
+        for rotate in (lambda det: rotation_matrix(pulse, det),
+                       lambda det: rotate_states(np.zeros((4, 3)), pulse, det)):
+            with pytest.raises(InvalidArgumentError, match=r"got shape \(2, 2\)"):
+                rotate(np.zeros((2, 2)))
 
     @pytest.mark.parametrize("rabi", [None, 40e3])
     def test_rotate_states_matches_reference(self, rabi):
         rng = np.random.default_rng(5)
         det = rng.normal(0.0, 27e3, 500)
-        pulse = PulseSpec(axis_phase=0.9, systematic_error=0.03, rabi_hz=rabi)
+        pulse = PulseSpec(systematic_error=0.03, rabi_hz=rabi)
         for states in (rng.normal(size=(500, 3)), np.broadcast_to(UP, (500, 3))):
-            expected = reference_rotate(states, pulse, det, 0.01)
+            expected = reference_rotate(states, pulse, 0.0, det, 0.01)
             bound = 1e-15 * np.maximum(1.0, np.linalg.norm(states, axis=1))[:, None]
             assert (np.abs(rotate_states(states, pulse, det, jitter=0.01) - expected)
                     <= bound).all()
 
     @settings(max_examples=60, deadline=None)
-    @given(phase=st.floats(0, 2 * math.pi), eps=st.floats(-0.2, 0.2),
-           rabi=st.one_of(st.none(), st.floats(1e3, 1e5)),
+    @given(eps=st.floats(-0.2, 0.2), rabi=st.one_of(st.none(), st.floats(1e3, 1e5)),
            detuning=st.floats(-5e4, 5e4),
            x=st.floats(-1, 1), y=st.floats(-1, 1))
-    def test_rotation_preserves_norm(self, phase, eps, rabi, detuning, x, y):
+    def test_rotation_preserves_norm(self, eps, rabi, detuning, x, y):
         z = math.sqrt(max(0.0, 1.0 - min(1.0, x * x + y * y)))
         state = np.array([x, y, z]) / max(1.0, np.linalg.norm([x, y, z]))
-        pulse = PulseSpec(axis_phase=phase, systematic_error=eps, rabi_hz=rabi)
+        pulse = PulseSpec(systematic_error=eps, rabi_hz=rabi)
         out = rotate_states(state[None], pulse, np.array([detuning]))[0]
         assert abs(np.linalg.norm(out) - np.linalg.norm(state)) < 1e-12
 
     def test_invalid_specs(self):
-        with pytest.raises(InvalidArgumentError):
-            PulseSpec(nominal_angle=0.0)
         with pytest.raises(InvalidArgumentError):
             PulseSpec(jitter_sd=-0.1)
         with pytest.raises(InvalidArgumentError):
@@ -131,7 +137,7 @@ class TestInstantaneousRotations:
                                         {"systematic_error": 1.01},
                                         {"jitter_sd": 1e308}, {"jitter_sd": 1.01}])
     def test_angle_errors_are_bounded(self, kwargs):
-        # beyond 100% of the nominal angle, and angles would overflow to inf
+        # beyond 100% of pi, and angles would overflow to inf
         with pytest.raises(InvalidArgumentError):
             PulseSpec(**kwargs)
         edge = {k: math.copysign(1.0, v) for k, v in kwargs.items()}
@@ -215,6 +221,8 @@ class TestInversionProfile:
         assert prof.detunings_hz[-1] == 2 * GAUSS27.fwhm_hz
         assert prof.detunings_hz.size == prof.errors.size == 5
 
-    def test_too_few_samples(self):
-        with pytest.raises(InvalidArgumentError):
-            inversion_error_profile(PulseSpec(), GAUSS27, n_samples=2)
+    @pytest.mark.parametrize("n_samples", [2, 3.5, True])
+    def test_too_few_samples(self, n_samples):
+        # a fraction once reached np.linspace as its count
+        with pytest.raises(InvalidArgumentError, match="n_samples must be an integer >= 3"):
+            inversion_error_profile(PulseSpec(), GAUSS27, n_samples=n_samples)

@@ -12,7 +12,8 @@ from afcmem import (DDSequence, DetuningDistribution, InvalidArgumentError, Puls
                     SpinEnsemble, apply_sequence, build_sequence, calibrate_systematic_error,
                     free_evolve, grid_ensemble, random_phase_population_study,
                     rephasing_fidelity, sample_detunings, sequence_population_error,
-                    thermalization_curve, thermalization_monte_carlo)
+                    thermalization_curve, thermalization_monte_carlo,
+                    thermalization_monte_carlo_uniform)
 from afcmem import sequences
 from afcmem.config import load_config
 from afcmem.ensemble import draw_detunings
@@ -46,12 +47,12 @@ def _axis_rotation(axis, angle):
 def _oracle_sequence_matrix(seq, detuning_hz):
     """Explicit product of the closed-form wait and pulse rotations."""
     m = np.eye(3)
-    for wait_s, pulse in sequence_steps(seq):
+    for wait_s, pulse, phase in sequence_steps(seq):
         m = _z_rotation(2.0 * math.pi * detuning_hz * wait_s) @ m
         if pulse is None:
             continue
-        angle = pulse.nominal_angle * (1.0 + pulse.systematic_error)
-        cphi, sphi = math.cos(pulse.axis_phase), math.sin(pulse.axis_phase)
+        angle = math.pi * (1.0 + pulse.systematic_error)
+        cphi, sphi = math.cos(phase), math.sin(phase)
         if pulse.rabi_hz is None:
             m = _axis_rotation((cphi, sphi, 0.0), angle) @ m
         else:
@@ -62,11 +63,11 @@ def _oracle_sequence_matrix(seq, detuning_hz):
 
 
 def _waits(seq):
-    return [wait_s for wait_s, _ in sequence_steps(seq)]
+    return [wait_s for wait_s, _, _ in sequence_steps(seq)]
 
 
 def _phases(seq):
-    return [pulse.axis_phase for _, pulse in sequence_steps(seq)[:-1]]
+    return [phase for _, _, phase in sequence_steps(seq)[:-1]]
 
 
 class TestBuilders:
@@ -101,12 +102,12 @@ class TestBuilders:
         assert [f.name for f in fields(seq)] == ["kind", "t_s", "pulse"]
         assert build_sequence("xx", 1e-3).pulse == PulseSpec()
 
-    def test_template_axis_phase_is_not_read(self):
-        det = np.array([0.0, 1.3e3, -9.1e3])
-        turned = build_sequence("xy4", 0.5e-3, PulseSpec(axis_phase=0.7, systematic_error=0.02))
-        plain = build_sequence("xy4", 0.5e-3, PulseSpec(systematic_error=0.02))
-        np.testing.assert_array_equal(sequence_rotation_matrix(turned, det),
-                                      sequence_rotation_matrix(plain, det))
+    @pytest.mark.parametrize("field", ["axis_phase", "nominal_angle"])
+    def test_pulse_has_no_axis_or_angle_of_its_own(self, field):
+        # a pulse is a pi pulse about the axis its sequence's phase gives it
+        with pytest.raises(TypeError, match=field):
+            PulseSpec(**{field: 0.7})
+        assert [f.name for f in fields(PulseSpec)] == ["systematic_error", "jitter_sd", "rabi_hz"]
 
     @settings(max_examples=40, deadline=None)
     @given(t_s=st.floats(1e-6, 1e-2),
@@ -160,11 +161,11 @@ def _stepped_states(seq, states, det, seed=None):
     """Oracle: free_evolve each wait and reference_rotate each pulse, one step
     at a time; the k-th pulse draws its jitter keyed by (seed, k)."""
     ens = SpinEnsemble(det, states, np.full(det.size, 1.0 / det.size))
-    for k, (wait_s, pulse) in enumerate(sequence_steps(seq)):
+    for k, (wait_s, pulse, phase) in enumerate(sequence_steps(seq)):
         ens = free_evolve(ens, wait_s)
         if pulse is not None:
             jitter = jitter_angle(pulse, seed, k)
-            ens = replace(ens, states=reference_rotate(ens.states, pulse, det, jitter))
+            ens = replace(ens, states=reference_rotate(ens.states, pulse, phase, det, jitter))
     return ens.states
 
 
@@ -366,6 +367,12 @@ class TestPopulationError:
         rel = np.abs(sequence_population_error(seq, det) - expected) / expected
         assert (rel <= 1e-3).all(), rel.astype(float)
 
+    def test_detunings_are_at_most_one_dimensional(self):
+        seq = build_sequence("xy4", 0.5e-3, PulseSpec(systematic_error=0.02))
+        for func in (sequence_population_error, sequence_rotation_matrix):
+            with pytest.raises(InvalidArgumentError, match=r"got shape \(2, 2\)"):
+                func(seq, np.zeros((2, 2)))
+
     def test_error_model_override(self):
         seq = build_sequence("xx", 0.5e-3, PulseSpec(systematic_error=0.02))
         err = sequence_population_error(seq)
@@ -387,6 +394,28 @@ class TestThermalization:
     def test_out_of_range(self):
         with pytest.raises(InvalidArgumentError):
             thermalization_curve(0.6, 10)
+
+    @pytest.mark.parametrize("func,args", [
+        (thermalization_curve, (0.1, 2.5)),
+        (thermalization_curve, (0.1, True)),
+        (thermalization_curve, (0.1, -1)),
+        (thermalization_monte_carlo_uniform, (0.1, 10, -1)),
+        (thermalization_monte_carlo_uniform, (0.1, 10, 2.5)),
+        (thermalization_monte_carlo_uniform, (0.1, 10.5, 3)),
+        (thermalization_monte_carlo_uniform, (0.1, 0, 3)),
+        (thermalization_monte_carlo, (build_sequence("xx", 0.5e-3), GAUSS27, 10.5, 3)),
+        (random_phase_population_study, ([build_sequence("xx", 0.5e-3)], np.zeros(3),
+                                         np.full(3, 1 / 3), -1)),
+        (random_phase_population_study, ([build_sequence("xx", 0.5e-3)], np.zeros(3),
+                                         np.full(3, 1 / 3), 2.5)),
+    ], ids=["curve_fraction", "curve_bool", "curve_negative", "uniform_negative",
+            "uniform_fraction", "uniform_spins_fraction", "uniform_no_spins",
+            "per_detuning_spins_fraction", "study_negative", "study_fraction"])
+    def test_counts_are_integers_in_range(self, func, args):
+        # a fraction, a boolean or a negative count once reached numpy as an
+        # array length or a range bound
+        with pytest.raises(InvalidArgumentError, match="must be an integer >= "):
+            func(*args)
 
     def test_monte_carlo_agrees_with_closed_form(self):
         eps = calibrate_systematic_error(0.036, kind="xx")
@@ -485,11 +514,11 @@ def _stepped_random_phase(seq, n_spins, n_max, tilt, seed):
     ens = SpinEnsemble(det, states, np.full(n_spins, 1.0 / n_spins))
     expected = [float(np.mean(0.5 * (1.0 - ens.states[:, 2])))]
     for r in range(n_max):
-        for k, (wait_s, pulse) in enumerate(sequence_steps(seq)):
+        for k, (wait_s, pulse, phase) in enumerate(sequence_steps(seq)):
             ens = free_evolve(ens, wait_s)
             if pulse is not None:
                 jit = jitter_angle(pulse, seed, r * seq.n_pulses + k)
-                ens = replace(ens, states=reference_rotate(ens.states, pulse, det, jit))
+                ens = replace(ens, states=reference_rotate(ens.states, pulse, phase, det, jit))
         expected.append(float(np.mean(0.5 * (1.0 - ens.states[:, 2]))))
     return expected
 
