@@ -21,7 +21,12 @@ comb's config alone, so the efficiency chain never samples a comb; the
 DFT of the sampled comb (afc_echo_amplitude) is the oracle of both.  The
 dephasing part is memoized per comb config, and only the spectrum and
 echo-trace outputs sample the comb: once per comb config per process, as
-the runner keeps the last comb's output texts.
+the runner keeps the last comb's output texts.  With a decoupling sequence
+and a pulse without jitter, the chain's rephasing fidelity is memoized too,
+keyed by the line's shape and width, the kind, the storage time and the
+pulse's error model.  Both memos serve a process that runs again (over
+seeds, or presets that share a storage time); a one-run CLI process gains
+nothing, as each preset asks for each fidelity once.
 """
 
 from __future__ import annotations
@@ -40,6 +45,11 @@ from .sequences import build_sequence, rephasing_fidelity
 # Frequency-grid points per tooth FWHM when sampling a comb.
 _GRID_PER_TOOTH = 25.0
 
+# Narrowest comb tooth: far below any physical one (Hz to MHz), and wide
+# enough that the grid step and the tooth rate 4 ln2 / FWHM^2 stay nonzero
+# and finite; a tooth FWHM that underflows to 0 would divide by zero.
+MIN_TOOTH_FWHM_HZ = 1e-3
+
 # Largest frequency grid a comb may ask for (8 MiB per float64 array); the
 # finesse-1000 comb of the tests needs about half of it.  The runner holds
 # the last comb's two trace texts between runs: 4.98 MB for that comb (4.96
@@ -57,6 +67,16 @@ MAX_COMB_BUILD_WORK = 2 ** 24
 # Largest optical depth a comb may have: exp(-700) is below 1e-304, an
 # opaque sample, and depths past it overflow the sampled comb's sums.
 MAX_OPTICAL_DEPTH = 700.0
+
+# Spins of the stratified grid over which memory_efficiency runs a sequence.
+_CHAIN_SPINS = 4096
+
+# Most jitter-free rephasing fidelities memory_efficiency keeps per process.
+# An entry is one float under its seven-value key: 213 bytes with the cache's
+# own link, measured with tracemalloc over 1024 storage times, and up to 72
+# more when the key's floats are converted from other types, so a full memo
+# holds under 0.3 MB.
+_FIDELITY_MEMO_SIZE = 1024
 
 # Most temporal modes a multimode run may have.  Each mode adds about 9.3 KB
 # to a run's peak memory (fig2c, 40 bins, measured with tracemalloc), and is
@@ -108,6 +128,10 @@ class CombConfig:
                                        f"got {self.background_depth}")
         if not all(map(math.isfinite, (self.periodicity_hz, self.finesse, self.width_hz))):
             raise InvalidArgumentError("periodicity_hz, finesse and width_hz must be finite")
+        if not self.tooth_fwhm_hz >= MIN_TOOTH_FWHM_HZ:
+            raise InvalidArgumentError(
+                f"the tooth FWHM, periodicity_hz / finesse, must be >= {MIN_TOOTH_FWHM_HZ:g} "
+                f"Hz, got {self.tooth_fwhm_hz:g}")
         points = self._grid_size  # a float, so a huge grid compares instead of overflowing int()
         if not points <= MAX_COMB_GRID_POINTS:
             raise InvalidArgumentError(
@@ -357,6 +381,25 @@ class MemoryModel:
             return 0.0
 
 
+def _rephasing_amplitude(spin_line: DetuningDistribution, kind: str, t_s: float,
+                         pulse: PulseSpec, seed: int) -> float:
+    """rephasing_fidelity of the kind's sequence over the line's stratified
+    _CHAIN_SPINS-spin grid."""
+    seq = build_sequence(kind, t_s, pulse)
+    det, w = grid_ensemble(spin_line, _CHAIN_SPINS)
+    return rephasing_fidelity(seq, det, w, seed=seed)
+
+
+@functools.lru_cache(maxsize=_FIDELITY_MEMO_SIZE)
+def _jitter_free_amplitude(shape: str, fwhm_hz: float, kind: str, t_s: float,
+                           systematic_error: float, jitter_sd: float,
+                           rabi_hz: float | None) -> float:
+    """_rephasing_amplitude of a pulse without jitter, which no seed
+    changes; memoized per (line, kind, t_s, pulse), one float an entry."""
+    return _rephasing_amplitude(DetuningDistribution(shape, fwhm_hz), kind, t_s,
+                                PulseSpec(systematic_error, jitter_sd, rabi_hz), seed=0)
+
+
 def memory_efficiency(model: MemoryModel, comb: CombConfig, spin_line: DetuningDistribution,
                       sequence_kind: str | None, t_s: float, pulse: PulseSpec | None = None,
                       seed: int = 0) -> float:
@@ -370,6 +413,17 @@ def memory_efficiency(model: MemoryModel, comb: CombConfig, spin_line: DetuningD
     sequence (kind None) the spin amplitude is the closed-form inhomogeneous
     envelope of spin_line at t_s; with one it is the simulated rephasing
     fidelity over a stratified grid of 4096 spins (deterministic).
+
+    Without pulse jitter that fidelity depends on the line's shape and
+    fwhm_hz, the kind, t_s and the pulse's (systematic_error, jitter_sd,
+    rabi_hz) alone, and it is memoized on them per process (at most
+    _FIDELITY_MEMO_SIZE entries): fig2b, fig2c and a sweep's rows share
+    what they ask for again, as does a loop over seeds.  Each key value is
+    converted to a Python float or str and the fidelity computed from the
+    converted values, so a numpy float32 argument, which hashes equal to
+    the Python number but computes at its own precision, gives the same
+    bits on a hit as on a miss.  A jittered pulse draws its jitter from the
+    seed, so its fidelity is computed afresh at every call.
     """
     if t_s < 0:
         raise InvalidArgumentError(f"t_s must be >= 0, got {t_s}")
@@ -377,9 +431,15 @@ def memory_efficiency(model: MemoryModel, comb: CombConfig, spin_line: DetuningD
     if sequence_kind is None:
         amp = dephasing_envelope(spin_line, t_s)
     else:
-        seq = build_sequence(sequence_kind, t_s, pulse)
-        det, w = grid_ensemble(spin_line, 4096)
-        amp = rephasing_fidelity(seq, det, w, seed=seed)
+        pulse = PulseSpec() if pulse is None else pulse
+        if pulse.jitter_sd > 0:  # a memo entry would never hit: the jitter follows the seed
+            amp = _rephasing_amplitude(spin_line, sequence_kind, t_s, pulse, seed)
+        else:
+            rabi_hz = None if pulse.rabi_hz is None else float(pulse.rabi_hz)
+            amp = _jitter_free_amplitude(str(spin_line.shape), float(spin_line.fwhm_hz),
+                                         str(sequence_kind), float(t_s),
+                                         float(pulse.systematic_error), float(pulse.jitter_sd),
+                                         rabi_hz)
     return eta * amp ** 2 * model.decay_factor(t_s) * (1.0 - model.readout_loss)
 
 

@@ -280,7 +280,7 @@ def _flip_monte_carlo(eps, n_spins: int, n_max: int,
     rho_mc[0] = 0.0
     for k in range(1, n_max + 1):
         in_g ^= rng.random(n_spins) < eps
-        rho_mc[k] = in_g.mean()
+        rho_mc[k] = np.count_nonzero(in_g) / n_spins
     closed = thermalization_curve(float(np.mean(eps)), n_max).rho_g
     stderr = np.sqrt(np.maximum(rho_mc * (1.0 - rho_mc), 1e-12) / n_spins)
     return ThermalizationCurve(np.arange(n_max + 1), closed, rho_mc, stderr)
@@ -319,24 +319,39 @@ def thermalization_monte_carlo_uniform(eps_seq: float, n_spins: int, n_max: int,
     return _flip_monte_carlo(eps_seq, n_spins, n_max, rng)
 
 
+def _spin_arrays(detunings_hz: float | np.ndarray,
+                 weights: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The spins' detunings (a scalar or 1-d, as pulses.detuning_array
+    takes them) and their weights, which must have the detunings' shape, as
+    1-d float arrays."""
+    det = detuning_array(detunings_hz)
+    w = np.asarray(weights, dtype=float)
+    if w.shape != det.shape:
+        raise InvalidArgumentError(
+            f"weights must have the detunings' shape {det.shape}, got {w.shape}")
+    return det.ravel(), w.ravel()
+
+
 def rephasing_fidelity(seq: DDSequence, detunings_hz: np.ndarray, weights: np.ndarray,
                        seed: int = 0) -> float:
     """|collective coherence| at the end of the sequence for a stored coherence.
 
-    The spins, given by their detunings and weights, are prepared fully
-    transverse along x (the unit spin-wave amplitude) and run through the
-    sequence, and the surviving collective amplitude magnitude is
-    returned.  Its square is the intensity factor that feeds the memory
-    efficiency chain.  Each spin's x vector ends at x - i y = a^2 - (b*)^2
-    of its sequence map, the first column of apply_sequence's rotation.
+    The spins, given by their detunings (a scalar or a 1-d array) and
+    weights of the same shape, are prepared fully transverse along x (the
+    unit spin-wave amplitude) and run through the sequence, and the
+    surviving collective amplitude magnitude is returned.  Its square is
+    the intensity factor that feeds the memory efficiency chain.  Each
+    spin's x vector ends at x - i y = a^2 - (b*)^2 of its sequence map, the
+    first column of apply_sequence's rotation.
     """
-    a, b = _sequence_map(seq, detunings_hz, seed)
+    det, w = _spin_arrays(detunings_hz, weights)
+    a, b = _sequence_map(seq, det, seed)
     cb = np.conjugate(b)
     x_image = a * a - cb * cb  # as bloch_map computes it, to the bit
     # the real and imaginary parts are strided views, summed by BLAS in the
     # order of a column of SpinEnsemble.states, so the bits match a reduction
     # of an ensemble's final states; contiguous rows sum in another order
-    return abs(complex(_dot(weights, x_image.real), _dot(weights, x_image.imag)))
+    return abs(complex(_dot(w, x_image.real), _dot(w, x_image.imag)))
 
 
 def _repeated_rotation(ab: np.ndarray, transverse: np.ndarray, vz, w: np.ndarray,
@@ -410,12 +425,13 @@ def random_phase_population_study(seqs: Sequence[DDSequence], detunings_hz: np.n
     tilted initial state with a spin-random phase (unvalidated exploration;
     no reference measurement exists).
 
-    The spins are given by their detunings and weights.  Each starts tilted
-    off |s> by the given transverse amplitude at an independent uniform
-    phase (the state produced by storing a weak random optical field); that
-    start state is drawn once, and every sequence is applied to it
-    coherently n_max times with no readout in between.  Without jitter every
-    repetition is the same rotation, so each spin's SU(2) sequence map is
+    The spins are given by their detunings (a scalar or a 1-d array) and
+    weights of the same shape.  Each starts tilted off |s> by the given
+    transverse amplitude at an independent uniform phase (the state
+    produced by storing a weak random optical field); that start state is
+    drawn once, and every sequence is applied to it coherently n_max times
+    with no readout in between.  Without jitter every repetition is the
+    same rotation, so each spin's SU(2) sequence map is
     composed once and its n_max powers are taken in closed form
     (_repeated_rotation): one (4, chunk) matrix-vector product per chunk of
     spins and four repetitions, not a map application per repetition.  With
@@ -428,7 +444,8 @@ def random_phase_population_study(seqs: Sequence[DDSequence], detunings_hz: np.n
     if not 0.0 < tilt < 1.0:
         raise InvalidArgumentError(f"tilt must be in (0, 1), got {tilt}")
     check_count("n_max", n_max, minimum=0)
-    det, w, n_spins = detunings_hz, weights, detunings_hz.size
+    det, w = _spin_arrays(detunings_hz, weights)
+    n_spins = det.size
     phi = spawn_generator(seed, DOMAIN_RANDOM_PHASE).uniform(0.0, 2.0 * math.pi, n_spins)
     transverse = np.empty(n_spins, dtype=complex)
     _phasor(phi, transverse)

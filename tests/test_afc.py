@@ -7,7 +7,9 @@ from afcmem import (CapacityError, CombConfig, DetuningDistribution, InvalidArgu
                     MemoryModel, PulseSpec, afc_echo_amplitude, afc_efficiency, build_comb,
                     comb_dephasing_factor, dephasing_envelope, echo_trace, memory_efficiency,
                     ModesConfig, memory_timeline, spinwave_excitation)
-from afcmem.afc import MAX_COMB_BUILD_WORK, MAX_COMB_GRID_POINTS
+from afcmem import afc, build_sequence, grid_ensemble, rephasing_fidelity
+from afcmem.afc import MAX_COMB_BUILD_WORK, MAX_COMB_GRID_POINTS, MIN_TOOTH_FWHM_HZ
+from afcmem.config import EnsembleSection
 from oracles import find_echo_peak
 
 GAUSS27 = DetuningDistribution("gaussian", 27e3)
@@ -56,6 +58,15 @@ class TestBuildComb:
         with pytest.raises(InvalidArgumentError):
             CombConfig(width_hz=math.inf)
 
+    def test_tooth_width_has_a_floor(self):
+        # a tooth FWHM that underflows to 0 divided by zero in the grid size
+        assert CombConfig(periodicity_hz=4e-3, width_hz=0.012).tooth_fwhm_hz == MIN_TOOTH_FWHM_HZ
+        for kwargs in ({"periodicity_hz": 5e-324}, {"periodicity_hz": 1e-24, "finesse": 1e300},
+                       {"periodicity_hz": 1e-300}, {"finesse": 1e308},
+                       {"periodicity_hz": 3.9e-3, "width_hz": 0.012}):
+            with pytest.raises(InvalidArgumentError, match="the tooth FWHM"):
+                CombConfig(**kwargs)
+
     def test_grid_size_is_bounded_before_sampling(self):
         # the finesse-40 comb of the echo oracle and the finesse-1000 limit stay allowed
         assert build_comb(DEFAULT_COMB).freq_hz.size == DEFAULT_COMB.grid_points == 2201
@@ -63,8 +74,9 @@ class TestBuildComb:
         assert CombConfig(finesse=1000.0).grid_points == 500_201 <= MAX_COMB_GRID_POINTS
         with pytest.raises(InvalidArgumentError, match="200000201 grid points"):
             CombConfig(periodicity_hz=1.0)
-        with pytest.raises(InvalidArgumentError, match="grid points"):
-            CombConfig(finesse=1e308)  # the size is compared as a float, never int(inf)
+        with pytest.raises(InvalidArgumentError, match="inf grid points"):
+            # the size is compared as a float, never int(inf)
+            CombConfig(periodicity_hz=4e-3, width_hz=1.7e308)
 
     def test_build_work_is_bounded_before_sampling(self):
         # teeth x grid points, the exp evaluations build_comb makes
@@ -203,9 +215,9 @@ class TestEchoTraceClosedForm:
             echo_trace(comb, np.array([0.0, 0.51 / step]))
 
 
-def chain(model, t_s, kind="xy4", pulse=None):
+def chain(model, t_s, kind="xy4", pulse=None, seed=0):
     """memory_efficiency on the default comb and the 27 kHz Gaussian line."""
-    return memory_efficiency(model, DEFAULT_COMB, GAUSS27, kind, t_s, pulse=pulse)
+    return memory_efficiency(model, DEFAULT_COMB, GAUSS27, kind, t_s, pulse=pulse, seed=seed)
 
 
 class TestMemoryEfficiency:
@@ -245,6 +257,72 @@ class TestMemoryEfficiency:
         ideal = chain(model, 0.5e-3)
         erred = chain(model, 0.5e-3, pulse=PulseSpec(systematic_error=0.05))
         assert erred < ideal
+
+
+def _eta_scale(model: MemoryModel = MemoryModel()) -> float:
+    """The chain's factors before the spin amplitude, for the default comb."""
+    return afc_efficiency(DEFAULT_COMB) * model.conversion_efficiency ** 2
+
+
+class TestRephasingMemo:
+    """memory_efficiency's per-process memo of jitter-free rephasing fidelities."""
+
+    def test_jittered_pulse_follows_its_seed(self):
+        # a jittered pulse skips the memo: each seed draws its own jitter
+        pulse = PulseSpec(systematic_error=0.01, jitter_sd=0.02)
+        seq = build_sequence("xy4", 0.5e-3, pulse)
+        det, w = grid_ensemble(GAUSS27, 4096)
+        afc._jitter_free_amplitude.cache_clear()
+        etas = [chain(MemoryModel(), 0.5e-3, pulse=pulse, seed=seed) for seed in (1, 2)]
+        assert etas[0] != etas[1]
+        assert etas == [_eta_scale() * rephasing_fidelity(seq, det, w, seed=seed) ** 2
+                        for seed in (1, 2)]
+        assert afc._jitter_free_amplitude.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("field", ["t_s", "fwhm_hz"])
+    def test_float32_gives_the_same_bits_on_a_hit_and_a_miss(self, field):
+        # np.float32 hashes equal to its Python float but computes at its own
+        # precision; the memo keys and computes on the Python float
+        value = np.float32(0.7e-3 if field == "t_s" else 27.1e3)
+
+        def eta(v):
+            t_s, fwhm = (v, 27e3) if field == "t_s" else (0.5e-3, v)
+            return memory_efficiency(MemoryModel(), DEFAULT_COMB,
+                                     DetuningDistribution("gaussian", fwhm), "xy4", t_s,
+                                     pulse=PulseSpec(systematic_error=0.01))
+
+        afc._jitter_free_amplitude.cache_clear()
+        miss = eta(value)
+        assert eta(value) == miss
+        afc._jitter_free_amplitude.cache_clear()
+        assert eta(float(value)) == miss  # the Python float's miss
+        assert eta(value) == miss  # the float32 hit on that entry
+
+    def test_neither_n_spins_nor_seed_changes_the_value(self):
+        pulse = PulseSpec(systematic_error=0.01)
+        det, w = grid_ensemble(GAUSS27, 4096)
+        expected = _eta_scale() * rephasing_fidelity(build_sequence("xy4", 0.5e-3, pulse),
+                                                     det, w) ** 2
+        lines_and_seeds = [(EnsembleSection("gaussian", 27e3, n_spins), seed)
+                           for n_spins in (1, 10_000) for seed in (0, 7)]
+        for line, seed in lines_and_seeds:
+            afc._jitter_free_amplitude.cache_clear()
+            assert memory_efficiency(MemoryModel(), DEFAULT_COMB, line, "xy4", 0.5e-3,
+                                     pulse, seed) == expected
+        for line, seed in lines_and_seeds:  # one entry serves them all
+            memory_efficiency(MemoryModel(), DEFAULT_COMB, line, "xy4", 0.5e-3, pulse, seed)
+        info = afc._jitter_free_amplitude.cache_info()
+        assert (info.currsize, info.hits) == (1, len(lines_and_seeds))
+
+    def test_memo_is_bounded(self):
+        memo = afc._jitter_free_amplitude
+        assert memo.cache_info().maxsize == afc._FIDELITY_MEMO_SIZE
+        memo.cache_clear()
+        for i in range(afc._FIDELITY_MEMO_SIZE + 2):
+            chain(MemoryModel(), 1e-3 + i * 1e-9, kind="xx")
+        info = memo.cache_info()
+        assert (info.currsize, info.misses) == (afc._FIDELITY_MEMO_SIZE,
+                                                afc._FIDELITY_MEMO_SIZE + 2)
 
 
 class TestSpinwaveExcitation:

@@ -324,7 +324,7 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("preset,override,code,needle", [
-        ("fig2a", {"comb": {"finesse": 1e308}}, 2, "grid points"),
+        ("fig2a", {"comb": {"finesse": 1e308}}, 2, "comb: the tooth FWHM"),
         ("fig2c", {"pulse": {"systematic_error": 1e308}}, 2, "systematic_error"),
         ("fig2c", {"pulse": {"systematic_error": -1e308}}, 2, "systematic_error"),
         ("table1", {"pulse": {"jitter_sd": 1e308}}, 2, "jitter_sd"),
@@ -405,6 +405,24 @@ class TestCli:
         assert main([command, str(path)] + extra) == 2
         err = capsys.readouterr().err
         assert "comb" in err and "200000201 grid points" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("comb,fwhm", [
+        ({"periodicity_hz": 5e-324}, "0"),
+        ({"periodicity_hz": 1e-24, "finesse": 1e300}, "0"),
+        ({"periodicity_hz": 1e-300}, "2.5e-301"),
+    ], ids=["denormal_period", "huge_finesse", "tiny_period"])
+    def test_sub_floor_tooth_width_exit_2(self, tmp_path, capsys, command, comb, fwhm):
+        # a tooth FWHM that underflows to 0 once ended in a ZeroDivisionError traceback
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"preset": "fig2a", "comb": comb}))
+        extra = ["--out", str(tmp_path / "out")] if command == "run" else []
+        assert main([command, str(path)] + extra) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert (f"error: comb: the tooth FWHM, periodicity_hz / finesse, must be >= 0.001 Hz, "
+                f"got {fwhm}\n") in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["validate", "run"])

@@ -162,6 +162,28 @@ def test_equal_combs_share_one_entry_and_the_manifest_bytes(tmp_path, monkeypatc
     assert afcmem.afc.comb_dephasing_factor.cache_info().currsize == 1
 
 
+def test_warm_fidelity_memo_writes_the_cold_bytes(tmp_path):
+    # fig2b, table1 and fig2c ask for eight xy4 fidelities over one line and
+    # pulse, six of them distinct; a warm memo writes what an empty one does
+    presets = ("fig2b", "table1", "fig2c")
+    memo = afcmem.afc._jitter_free_amplitude
+
+    def run(preset, out_dir):
+        cfg, fixtures = load_config(preset, {"detection": {"trials": 2000}})
+        return _files(runner.run_experiment(cfg, fixtures, out_dir=out_dir))
+
+    memo.cache_clear()
+    for preset in presets:
+        run(preset, tmp_path / "first" / preset)
+    info = memo.cache_info()
+    assert (info.misses, info.hits) == (6, 2)
+    warm = {preset: run(preset, tmp_path / "warm" / preset) for preset in presets}
+    assert memo.cache_info().hits == 10
+    for preset in presets:
+        memo.cache_clear()
+        assert run(preset, tmp_path / "cold" / preset) == warm[preset], preset
+
+
 def test_held_comb_texts_do_not_raise_the_next_combs_peak(tmp_path):
     # a new comb's texts are built only after the held ones are dropped, so
     # a run whose peak is its comb stage peaks as high after another comb's

@@ -440,6 +440,20 @@ class TestThermalization:
                           (curve.stderr, ref.stderr)):
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("n_spins", [1, 7, 10_000, 2 ** 17 + 3])
+    @pytest.mark.parametrize("eps", [0.0, 0.002, 0.036, 0.5])
+    def test_counted_track_is_the_mean_of_the_flips(self, n_spins, eps):
+        # the track counts the spins in |g>; the mean of the bool array gives the same bits
+        n_max = 12
+        curve = _flip_monte_carlo(eps, n_spins, n_max, spawn_generator(3, DOMAIN_THERMALIZATION))
+        rng = spawn_generator(3, DOMAIN_THERMALIZATION)
+        in_g = np.zeros(n_spins, dtype=bool)
+        means = [0.0]
+        for _ in range(n_max):
+            in_g ^= rng.random(n_spins) < eps
+            means.append(in_g.mean())
+        np.testing.assert_array_equal(curve.rho_g_mc, means)
+
     def test_monte_carlo_matches_per_spin_oracle_on_broad_line(self):
         # oracle: average the exact single-spin recursion over the sampled line
         seq = build_sequence("xx", 0.5e-3, PulseSpec(systematic_error=0.03))
@@ -454,6 +468,24 @@ class TestThermalization:
 
 
 class TestRephasing:
+    @pytest.mark.parametrize("det,w,needle", [
+        (np.zeros((2, 2)), np.full((2, 2), 0.25), r"detunings must be a scalar or a 1-d array"),
+        (np.zeros(3), np.full(4, 0.25), r"weights must have the detunings' shape \(3,\)"),
+        (np.zeros(4), np.full((4, 1), 0.25), r"weights must have the detunings' shape \(4,\)"),
+    ], ids=["2d_detunings", "short_weights", "column_weights"])
+    @pytest.mark.parametrize("study", [
+        lambda det, w: rephasing_fidelity(build_sequence("xx", 1e-3), det, w),
+        lambda det, w: random_phase_population_study([build_sequence("xx", 1e-3)], det, w, 3),
+    ], ids=["rephasing_fidelity", "random_phase_population_study"])
+    def test_spin_shapes_are_checked(self, study, det, w, needle):
+        with pytest.raises(InvalidArgumentError, match=needle):
+            study(det, w)
+
+    def test_scalar_spin_is_one_spin(self):
+        seq = build_sequence("xy4", 1e-3, PulseSpec(systematic_error=0.02))
+        assert (rephasing_fidelity(seq, 3e3, 1.0)
+                == rephasing_fidelity(seq, np.array([3e3]), np.array([1.0])))
+
     def test_one_percent_error_keeps_fidelity(self):
         det, w = grid_ensemble(GAUSS27, 4096)
         seq = build_sequence("xy4", 0.5e-3, PulseSpec(systematic_error=0.01))
