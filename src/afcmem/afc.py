@@ -21,12 +21,14 @@ comb's config alone, so the efficiency chain never samples a comb; the
 DFT of the sampled comb (afc_echo_amplitude) is the oracle of both.  The
 dephasing part is memoized per comb config, and only the spectrum and
 echo-trace outputs sample the comb: once per comb config per process, as
-the runner keeps the last comb's output texts.  With a decoupling sequence
-and a pulse without jitter, the chain's rephasing fidelity is memoized too,
-keyed by the line's shape and width, the kind, the storage time and the
-pulse's error model.  Both memos serve a process that runs again (over
-seeds, or presets that share a storage time); a one-run CLI process gains
-nothing, as each preset asks for each fidelity once.
+the runner keeps the last comb's output texts.  With a decoupling sequence,
+the chain's rephasing fidelity is memoized too, keyed by the line (its shape
+and width), the DDSequence (kind, storage time and pulse) and, for a
+jittered pulse, the seed.  Every memo keys on frozen values that refuse
+numbers other than Python ints and floats (errors.check_numbers).  Both
+memos serve a process that runs again (over seeds, or presets that share a
+storage time); a one-run CLI process gains nothing, as each preset asks for
+each fidelity once.
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .ensemble import DetuningDistribution, dephasing_envelope, grid_ensemble
-from .errors import CapacityError, InvalidArgumentError, check_count
+from .errors import CapacityError, InvalidArgumentError, check_count, check_numbers
 from .pulses import PulseSpec
-from .sequences import build_sequence, rephasing_fidelity
+from .sequences import DDSequence, build_sequence, rephasing_fidelity
 
 # Frequency-grid points per tooth FWHM when sampling a comb.
 _GRID_PER_TOOTH = 25.0
@@ -71,11 +73,11 @@ MAX_OPTICAL_DEPTH = 700.0
 # Spins of the stratified grid over which memory_efficiency runs a sequence.
 _CHAIN_SPINS = 4096
 
-# Most jitter-free rephasing fidelities memory_efficiency keeps per process.
-# An entry is one float under its seven-value key: 213 bytes with the cache's
-# own link, measured with tracemalloc over 1024 storage times, and up to 72
-# more when the key's floats are converted from other types, so a full memo
-# holds under 0.3 MB.
+# Most rephasing fidelities memory_efficiency keeps per process.  An entry is
+# one float under its (line, DDSequence, seed) key: 309 bytes with the key's
+# new line and sequence and the cache's own link, measured with tracemalloc
+# over 1024 storage times that share one pulse, and 389 when each has a pulse
+# of its own, so a full memo holds under 0.4 MB.
 _FIDELITY_MEMO_SIZE = 1024
 
 # Most temporal modes a multimode run may have.  Each mode adds about 9.3 KB
@@ -103,13 +105,7 @@ class CombConfig:
     background_depth: float = 0.0
 
     def __post_init__(self):
-        # a numpy scalar other than float64 compares and hashes equal to the
-        # Python number but computes at its own precision, and the comb's
-        # memos key on equality
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool):
-                raise InvalidArgumentError(f"{f.name} must be an int or a float, got {v!r}")
+        check_numbers(**{f.name: getattr(self, f.name) for f in fields(self)})
         if not self.periodicity_hz > 0:
             raise InvalidArgumentError(f"periodicity_hz must be > 0, got {self.periodicity_hz}")
         if not self.finesse > 1:
@@ -228,7 +224,7 @@ def afc_echo_amplitude(comb: CombSpectrum, t: float) -> complex:
     DFT of the comb, the oracle for the closed forms of echo_trace and
     comb_dephasing_factor; no pipeline calls it.
     """
-    if t < 0:
+    if not t >= 0:
         raise InvalidArgumentError(f"t must be >= 0, got {t}")
     phases = np.exp(2j * math.pi * comb.freq_hz * t)
     return complex(np.dot(comb.depth, phases) / comb.depth.sum())
@@ -278,7 +274,7 @@ def echo_trace(comb: CombSpectrum, times: np.ndarray) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     m = comb.freq_hz.size
     df = (comb.freq_hz[-1] - comb.freq_hz[0]) / (m - 1)
-    if times.size and np.abs(times).max() > 0.5 / df:
+    if times.size and not np.abs(times).max() <= 0.5 / df:
         raise InvalidArgumentError(
             f"echo_trace covers |t| <= {0.5 / df:g} s (half the grid's alias period), "
             f"got {np.abs(times).max():g}")
@@ -381,23 +377,12 @@ class MemoryModel:
             return 0.0
 
 
-def _rephasing_amplitude(spin_line: DetuningDistribution, kind: str, t_s: float,
-                         pulse: PulseSpec, seed: int) -> float:
-    """rephasing_fidelity of the kind's sequence over the line's stratified
-    _CHAIN_SPINS-spin grid."""
-    seq = build_sequence(kind, t_s, pulse)
-    det, w = grid_ensemble(spin_line, _CHAIN_SPINS)
-    return rephasing_fidelity(seq, det, w, seed=seed)
-
-
 @functools.lru_cache(maxsize=_FIDELITY_MEMO_SIZE)
-def _jitter_free_amplitude(shape: str, fwhm_hz: float, kind: str, t_s: float,
-                           systematic_error: float, jitter_sd: float,
-                           rabi_hz: float | None) -> float:
-    """_rephasing_amplitude of a pulse without jitter, which no seed
-    changes; memoized per (line, kind, t_s, pulse), one float an entry."""
-    return _rephasing_amplitude(DetuningDistribution(shape, fwhm_hz), kind, t_s,
-                                PulseSpec(systematic_error, jitter_sd, rabi_hz), seed=0)
+def _rephasing_amplitude(line: DetuningDistribution, seq: DDSequence, seed: int) -> float:
+    """rephasing_fidelity of seq over the line's stratified _CHAIN_SPINS-spin
+    grid, memoized per (line, sequence, seed), one float an entry."""
+    det, w = grid_ensemble(line, _CHAIN_SPINS)
+    return rephasing_fidelity(seq, det, w, seed=seed)
 
 
 def memory_efficiency(model: MemoryModel, comb: CombConfig, spin_line: DetuningDistribution,
@@ -414,32 +399,26 @@ def memory_efficiency(model: MemoryModel, comb: CombConfig, spin_line: DetuningD
     envelope of spin_line at t_s; with one it is the simulated rephasing
     fidelity over a stratified grid of 4096 spins (deterministic).
 
-    Without pulse jitter that fidelity depends on the line's shape and
-    fwhm_hz, the kind, t_s and the pulse's (systematic_error, jitter_sd,
-    rabi_hz) alone, and it is memoized on them per process (at most
-    _FIDELITY_MEMO_SIZE entries): fig2b, fig2c and a sweep's rows share
-    what they ask for again, as does a loop over seeds.  Each key value is
-    converted to a Python float or str and the fidelity computed from the
-    converted values, so a numpy float32 argument, which hashes equal to
-    the Python number but computes at its own precision, gives the same
-    bits on a hit as on a miss.  A jittered pulse draws its jitter from the
-    seed, so its fidelity is computed afresh at every call.
+    That fidelity is memoized per process (at most _FIDELITY_MEMO_SIZE
+    entries), keyed by the line (spin_line's shape and fwhm_hz, so an
+    ensemble section's n_spins stays out), the sequence build_sequence
+    gives for the kind, t_s and pulse, and the seed when the pulse has
+    jitter, which the seed draws (0 otherwise, as no seed changes the
+    value): fig2b, fig2c and a sweep's rows share what they ask for again,
+    as does a loop over seeds with a jitter-free pulse.  The line, the
+    sequence and its pulse refuse numbers other than Python ints and floats
+    where they are built (errors.check_numbers), so equal keys compute the
+    same bits.
     """
-    if t_s < 0:
+    if not t_s >= 0:
         raise InvalidArgumentError(f"t_s must be >= 0, got {t_s}")
     eta = afc_efficiency(comb) * model.conversion_efficiency ** 2
     if sequence_kind is None:
         amp = dephasing_envelope(spin_line, t_s)
     else:
-        pulse = PulseSpec() if pulse is None else pulse
-        if pulse.jitter_sd > 0:  # a memo entry would never hit: the jitter follows the seed
-            amp = _rephasing_amplitude(spin_line, sequence_kind, t_s, pulse, seed)
-        else:
-            rabi_hz = None if pulse.rabi_hz is None else float(pulse.rabi_hz)
-            amp = _jitter_free_amplitude(str(spin_line.shape), float(spin_line.fwhm_hz),
-                                         str(sequence_kind), float(t_s),
-                                         float(pulse.systematic_error), float(pulse.jitter_sd),
-                                         rabi_hz)
+        seq = build_sequence(sequence_kind, t_s, pulse)
+        amp = _rephasing_amplitude(DetuningDistribution(spin_line.shape, spin_line.fwhm_hz),
+                                   seq, seed if seq.pulse.jitter_sd > 0 else 0)
     return eta * amp ** 2 * model.decay_factor(t_s) * (1.0 - model.readout_loss)
 
 
@@ -448,7 +427,7 @@ def spinwave_excitation(mu_in: float, model: MemoryModel) -> float:
 
     Linear: mu_in times the lumped write-stage probability.
     """
-    if mu_in < 0:
+    if not mu_in >= 0:
         raise InvalidArgumentError(f"mu_in must be >= 0, got {mu_in}")
     return mu_in * model.write_stage
 
@@ -498,6 +477,8 @@ def memory_timeline(modes: ModesConfig, delta_hz: float, t_s: float) -> MemoryTi
     """
     if not delta_hz > 0:
         raise InvalidArgumentError(f"delta_hz must be > 0, got {delta_hz}")
+    if not t_s >= 0:
+        raise InvalidArgumentError(f"t_s must be >= 0, got {t_s}")
     afc_delay = 1.0 / delta_hz
     usable = afc_delay * (1.0 - modes.dead_time_fraction)
     needed = modes.n_modes * modes.mode_duration_s

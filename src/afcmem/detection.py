@@ -62,13 +62,13 @@ class NoiseModel:
 
     def __post_init__(self):
         for name in ("optical_readout_noise", "residual_coupling", "detector_dark", "excess"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise InvalidArgumentError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.residual_population <= 0.5:
             raise InvalidArgumentError(
                 f"residual_population must be in [0, 0.5], got {self.residual_population}")
         p_n = noise_probability(self)
-        if p_n > 1.0:
+        if not p_n <= 1.0:
             raise InvalidArgumentError(f"noise contributions exceed 1 ({p_n:g})")
 
 
@@ -84,13 +84,13 @@ def noise_probability(model: NoiseModel) -> float:
 
 def snr_analytic(mu: float, eta: float, p_n: float) -> float:
     """Expected output SNR = mu * eta / p_n."""
-    if mu < 0:
+    if not mu >= 0:
         raise InvalidArgumentError(f"mu must be >= 0, got {mu}")
     if not 0.0 <= eta <= 1.0:
         raise InvalidArgumentError(f"eta must be in [0, 1], got {eta}")
     if p_n == 0.0:
         raise DomainError("noise-free: SNR is undefined at p_n = 0")
-    if p_n < 0:
+    if not p_n >= 0:
         raise InvalidArgumentError(f"p_n must be >= 0, got {p_n}")
     return mu * eta / p_n
 
@@ -101,7 +101,7 @@ def mu1(p_n: float, eta: float) -> float:
         raise DomainError("mu1 is undefined at eta = 0")
     if not 0.0 < eta <= 1.0:
         raise InvalidArgumentError(f"eta must be in (0, 1], got {eta}")
-    if p_n < 0:
+    if not p_n >= 0:
         raise InvalidArgumentError(f"p_n must be >= 0, got {p_n}")
     return p_n / eta
 
@@ -118,7 +118,7 @@ def qubit_fidelity(mu1_value: float, p: float) -> FidelityResult:
     the qubit before the memory; assumes state-independent (white) noise.
     F > 2/3 exactly when p > mu1.
     """
-    if mu1_value < 0:
+    if not mu1_value >= 0:
         raise InvalidArgumentError(f"mu1 must be >= 0, got {mu1_value}")
     if not 0.0 < p <= 1.0:
         raise DomainError(f"p must be in (0, 1], got {p}")
@@ -141,7 +141,7 @@ class QuantumWindow:
 
 def quantum_regime_window(mu1_value: float) -> QuantumWindow:
     """The window mu1 < p < 1; empty when mu1 >= 1."""
-    if mu1_value < 0:
+    if not mu1_value >= 0:
         raise InvalidArgumentError(f"mu1 must be >= 0, got {mu1_value}")
     return QuantumWindow(lower=mu1_value)
 
@@ -231,7 +231,7 @@ def simulate_run(detection: DetectionConfig, eta: float, p_n: float, seed: int =
     MAX_RUN_PHOTONS photons, input on and off together, raises
     CapacityError.
     """
-    if eta < 0 or p_n < 0:
+    if not (eta >= 0 and p_n >= 0):
         raise InvalidArgumentError("eta and p_n must be >= 0")
     mu, trials = detection.mu, detection.trials
     check_run_photons(mu, eta, p_n, trials, "trials or mu")

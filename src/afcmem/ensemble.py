@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidArgumentError, check_count
+from .errors import InvalidArgumentError, check_count, check_numbers
 from .rng import DOMAIN_ENSEMBLE, spawn_generator
 
 # FWHM = 2*sqrt(2*ln 2) * sigma for a Gaussian line.
@@ -53,6 +53,7 @@ class DetuningDistribution:
     def __post_init__(self):
         if self.shape not in _SHAPES:
             raise InvalidArgumentError(f"shape must be one of {_SHAPES}, got {self.shape!r}")
+        check_numbers(fwhm_hz=self.fwhm_hz)
         if not 0 < self.fwhm_hz <= MAX_FWHM_HZ:
             raise InvalidArgumentError(
                 f"fwhm_hz must be in (0, {MAX_FWHM_HZ:g}], got {self.fwhm_hz}")
@@ -112,7 +113,7 @@ class SpinEnsemble:
             raise InvalidArgumentError(f"states must have shape ({n}, 3), got {states.shape}")
         if w.shape != (n,):
             raise InvalidArgumentError(f"weights must have shape ({n},), got {w.shape}")
-        if np.any(w < 0):
+        if not np.all(w >= 0):
             raise InvalidArgumentError("weights must be non-negative")
         if abs(w.sum() - 1.0) > 1e-9:
             raise InvalidArgumentError(f"weights must sum to 1, got {w.sum()!r}")
@@ -185,7 +186,7 @@ def free_evolve(ens: SpinEnsemble, dt: float) -> SpinEnsemble:
     dt : float
         Duration in seconds, >= 0.
     """
-    if dt < 0:
+    if not dt >= 0:
         raise InvalidArgumentError(f"dt must be >= 0, got {dt}")
     theta = 2.0 * math.pi * dt * ens.detunings_hz
     c, s = np.cos(theta), np.sin(theta, out=theta)
@@ -207,7 +208,7 @@ def dephasing_envelope(dist: DetuningDistribution, t):
     t may be a scalar or array of seconds, all >= 0.
     """
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
+    if not np.all(t_arr >= 0):
         raise InvalidArgumentError("t must be >= 0")
     if dist.shape == "gaussian":
         arg = (math.pi * dist.fwhm_hz * t_arr) ** 2 / (4.0 * math.log(2.0))

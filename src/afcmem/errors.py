@@ -1,5 +1,6 @@
-"""Exception hierarchy shared by all simulator modules, and the one count check
-that the config sections, afc and detection share."""
+"""Exception hierarchy shared by all simulator modules, and the two checks that
+the config sections and the domain values share: the count check and the
+Python-number rule."""
 
 
 class AfcmemError(Exception):
@@ -36,3 +37,17 @@ def check_count(name: str, value, minimum: int = 1, maximum: int | None = None) 
         raise InvalidArgumentError(f"{name} must be an integer >= {minimum}, got {value!r}")
     if maximum is not None and value > maximum:
         raise InvalidArgumentError(f"{name} must be <= {maximum}, got {value}")
+
+
+def check_numbers(**values) -> None:
+    """Reject each value that is not a Python int or float (booleans included).
+
+    The frozen values that key the package's memos (the comb, the spin line,
+    the pulse and the sequence) take their numbers through this check.  A
+    numpy scalar other than float64, which subclasses float, compares and
+    hashes equal to the Python number but computes at its own precision, so
+    a memo would return whichever precision came first.
+    """
+    for name, value in values.items():
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise InvalidArgumentError(f"{name} must be an int or a float, got {value!r}")

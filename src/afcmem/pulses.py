@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ensemble import DetuningDistribution
-from .errors import IntegrationAccuracyError, InvalidArgumentError, check_count
+from .errors import IntegrationAccuracyError, InvalidArgumentError, check_count, check_numbers
 from .rng import DOMAIN_JITTER, spawn_generator
 
 # Norm drift above this aborts an integration as too coarse.
@@ -75,6 +75,9 @@ class PulseSpec:
     rabi_hz: float | None = None
 
     def __post_init__(self):
+        # a rabi_hz of None is an instantaneous pulse: no number to check
+        check_numbers(systematic_error=self.systematic_error, jitter_sd=self.jitter_sd,
+                      rabi_hz=0.0 if self.rabi_hz is None else self.rabi_hz)
         # Past 100% of pi an error is no longer a pulse error, and the bound
         # keeps every rotation angle finite.
         if not -1.0 <= self.systematic_error <= 1.0:
@@ -103,7 +106,7 @@ class AdiabaticPulseSpec:
     envelope: str = "linear"
 
     def __post_init__(self):
-        if self.peak_rabi_hz < 0:
+        if not self.peak_rabi_hz >= 0:
             raise InvalidArgumentError(f"peak_rabi_hz must be >= 0, got {self.peak_rabi_hz}")
         for name in ("chirp_span_hz", "duration_s"):
             if not getattr(self, name) > 0:

@@ -21,7 +21,7 @@ import numpy as np
 # under this module.
 from .ensemble import (DetuningDistribution, SpinEnsemble, draw_detunings,  # noqa: F401
                        free_evolve, sample_detunings)
-from .errors import InvalidArgumentError, check_count
+from .errors import InvalidArgumentError, check_count, check_numbers
 from .pulses import (PulseSpec, bloch_map, cayley_klein, detuning_array,  # noqa: F401
                      jitter_angle, norm2, rotate_states, rotation_matrix)
 from .rng import DOMAIN_RANDOM_PHASE, DOMAIN_THERMALIZATION, spawn_generator
@@ -46,7 +46,7 @@ SEQUENCE_KINDS = tuple(SEQUENCE_PHASES)
 MAX_STORAGE_TIME_S = 1e12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DDSequence:
     """The kind's n_pulses pulses over t_s seconds of storage time: pulse at
     each of the kind's pattern phases."""
@@ -58,6 +58,7 @@ class DDSequence:
     def __post_init__(self):
         if self.kind not in SEQUENCE_KINDS:
             raise InvalidArgumentError(f"kind must be one of {SEQUENCE_KINDS}, got {self.kind!r}")
+        check_numbers(t_s=self.t_s)
         if not 0 < self.t_s <= MAX_STORAGE_TIME_S:
             raise InvalidArgumentError(
                 f"t_s must be in (0, {MAX_STORAGE_TIME_S:g}], got {self.t_s}")

@@ -9,7 +9,12 @@ from afcmem import (CapacityError, CombConfig, DetuningDistribution, InvalidArgu
                     ModesConfig, memory_timeline, spinwave_excitation)
 from afcmem import afc, build_sequence, grid_ensemble, rephasing_fidelity
 from afcmem.afc import MAX_COMB_BUILD_WORK, MAX_COMB_GRID_POINTS, MIN_TOOTH_FWHM_HZ
-from afcmem.config import EnsembleSection
+from afcmem.config import EnsembleSection, PulseSection
+from afcmem.detection import (DetectionConfig, NoiseModel, mu1, quantum_regime_window,
+                              qubit_fidelity, simulate_run, snr_analytic)
+from afcmem.ensemble import SpinEnsemble, free_evolve, sample_detunings
+from afcmem.pulses import AdiabaticPulseSpec
+from afcmem.sequences import DDSequence
 from oracles import find_echo_peak
 
 GAUSS27 = DetuningDistribution("gaussian", 27e3)
@@ -265,38 +270,36 @@ def _eta_scale(model: MemoryModel = MemoryModel()) -> float:
 
 
 class TestRephasingMemo:
-    """memory_efficiency's per-process memo of jitter-free rephasing fidelities."""
+    """memory_efficiency's per-process memo of rephasing fidelities, keyed by
+    (line, DDSequence, seed)."""
 
-    def test_jittered_pulse_follows_its_seed(self):
-        # a jittered pulse skips the memo: each seed draws its own jitter
+    def test_jittered_pulse_has_an_entry_per_seed(self):
+        # the jitter follows the seed: each seed is its own entry, and a
+        # repeated seed hits it
         pulse = PulseSpec(systematic_error=0.01, jitter_sd=0.02)
         seq = build_sequence("xy4", 0.5e-3, pulse)
         det, w = grid_ensemble(GAUSS27, 4096)
-        afc._jitter_free_amplitude.cache_clear()
+        afc._rephasing_amplitude.cache_clear()
         etas = [chain(MemoryModel(), 0.5e-3, pulse=pulse, seed=seed) for seed in (1, 2)]
         assert etas[0] != etas[1]
         assert etas == [_eta_scale() * rephasing_fidelity(seq, det, w, seed=seed) ** 2
                         for seed in (1, 2)]
-        assert afc._jitter_free_amplitude.cache_info().currsize == 0
+        assert afc._rephasing_amplitude.cache_info().currsize == 2
+        assert [chain(MemoryModel(), 0.5e-3, pulse=pulse, seed=seed) for seed in (1, 2)] == etas
+        info = afc._rephasing_amplitude.cache_info()
+        assert (info.currsize, info.hits) == (2, 2)
 
     @pytest.mark.parametrize("field", ["t_s", "fwhm_hz"])
-    def test_float32_gives_the_same_bits_on_a_hit_and_a_miss(self, field):
+    def test_float32_is_refused_before_the_memo(self, field):
         # np.float32 hashes equal to its Python float but computes at its own
-        # precision; the memo keys and computes on the Python float
+        # precision; the line and the sequence refuse it where they are built
         value = np.float32(0.7e-3 if field == "t_s" else 27.1e3)
-
-        def eta(v):
-            t_s, fwhm = (v, 27e3) if field == "t_s" else (0.5e-3, v)
-            return memory_efficiency(MemoryModel(), DEFAULT_COMB,
-                                     DetuningDistribution("gaussian", fwhm), "xy4", t_s,
-                                     pulse=PulseSpec(systematic_error=0.01))
-
-        afc._jitter_free_amplitude.cache_clear()
-        miss = eta(value)
-        assert eta(value) == miss
-        afc._jitter_free_amplitude.cache_clear()
-        assert eta(float(value)) == miss  # the Python float's miss
-        assert eta(value) == miss  # the float32 hit on that entry
+        afc._rephasing_amplitude.cache_clear()
+        with pytest.raises(InvalidArgumentError, match=f"{field} must be an int or a float"):
+            t_s, fwhm = (value, 27e3) if field == "t_s" else (0.5e-3, value)
+            memory_efficiency(MemoryModel(), DEFAULT_COMB, DetuningDistribution("gaussian", fwhm),
+                              "xy4", t_s, pulse=PulseSpec(systematic_error=0.01))
+        assert afc._rephasing_amplitude.cache_info().currsize == 0
 
     def test_neither_n_spins_nor_seed_changes_the_value(self):
         pulse = PulseSpec(systematic_error=0.01)
@@ -306,16 +309,16 @@ class TestRephasingMemo:
         lines_and_seeds = [(EnsembleSection("gaussian", 27e3, n_spins), seed)
                            for n_spins in (1, 10_000) for seed in (0, 7)]
         for line, seed in lines_and_seeds:
-            afc._jitter_free_amplitude.cache_clear()
+            afc._rephasing_amplitude.cache_clear()
             assert memory_efficiency(MemoryModel(), DEFAULT_COMB, line, "xy4", 0.5e-3,
                                      pulse, seed) == expected
         for line, seed in lines_and_seeds:  # one entry serves them all
             memory_efficiency(MemoryModel(), DEFAULT_COMB, line, "xy4", 0.5e-3, pulse, seed)
-        info = afc._jitter_free_amplitude.cache_info()
+        info = afc._rephasing_amplitude.cache_info()
         assert (info.currsize, info.hits) == (1, len(lines_and_seeds))
 
     def test_memo_is_bounded(self):
-        memo = afc._jitter_free_amplitude
+        memo = afc._rephasing_amplitude
         assert memo.cache_info().maxsize == afc._FIDELITY_MEMO_SIZE
         memo.cache_clear()
         for i in range(afc._FIDELITY_MEMO_SIZE + 2):
@@ -323,6 +326,75 @@ class TestRephasingMemo:
         info = memo.cache_info()
         assert (info.currsize, info.misses) == (afc._FIDELITY_MEMO_SIZE,
                                                 afc._FIDELITY_MEMO_SIZE + 2)
+
+
+# Each memo-key value and its number fields, with a valid value for each.
+KEY_VALUES = [
+    (DetuningDistribution, {"shape": "gaussian"}, "fwhm_hz", 27e3),
+    (EnsembleSection, {"shape": "gaussian"}, "fwhm_hz", 27e3),
+    (PulseSpec, {}, "systematic_error", 0.25),
+    (PulseSpec, {}, "jitter_sd", 0.25),
+    (PulseSpec, {}, "rabi_hz", 2e5),
+    (PulseSection, {}, "systematic_error", 0.25),
+    (PulseSection, {}, "jitter_sd", 0.25),
+    (PulseSection, {}, "rabi_hz", 2e5),
+    (DDSequence, {"kind": "xy4", "pulse": PulseSpec()}, "t_s", 0.5e-3),
+]
+KEY_IDS = [f"{cls.__name__}.{field}" for cls, _, field, _ in KEY_VALUES]
+
+
+class TestNumberRule:
+    """The memo keys' values take Python ints and floats only (errors.check_numbers)."""
+
+    @pytest.mark.parametrize("wrap", [np.float32, np.int64, bool, str])
+    @pytest.mark.parametrize("cls, other, field, value", KEY_VALUES, ids=KEY_IDS)
+    def test_other_number_types_are_refused(self, cls, other, field, value, wrap):
+        with pytest.raises(InvalidArgumentError, match=f"{field} must be an int or a float"):
+            cls(**other, **{field: wrap(value)})
+
+    @pytest.mark.parametrize("cls, other, field, value", KEY_VALUES, ids=KEY_IDS)
+    def test_float64_scalars_are_floats(self, cls, other, field, value):
+        # np.float64 subclasses float and computes in float64: the same key
+        built = cls(**other, **{field: np.float64(value)})
+        assert built == cls(**other, **{field: value})
+        assert hash(built) == hash(cls(**other, **{field: value}))
+
+
+def _nan_ensemble_weights():
+    return SpinEnsemble(np.zeros(2), np.zeros((2, 3)), np.array([1.0, math.nan]))
+
+
+# Each check that a NaN slipped past while it was written `x < 0`, and
+# memory_timeline's t_s, which was not checked.
+NAN_CASES = {
+    "memory_efficiency.t_s": lambda: chain(MemoryModel(), math.nan, kind=None),
+    "spinwave_excitation": lambda: spinwave_excitation(math.nan, MemoryModel()),
+    "afc_echo_amplitude": lambda: afc_echo_amplitude(build_comb(DEFAULT_COMB), math.nan),
+    "echo_trace": lambda: echo_trace(build_comb(DEFAULT_COMB), np.array([0.0, math.nan])),
+    "dephasing_envelope": lambda: dephasing_envelope(GAUSS27, math.nan),
+    "dephasing_envelope.array": lambda: dephasing_envelope(GAUSS27, np.array([0.0, math.nan])),
+    "free_evolve": lambda: free_evolve(sample_detunings(GAUSS27, 4, seed=1), math.nan),
+    "SpinEnsemble.weights": _nan_ensemble_weights,
+    "snr_analytic.mu": lambda: snr_analytic(math.nan, 0.1, 0.01),
+    "snr_analytic.p_n": lambda: snr_analytic(1.0, 0.1, math.nan),
+    "mu1.p_n": lambda: mu1(math.nan, 0.1),
+    "qubit_fidelity": lambda: qubit_fidelity(math.nan, 0.5),
+    "quantum_regime_window": lambda: quantum_regime_window(math.nan),
+    "NoiseModel.excess": lambda: NoiseModel(excess=math.nan),
+    "NoiseModel.p_n": lambda: NoiseModel(residual_coupling=math.inf, residual_population=0.0),
+    "simulate_run.eta": lambda: simulate_run(DetectionConfig(), math.nan, 0.01),
+    "simulate_run.p_n": lambda: simulate_run(DetectionConfig(), 0.1, math.nan),
+    "memory_timeline.t_s": lambda: memory_timeline(ModesConfig(1, 1.5e-6), 100e3, math.nan),
+    "memory_timeline.t_s_negative": lambda: memory_timeline(ModesConfig(1, 1.5e-6), 100e3, -1e-6),
+    "AdiabaticPulseSpec.peak_rabi_hz": lambda: AdiabaticPulseSpec(math.nan, 200e3, 500e-6),
+}
+
+
+@pytest.mark.parametrize("case", NAN_CASES)
+def test_nan_is_refused(case):
+    # each bound is written `not x >= bound`, which a NaN fails
+    with pytest.raises(InvalidArgumentError):
+        NAN_CASES[case]()
 
 
 class TestSpinwaveExcitation:

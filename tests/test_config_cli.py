@@ -18,11 +18,11 @@ from afcmem.errors import ConfigError
 
 ALL_PRESETS = ["fig1d", "fig2a", "fig2b", "fig2c", "random_phase", "table1"]
 
-# Wrong types, non-finite and huge numbers, empty and odd containers, and a
-# huge integer, which every count that sizes an array must refuse before
-# allocating.
-VALUE_POOL = [None, True, -1, 0, 1, 0.5, 1e308, -1e308, math.nan, math.inf, "x", [], [0.0],
-              [math.inf], {}, 2 ** 40]
+# Wrong types, non-finite, huge and tiny numbers (a denormal, and 1e-300,
+# whose ratios underflow), empty and odd containers, and huge integers, which
+# every count that sizes an array must refuse before allocating.
+VALUE_POOL = [None, True, -1, 0, 1, 0.5, 1e308, -1e308, 5e-324, 1e-300, math.nan, math.inf,
+              "x", [], [0.0], [math.inf], {}, 2 ** 40, 2 ** 63]
 
 
 def _config_fields():
@@ -350,13 +350,18 @@ class TestCli:
             assert main(["run", str(path), "--out", str(tmp_path / "out")]) == code
         assert needle in capsys.readouterr().err
 
-    @settings(max_examples=100, deadline=None,
+    # derandomized without an example database, so every run draws the same
+    # configs: 1-3 distinct keys, each set to a pool value, on one preset
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(preset=st.sampled_from(ALL_PRESETS), where=st.sampled_from(CONFIG_FIELDS),
-           value=st.sampled_from(VALUE_POOL))
-    def test_any_pool_value_in_any_field_exits_0_2_or_3(self, tmp_path, preset, where, value):
-        section, name = where
-        doc = {"preset": preset, **({section: {name: value}} if section else {name: value})}
+    @given(preset=st.sampled_from(ALL_PRESETS),
+           overrides=st.lists(st.tuples(st.sampled_from(CONFIG_FIELDS),
+                                        st.sampled_from(VALUE_POOL)),
+                              min_size=1, max_size=3, unique_by=lambda kv: kv[0]))
+    def test_any_pool_value_in_any_field_exits_0_2_or_3(self, tmp_path, preset, overrides):
+        doc = {"preset": preset}
+        for (section, name), value in overrides:
+            (doc.setdefault(section, {}) if section else doc)[name] = value
         with tempfile.TemporaryDirectory(dir=tmp_path) as d:
             path = Path(d) / "cfg.json"
             path.write_text(json.dumps(doc))

@@ -164,9 +164,10 @@ def test_equal_combs_share_one_entry_and_the_manifest_bytes(tmp_path, monkeypatc
 
 def test_warm_fidelity_memo_writes_the_cold_bytes(tmp_path):
     # fig2b, table1 and fig2c ask for eight xy4 fidelities over one line and
-    # pulse, six of them distinct; a warm memo writes what an empty one does
+    # pulse, six of them distinct sequences; a warm memo writes what an empty
+    # one does
     presets = ("fig2b", "table1", "fig2c")
-    memo = afcmem.afc._jitter_free_amplitude
+    memo = afcmem.afc._rephasing_amplitude
 
     def run(preset, out_dir):
         cfg, fixtures = load_config(preset, {"detection": {"trials": 2000}})
