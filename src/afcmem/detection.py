@@ -1,8 +1,11 @@
 """Noise budget, photon statistics, and figures of merit.
 
 Counting noise is modeled as Poissonian and white in time within the
-detection gate.  The signal-to-noise estimator uses background subtraction,
-(with - without)/without, matching the blocked-input reference measurement.
+detection gate.  A run draws its photon totals, then places them in the
+gate's bins with one multinomial draw each, so its cost grows with the bins
+and not with the photons.  The signal-to-noise estimator uses background
+subtraction, (with - without)/without, matching the blocked-input reference
+measurement.
 The key derived figures are mu1 = p_n/eta (the input photon number giving
 unit output signal-to-noise) and the post-selected qubit fidelity bound
 F = (1 + mu1/p)/(1 + 2 mu1/p) with classical limit 2/3.
@@ -19,11 +22,12 @@ import numpy as np
 from .errors import CapacityError, DomainError, InvalidArgumentError, check_count
 from .rng import DOMAIN_DETECTION, spawn_generator
 
-# Most photons a run may expect, over all its modes: each one is drawn and
-# binned on its own (8 bytes apiece, so 128 MiB here), and numpy's Poisson
-# sampler refuses means far above this anyway.  A multimode run draws its
-# modes one after another, so the bound is on their sum, which
-# runner._run_multimode checks before it draws the first mode.
+# Most photons a run may expect, over all its modes.  No photon is drawn or
+# held on its own (a run draws three Poisson totals and places each with one
+# multinomial draw), so the bound guards the range of numpy's Poisson
+# sampler, which refuses means far above this, and the run's total.  A
+# multimode run draws its modes one after another, so the bound is on their
+# sum, which runner._run_multimode checks before it draws the first mode.
 MAX_RUN_PHOTONS = 2 ** 24
 
 # Most histogram bins a gate may have.  A run's peak memory grows by about
@@ -164,8 +168,9 @@ class DetectionConfig:
         if not self.mu >= 0:
             raise InvalidArgumentError(f"mu must be >= 0, got {self.mu}")
         check_count("trials", self.trials)
-        if not self.gate_duration_s > 0:
-            raise InvalidArgumentError(f"gate_duration_s must be > 0, got {self.gate_duration_s}")
+        if not 0 < self.gate_duration_s < math.inf:
+            raise InvalidArgumentError(
+                f"gate_duration_s must be > 0 and finite, got {self.gate_duration_s}")
         check_count("gate_bins", self.gate_bins)
         if self.gate_bins > MAX_GATE_BINS:
             raise InvalidArgumentError(
@@ -216,19 +221,38 @@ def check_run_photons(mu: float, eta: float, p_n: float, trials: int, lower: str
                             f"{MAX_RUN_PHOTONS} it may draw; lower {lower}")
 
 
+def _signal_bin_mass(gate_bins: int) -> np.ndarray:
+    """Probability that a signal photon falls in each of gate_bins equal bins.
+
+    The signal profile is a normal at the gate center with sd a tenth of
+    the gate, clipped to the gate, so bin k spans z in [10k/B - 5,
+    10(k+1)/B - 5] with the first and last bins open-ended.  The lower half
+    is computed from math.erfc and mirrored, so the mass is symmetric bit
+    for bit and depends on the bin count alone.
+    """
+    cdf = [0.0] + [0.5 * math.erfc((5.0 - 10.0 * j / gate_bins) / math.sqrt(2.0))
+                   for j in range(1, gate_bins // 2 + 1)]
+    lower = [b - a for a, b in zip(cdf, cdf[1:])]
+    middle = [1.0 - 2.0 * cdf[-1]] if gate_bins % 2 else []
+    return np.array(lower + middle + lower[::-1])
+
+
 def simulate_run(detection: DetectionConfig, eta: float, p_n: float, seed: int = 0,
                  stream: int = 0) -> RunStatistics:
     """Monte Carlo photon counting with and without the input pulse.
 
     Per trial the output-window count is Poisson with mean mu*eta + p_n
     (input on) or p_n (input blocked), mu and the trials and gate taken
-    from detection.  Signal photons are binned on a
-    pulse-shaped profile at the gate center, noise photons uniformly; the
-    per-bin placement is cosmetic and does not affect the estimators,
-    which use whole-gate totals.  Identical seeds give identical
-    histograms byte for byte; stream separates independent runs (e.g.
-    temporal modes) under one root seed.  A run that expects more than
-    MAX_RUN_PHOTONS photons, input on and off together, raises
+    from detection; the run draws the three totals (signal, noise with
+    input, noise without) as Poisson draws over all trials.  Each histogram
+    is then one multinomial draw per total: signal photons over
+    _signal_bin_mass, a pulse-shaped profile at the gate center, and noise
+    photons uniformly.  The per-bin placement is cosmetic and does not
+    affect the estimators, which use whole-gate totals; a run costs
+    O(gate_bins), whatever its photon count.  Identical seeds give
+    identical histograms byte for byte; stream separates independent runs
+    (e.g. temporal modes) under one root seed.  A run that expects more
+    than MAX_RUN_PHOTONS photons, input on and off together, raises
     CapacityError.
     """
     if not (eta >= 0 and p_n >= 0):
@@ -240,15 +264,10 @@ def simulate_run(detection: DetectionConfig, eta: float, p_n: float, seed: int =
     n_noise_with = int(rng.poisson(trials * p_n))
     n_noise_without = int(rng.poisson(trials * p_n))
 
-    edges = detection.bin_edges_s
-    center = 0.5 * detection.gate_duration_s
-    width = detection.gate_duration_s / 10.0
-    sig_times = np.clip(rng.normal(center, width, n_sig), edges[0], edges[-1])
-    counts_with = np.histogram(sig_times, bins=edges)[0]
-    counts_with = counts_with + np.bincount(
-        rng.integers(0, detection.gate_bins, n_noise_with), minlength=detection.gate_bins)
-    counts_without = np.bincount(
-        rng.integers(0, detection.gate_bins, n_noise_without), minlength=detection.gate_bins)
+    uniform = np.full(detection.gate_bins, 1.0 / detection.gate_bins)
+    counts_with = (rng.multinomial(n_sig, _signal_bin_mass(detection.gate_bins))
+                   + rng.multinomial(n_noise_with, uniform))
+    counts_without = rng.multinomial(n_noise_without, uniform)
 
     W = (n_sig + n_noise_with) / trials
     B = n_noise_without / trials
@@ -266,7 +285,7 @@ def simulate_run(detection: DetectionConfig, eta: float, p_n: float, seed: int =
         mu1_err = mu * math.sqrt(W * B * (B + W) / trials) / (W - B) ** 2
     else:
         mu1_val, mu1_err = math.nan, math.nan
-    return RunStatistics(mu=mu, trials=trials, bin_edges_s=edges,
+    return RunStatistics(mu=mu, trials=trials, bin_edges_s=detection.bin_edges_s,
                          counts_with=counts_with, counts_without=counts_without,
                          eta=eta_est, p_n=p_n_est,
                          snr=ValueWithError(snr_val, snr_err),

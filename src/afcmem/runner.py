@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,30 +30,36 @@ _FLOAT_TYPES = (float, np.floating)
 _PipelineOutput = tuple[list[Path], dict]
 
 
-def _sanitize(obj):
-    """Plain values for JSON: every numpy scalar (np.bool_ included) becomes
-    its Python equivalent, and non-finite floats become None."""
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
+def _plain(obj):
+    """Plain values for a report, in one walk: every numpy scalar (np.bool_
+    included) becomes its Python equivalent, a non-finite float None, a dict
+    a dict, a list or tuple a list, and a dataclass the dict of its fields."""
     if isinstance(obj, np.generic):
         obj = obj.item()
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return None
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
     return obj
 
 
 def _column_cells(column) -> tuple[str, list]:
     """(row-template field, cell values) of one CSV column.
 
-    A float array is formatted by the template itself, with _FLOAT_FMT;
-    any other column (ints, bools, strings, mixed report values) is
+    A float array is formatted by the template itself, with _FLOAT_FMT, and
+    an integer or bool array with "%s" (which is str for an int or a bool);
+    any other column (strings, Python lists, mixed report values) is
     formatted cell by cell: floats with _FLOAT_FMT, anything else with str.
     """
     if isinstance(column, np.ndarray):
         if column.dtype.kind == "f":
             return _FLOAT_FMT, column.tolist()
+        if column.dtype.kind in "biu":
+            return "%s", column.tolist()
         column = column.tolist()
     return "%s", [_FLOAT_FMT % v if isinstance(v, _FLOAT_TYPES) else str(v) for v in column]
 
@@ -87,12 +93,10 @@ def _flatten(prefix: str, obj, out: dict):
 
 
 def _write_report(out_dir: Path, cfg: ExperimentConfig, results: dict) -> Path:
-    parameters = asdict(cfg)
+    parameters = _plain(cfg)
     parameters.pop("output_dir", None)  # location must not affect report bytes
-    doc = _sanitize({"schema_version": SCHEMA_VERSION,
-                     "pipeline": cfg.pipeline,
-                     "parameters": parameters,
-                     "results": results})
+    doc = {"schema_version": SCHEMA_VERSION, "pipeline": cfg.pipeline,
+           "parameters": parameters, "results": _plain(results)}
     if cfg.format == "json":
         path = out_dir / "report.json"
         path.write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")

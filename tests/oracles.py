@@ -9,7 +9,7 @@ estimate) serve no pipeline, so they live here rather than in the package.
 """
 
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -17,6 +17,48 @@ from afcmem.afc import CombSpectrum, echo_trace
 from afcmem.ensemble import SpinEnsemble, grid_ensemble
 from afcmem.errors import InvalidArgumentError
 from afcmem.pulses import AdiabaticPulseSpec, IntegratorConfig, integrate_bloch_many
+from afcmem.rng import DOMAIN_DETECTION, spawn_generator
+
+
+def per_photon_histograms(detection, eta, p_n, seed=0, stream=0):
+    """(counts_with, counts_without, totals) of one run drawn photon by
+    photon, the sampler simulate_run used before its multinomial form.
+
+    The three Poisson totals (signal, noise with input, noise without) come
+    first from the run's (seed, DOMAIN_DETECTION, stream) generator, as in
+    simulate_run.  Then each signal photon gets a normal time at the gate
+    center with sd a tenth of the gate, clipped to the gate and binned with
+    np.histogram, and each noise photon a uniform bin.
+    """
+    rng = spawn_generator(seed, DOMAIN_DETECTION, stream)
+    trials, mu, bins = detection.trials, detection.mu, detection.gate_bins
+    totals = (int(rng.poisson(trials * mu * eta)), int(rng.poisson(trials * p_n)),
+              int(rng.poisson(trials * p_n)))
+    edges = detection.bin_edges_s
+    gate = detection.gate_duration_s
+    times = np.clip(rng.normal(0.5 * gate, gate / 10.0, totals[0]), edges[0], edges[-1])
+    counts_with = np.histogram(times, bins=edges)[0] + np.bincount(
+        rng.integers(0, bins, totals[1]), minlength=bins)
+    counts_without = np.bincount(rng.integers(0, bins, totals[2]), minlength=bins)
+    return counts_with, counts_without, totals
+
+
+def sanitize(obj):
+    """The report's plain values in two walks, as the runner made them
+    before its one-walk form: dataclasses.asdict deep-copies any dataclass,
+    then every dict, list and tuple is walked again, numpy scalars become
+    Python values, tuples lists and non-finite floats None."""
+    if hasattr(type(obj), "__dataclass_fields__"):
+        obj = asdict(obj)
+    if isinstance(obj, dict):
+        return {k: sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [sanitize(v) for v in obj]
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def grid_spin_ensemble(dist, n):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from afcmem import (CapacityError, DetectionConfig, DomainError, InvalidArgumentError, NoiseModel,
                     mu1, noise_probability, qubit_fidelity, quantum_regime_window, simulate_run,
                     snr_analytic)
+from afcmem.detection import _signal_bin_mass
+from oracles import per_photon_histograms
 
 # Measured sweep rows: (t_s ms, eta, mu1 +- err, p_n, snr +- err), mu = 2.
 TABLE_ROWS = [
@@ -161,12 +163,46 @@ class TestSimulateRun:
         assert stats.snr.value * stats.mu1.value == pytest.approx(2.0, rel=1e-12)
 
     def test_histogram_totals_are_counts(self):
+        # the histograms hold exactly the photons the estimators count, W and
+        # B times trials, and the same totals as the per-photon sampler's
         detection = DetectionConfig(1.0, 10_000, gate_duration_s=2e-6, gate_bins=25)
         stats = simulate_run(detection, 0.05, 0.01, seed=4)
-        assert stats.counts_with.sum() >= 0
+        n_with, n_without = int(stats.counts_with.sum()), int(stats.counts_without.sum())
+        w, b = n_with / 10_000, n_without / 10_000
+        assert stats.p_n.value == b
+        assert stats.eta.value == (w - b) / 1.0
+        _, _, (n_sig, n_noise_with, n_noise_without) = per_photon_histograms(
+            detection, 0.05, 0.01, seed=4)
+        assert (n_with, n_without) == (n_sig + n_noise_with, n_noise_without)
         assert stats.counts_with.size == 25
         assert np.all(stats.counts_with >= 0) and np.all(stats.counts_without >= 0)
         assert stats.bin_edges_s.size == 26
+
+    def test_bin_means_match_the_per_photon_sampler(self):
+        # 400 seeds a side (disjoint, so the two sides are independent); each
+        # of the 80 bin means agrees within |z| <= 4.9, a false alarm of
+        # about 8e-5 over all bins together (Bonferroni, two-sided)
+        detection = DetectionConfig(2.0, 10_000)
+        new = [simulate_run(detection, 0.051, 0.010, seed=s) for s in range(400)]
+        old = [per_photon_histograms(detection, 0.051, 0.010, seed=s) for s in range(400, 800)]
+        for side in (0, 1):
+            a = np.array([(r.counts_with, r.counts_without)[side] for r in new], dtype=float)
+            b = np.array([r[side] for r in old], dtype=float)
+            z = (a.mean(0) - b.mean(0)) / np.sqrt((a.var(0, ddof=1) + b.var(0, ddof=1)) / 400)
+            assert np.max(np.abs(z)) <= 4.9
+
+    def test_signal_bin_mass(self):
+        for bins in (2, 3, 25, 40, 41, 1000):
+            mass = _signal_bin_mass(bins)
+            assert mass.size == bins and np.all(mass >= 0)
+            assert abs(mass.sum() - 1.0) <= 1e-15
+            np.testing.assert_array_equal(mass, mass[::-1])
+            # the normal's bin mass from math.erf at every edge, the outer
+            # two open-ended
+            cdf = [0.0] + [0.5 * (1.0 + math.erf((10.0 * k / bins - 5.0) / math.sqrt(2.0)))
+                           for k in range(1, bins)] + [1.0]
+            np.testing.assert_allclose(mass, np.diff(cdf), rtol=0, atol=1e-15)
+        assert _signal_bin_mass(1).tolist() == [1.0]
 
     def test_estimates_cover_truth(self):
         stats = simulate_run(DetectionConfig(2.0, 200_000), 0.051, 0.010, seed=6)
@@ -176,6 +212,12 @@ class TestSimulateRun:
     def test_invalid_args(self):
         with pytest.raises(InvalidArgumentError):
             simulate_run(DetectionConfig(1.0, 0), 0.1, 0.01)
+
+    @pytest.mark.parametrize("gate", [math.inf, -math.inf, math.nan, 0.0, -2e-6])
+    def test_gate_duration_must_be_finite_and_positive(self, gate):
+        # an infinite gate once gave bin edges [nan, inf, ...]
+        with pytest.raises(InvalidArgumentError, match="gate_duration_s must be > 0 and finite"):
+            DetectionConfig(gate_duration_s=gate)
 
     @pytest.mark.parametrize("gate_bins", [2.5, 40.0, True])
     def test_gate_bins_must_be_an_integer(self, gate_bins):

@@ -6,7 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +21,7 @@ from afcmem.ensemble import SpinEnsemble, sample_detunings
 from afcmem.sequences import (build_sequence, calibrate_systematic_error,
                               random_phase_population_study)
 from golden import MANIFEST, versions
+from oracles import sanitize
 
 
 def _per_cell_csv(path, header, rows):
@@ -56,6 +57,9 @@ class TestWriteCsv:
             "float32": np.array(FLOAT32_VALUES, dtype=np.float32),
             "float_list": SPECIAL_FLOATS,
             "ints": np.arange(n) * -1234567,
+            "int64_extremes": np.resize(np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max,
+                                                  0, -1]), n),
+            "uint8": np.arange(n, dtype=np.uint8) * 25,
             "int_list": range(n),
             "bools": np.arange(n) % 3 == 0,
             "numpy_scalars": [np.float64(v) for v in SPECIAL_FLOATS],
@@ -81,6 +85,43 @@ class TestWriteCsv:
     def test_any_float_array_matches_the_per_cell_writer(self, tmp_path_factory, values):
         tmp_path = tmp_path_factory.mktemp("csv")
         _assert_same_bytes(tmp_path, {"x": np.array(values), "i": range(len(values))})
+
+
+@dataclass(frozen=True)
+class _Inner:
+    values: tuple = (1.0, math.nan, (np.float32(0.5), [np.int64(3)]))
+
+
+@dataclass(frozen=True)
+class _Outer:
+    x: float = math.inf
+    inner: _Inner = _Inner()
+    rows: tuple = (_Inner(), {"flag": np.bool_(False)})
+
+
+def _same_plain_values(obj):
+    new, old = runner._plain(obj), sanitize(obj)
+    assert new == old
+    assert json.dumps(new, sort_keys=True) == json.dumps(old, sort_keys=True)  # types too
+
+
+@pytest.mark.parametrize("preset", preset_names())
+def test_plain_matches_asdict_then_sanitize(preset):
+    cfg, fixtures = load_config(preset)
+    _same_plain_values(cfg)
+    _same_plain_values(fixtures)
+
+
+def test_plain_takes_odd_values_as_asdict_then_sanitize_did():
+    _same_plain_values({"nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+                        "f32": np.float32(0.1), "f32_inf": np.float32(-np.inf),
+                        "i64": np.int64(-9), "b": np.bool_(True), "t": (1, (2.5, [3])),
+                        "nested": [[np.float64(math.nan), [np.int64(1)]], ()],
+                        "dataclass": _Outer(), "none": None, "s": "fig2a"})
+    _same_plain_values(_Outer())
+    assert runner._plain(_Outer()) == {
+        "x": None, "inner": {"values": [1.0, None, [0.5, [3]]]},
+        "rows": [{"values": [1.0, None, [0.5, [3]]]}, {"flag": False}]}
 
 
 def test_json_report_takes_numpy_scalars(tmp_path):
